@@ -8,6 +8,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <utility>
 
 #include "store/artifact_store.h"
@@ -34,15 +35,33 @@ constexpr std::uint64_t kBlockMask = ~std::uint64_t{7};
   }
 }
 
+/// Whole-page FNV-1a digests, memoized per page object: a page shared by
+/// many boundary snapshots of one plan is read once. Keys are the pages'
+/// addresses, valid while the plan's snapshots hold them.
+class PageDigests {
+ public:
+  [[nodiscard]] std::uint64_t operator()(const vm::Vm::Snapshot::Page& page) {
+    auto [it, fresh] = memo_.try_emplace(&page, 0);
+    if (fresh) it->second = util::hash_bytes(page.data(), page.size());
+    return it->second;
+  }
+
+ private:
+  std::unordered_map<const vm::Vm::Snapshot::Page*, std::uint64_t> memo_;
+};
+
 /// Stable content hash of one boundary machine state — the "boundary
 /// live-set" component of a summary key. Everything execution depends on
 /// is hashed field by field (never raw struct bytes), so the digest is
 /// identical across processes and the key soundly invalidates when ANY
-/// upstream edit perturbs the state that flows into the section.
-[[nodiscard]] std::uint64_t hash_snapshot(const vm::Vm::Snapshot& s) {
-  util::Hash64 h("ft.summary.entry.v1");
-  h.u64(s.mem.size());
-  h.bytes(s.mem.data(), s.mem.size());
+/// upstream edit perturbs the state that flows into the section. The memory
+/// image enters as its page digests in page order.
+[[nodiscard]] std::uint64_t hash_snapshot(const vm::Vm::Snapshot& s,
+                                          PageDigests& digests) {
+  util::Hash64 h("ft.summary.entry.v2");
+  h.u64(s.mem_size);
+  h.u64(s.pages.size());
+  for (const auto& page : s.pages) h.u64(digests(*page));
   h.u64(s.frames.size());
   for (const auto& f : s.frames) {
     h.u32(f.func)
@@ -164,10 +183,20 @@ struct Tally {
   } else {
     // Materialize the delta into a copy of the boundary state. Sound
     // because every surviving delta word was neither read nor written
-    // between its section and `start`, and outputs are append-only.
+    // between its section and `start`, and outputs are append-only. The
+    // copy shares the boundary's pages; only the pages the delta touches
+    // are copied (delta words are 8-aligned, so none straddles a page, and
+    // sorted, so each page is copied once).
     vm::Vm::Snapshot patched = plan.snapshots[start];
+    constexpr std::size_t kPage = vm::Vm::Snapshot::kPageBytes;
+    std::size_t owned = ~std::size_t{0};
+    std::uint8_t* page = nullptr;
     for (const auto& [addr, bits] : *mem_patch) {
-      std::memcpy(patched.mem.data() + addr, &bits, sizeof(bits));
+      if (addr / kPage != owned) {
+        owned = addr / kPage;
+        page = patched.own_page(owned);
+      }
+      std::memcpy(page + addr % kPage, &bits, sizeof(bits));
     }
     for (const auto& [idx, bits] : *out_patch) patched.outputs[idx].bits = bits;
     vm.emplace(program, patched, topts);
@@ -217,6 +246,11 @@ struct Tally {
 }
 
 }  // namespace
+
+std::uint64_t entry_hash(const vm::Vm::Snapshot& s) {
+  PageDigests digests;
+  return hash_snapshot(s, digests);
+}
 
 std::string encode_summary(const SectionSummary& s) {
   store::ByteWriter w;
@@ -282,8 +316,9 @@ SectionPlan plan_sections(const vm::DecodedProgram& program,
     return plan;
   }
 
-  // Boundary snapshots deep-copy the memory image: honor the fork policy's
-  // snapshot byte budget like prepare_snapshots does.
+  // Honor the fork policy's snapshot byte budget like prepare_snapshots
+  // does (one full image per snapshot: an upper bound, since boundaries
+  // share unchanged pages).
   std::size_t cap = std::max<std::size_t>(max_sections, 1);
   const std::uint64_t mem_size = program.module().memory_size();
   if (prepared.fork.max_snapshot_bytes > 0 && mem_size > 0) {
@@ -311,8 +346,11 @@ SectionPlan plan_sections(const vm::DecodedProgram& program,
         break;
       }
     }
+    // Chain each boundary onto the previous one: only the pages the
+    // golden run wrote in between are copied.
     plan.snapshots.emplace_back();
-    g.save(plan.snapshots.back());
+    g.save(plan.snapshots.back(),
+           i > 0 ? &plan.snapshots[plan.snapshots.size() - 2] : nullptr);
   }
   if (begins.empty()) {
     plan.snapshots.clear();
@@ -320,19 +358,25 @@ SectionPlan plan_sections(const vm::DecodedProgram& program,
   }
 
   // Per-section golden-trace facts in one columnar pass: executed function
-  // set, upward-exposed read blocks, fully-killed blocks, opacity.
+  // set, upward-exposed read blocks, fully-killed blocks, opacity. Block
+  // membership is tracked with per-block epoch marks (epoch = section + 1),
+  // so each block is tested and recorded in O(1) and every list comes out
+  // unique.
   const auto cols = trace.raw();
   const auto* code = program.code();
+  const auto* srcs = program.srcs();
   const std::size_t nfuncs = program.num_functions();
+  const std::uint64_t nblocks = (mem_size + 7) / 8;
   plan.sections.resize(begins.size());
   std::vector<std::uint8_t> seen(nfuncs, 0);
   std::vector<std::uint8_t> seen_pc(program.code_size(), 0);
-  vm::DynInstr rec;
+  std::vector<std::uint32_t> killed_in(nblocks, 0);
+  std::vector<std::uint32_t> read_in(nblocks, 0);
   for (std::size_t s = 0; s < begins.size(); ++s) {
     SectionInfo& sec = plan.sections[s];
     sec.begin = begins[s];
     sec.end = s + 1 < begins.size() ? begins[s + 1] : total;
-    std::vector<std::uint64_t> killed;  // sorted insert-on-demand
+    const auto epoch = static_cast<std::uint32_t>(s + 1);
     for (std::uint64_t row = sec.begin; row < sec.end; ++row) {
       const std::uint32_t pc = cols.pc[row];
       const auto& ins = code[pc];
@@ -346,23 +390,44 @@ SectionPlan plan_sections(const vm::DecodedProgram& program,
       }
       if (is_mpi(ins.op)) sec.opaque = true;
       if (ins.op != ir::Opcode::Load && ins.op != ir::Opcode::Store) continue;
-      trace.materialize(row, rec);
-      const std::uint64_t first = rec.mem_addr & kBlockMask;
+      // Effective address and width as ColumnTrace::materialize derives
+      // them: a Load records its pointer as the only pool entry; a Store
+      // records its value, then its address.
+      const std::uint64_t* pool = cols.op_bits + cols.ops_offset[row];
+      std::uint64_t addr = 0;
+      std::uint32_t size = 0;
+      if (ins.op == ir::Opcode::Load) {
+        addr = pool[0];
+        size = store_size(ins.type);
+      } else {
+        const vm::Src* ss = srcs + ins.src_begin;
+        if (ss[1].kind != vm::SrcKind::None) {
+          addr = pool[ss[0].kind != vm::SrcKind::None ? 1 : 0];
+        }
+        size = store_size(ss[0].type);
+      }
+      const std::uint64_t first = addr & kBlockMask;
       const std::uint64_t last =
-          (rec.mem_addr + std::max<std::uint32_t>(rec.mem_size, 1) - 1) &
-          kBlockMask;
-      const bool full_store = rec.op == ir::Opcode::Store &&
-                              (rec.mem_addr & 7) == 0 && rec.mem_size == 8;
+          (addr + std::max<std::uint32_t>(size, 1) - 1) & kBlockMask;
+      if (last < first || (last >> 3) >= nblocks) {
+        // Outside the image (a stale or damaged trace): make the section
+        // opaque so no delta is ever transported through it.
+        sec.opaque = true;
+        continue;
+      }
+      const bool full_store =
+          ins.op == ir::Opcode::Store && (addr & 7) == 0 && size == 8;
       for (std::uint64_t b = first; b <= last; b += 8) {
-        auto kit = std::lower_bound(killed.begin(), killed.end(), b);
-        const bool is_killed = kit != killed.end() && *kit == b;
+        const std::uint64_t blk = b >> 3;
+        if (killed_in[blk] == epoch) continue;
         if (full_store) {
-          if (!is_killed) killed.insert(kit, b);
+          killed_in[blk] = epoch;
           sec.kills.push_back(b);
-        } else if (!is_killed) {
+        } else if (read_in[blk] != epoch) {
           // Loads and partial stores both consume the block's prior
           // content for delta purposes (a partial store merges old bytes
           // with new).
+          read_in[blk] = epoch;
           sec.reads.push_back(b);
         }
       }
@@ -372,11 +437,7 @@ SectionPlan plan_sections(const vm::DecodedProgram& program,
     std::sort(sec.pcs.begin(), sec.pcs.end());
     std::sort(sec.funcs.begin(), sec.funcs.end());
     std::sort(sec.reads.begin(), sec.reads.end());
-    sec.reads.erase(std::unique(sec.reads.begin(), sec.reads.end()),
-                    sec.reads.end());
     std::sort(sec.kills.begin(), sec.kills.end());
-    sec.kills.erase(std::unique(sec.kills.begin(), sec.kills.end()),
-                    sec.kills.end());
   }
 
   // Assign every plan to the section containing its fork bound.
@@ -395,9 +456,10 @@ SectionPlan plan_sections(const vm::DecodedProgram& program,
   // key) are a property of the golden decomposition, not of any one
   // campaign run: digest each image once at planning time, and only where
   // a key will need it — plan-bearing sections with a downstream boundary.
+  PageDigests digests;
   for (std::size_t s = 0; s + 1 < plan.sections.size(); ++s) {
     if (!plan.section_plans[s].empty()) {
-      plan.sections[s].entry_hash = hash_snapshot(plan.snapshots[s]);
+      plan.sections[s].entry_hash = hash_snapshot(plan.snapshots[s], digests);
     }
   }
   return plan;
@@ -520,22 +582,20 @@ ComposedResult run_composed_campaign(const vm::DecodedProgram& program,
           }
         }
         const auto fm = vm.memory();
-        const auto& gm = exit_snap.mem;
-        diverged = diverged || fm.size() != gm.size() || fm.size() % 8 != 0;
-        constexpr std::size_t kChunk = 4096;
-        for (std::size_t off = 0; !diverged && off < gm.size();
-             off += kChunk) {
-          const std::size_t len = std::min(kChunk, gm.size() - off);
-          if (std::memcmp(fm.data() + off, gm.data() + off, len) == 0) {
-            continue;
-          }
-          for (std::size_t w = off; w < off + len; w += 8) {
+        diverged = diverged || fm.size() != exit_snap.mem_size ||
+                   fm.size() % 8 != 0;
+        for (std::size_t p = 0; !diverged && p < exit_snap.pages.size(); ++p) {
+          const std::size_t off = p * vm::Vm::Snapshot::kPageBytes;
+          const std::size_t len = exit_snap.page_size(p);
+          const std::uint8_t* gm = exit_snap.pages[p]->data();
+          if (std::memcmp(fm.data() + off, gm, len) == 0) continue;
+          for (std::size_t w = 0; w < len; w += 8) {
             std::uint64_t fb = 0;
             std::uint64_t gb = 0;
-            std::memcpy(&fb, fm.data() + w, 8);
-            std::memcpy(&gb, gm.data() + w, 8);
+            std::memcpy(&fb, fm.data() + off + w, 8);
+            std::memcpy(&gb, gm + w, 8);
             if (fb == gb) continue;
-            site.mem.emplace_back(w, fb);
+            site.mem.emplace_back(off + w, fb);
             if (site.mem.size() > opts.max_delta_words) {
               diverged = true;
               break;

@@ -84,11 +84,11 @@ struct SectionInfo {
   /// Sections executing MiniMPI ops never transport a delta symbolically
   /// (communication makes the footprint non-local).
   bool opaque = false;
-  /// Content hash of the section's entry snapshot (the boundary live-set
-  /// component of its summary key), digested once at planning time for
-  /// plan-bearing sections with a downstream boundary; 0 otherwise. Any
-  /// upstream edit that perturbs the state flowing into the section
-  /// changes this hash and soundly invalidates the key.
+  /// Content hash of the section's entry snapshot (compose::entry_hash,
+  /// the boundary live-set component of its summary key), digested once at
+  /// planning time for plan-bearing sections with a downstream boundary; 0
+  /// otherwise. Any upstream edit that perturbs the state flowing into the
+  /// section changes this hash and soundly invalidates the key.
   std::uint64_t entry_hash = 0;
 };
 
@@ -145,7 +145,10 @@ struct SectionSummary {
 struct SectionPlan {
   std::vector<SectionInfo> sections;
   /// Golden machine state at sections[i].begin (snapshots.size() ==
-  /// sections.size()); snapshots[0] is the pristine pre-run machine.
+  /// sections.size()); snapshots[0] is the pristine pre-run machine. Each
+  /// boundary shares every memory page the golden run left unchanged since
+  /// the previous one (vm::Vm::save), so the chain costs one image plus the
+  /// pages written between boundaries.
   std::vector<vm::Vm::Snapshot> snapshots;
   /// Per plan (parallel to PreparedCampaign::plans): the section whose span
   /// contains the plan's fork bound.
@@ -160,14 +163,20 @@ struct SectionPlan {
 
 /// Cut the golden trace into sections at region-instance boundaries
 /// (trace::section_boundaries), execute the golden prefix once to snapshot
-/// every boundary, and scan each section's rows for its function set,
-/// read/kill block sets and opacity. `max_sections` bounds the snapshot
-/// count; the prepared campaign's ForkPolicy::max_snapshot_bytes budget
-/// lowers it further for large memory images.
+/// every boundary (chained, page-shared saves), and scan each section's
+/// rows for its function set, read/kill block sets and opacity.
+/// `max_sections` bounds the snapshot count; the prepared campaign's
+/// ForkPolicy::max_snapshot_bytes budget lowers it further for large memory
+/// images.
 [[nodiscard]] SectionPlan plan_sections(
     const vm::DecodedProgram& program, const trace::ColumnTrace& trace,
     std::span<const trace::RegionInstance> instances,
     const fault::PreparedCampaign& prepared, std::size_t max_sections = 32);
+
+/// Content hash of a boundary machine state as summary keys use it
+/// (`ft.summary.entry.v2`): every control field of the snapshot plus one
+/// FNV-1a digest per memory page, in page order.
+[[nodiscard]] std::uint64_t entry_hash(const vm::Vm::Snapshot& s);
 
 /// Store/keying context of a composed run. All fields optional: a null
 /// store runs fully cold (summaries computed, nothing cached).

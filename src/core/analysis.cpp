@@ -58,43 +58,51 @@ const std::shared_ptr<const vm::RunResult>& AnalysisSession::golden_locked() {
   return golden_;
 }
 
+bool AnalysisSession::fill_trace_locked(std::uint64_t& trapped_at) {
+  if (trace_) return true;
+  if (store_) {
+    // Store-first: mmap the persisted golden trace segments and adopt
+    // them zero-copy (store/trace_io.h) — every TraceView reader runs
+    // over the mapped columns; no traced execution happens at all.
+    if (auto loaded = store_->load_trace(
+            store::trace_key(module_hash(), options_hash()), program_,
+            module_hash())) {
+      trace_ = std::move(loaded);
+      return true;
+    }
+  }
+  // Direct-emit traced run: the decoded hot loop appends columnar
+  // records itself — no observer, no DynInstr materialization.
+  trace::ColumnTrace sink(program_);
+  if (golden_) sink.reserve(golden_->instructions);
+  vm::VmOptions opts = app_.base;
+  opts.observer = nullptr;  // an observer would win over the sink
+  opts.column_sink = &sink;
+  auto run = vm::Vm::run(*program_, opts);
+  traced_executed_.fetch_add(run.instructions, std::memory_order_relaxed);
+  if (!run.completed()) {
+    trapped_at = run.instructions;
+    return false;
+  }
+  if (!golden_) {
+    golden_ = std::make_shared<const vm::RunResult>(std::move(run));
+  }
+  trace_ = std::make_shared<const trace::ColumnTrace>(std::move(sink));
+  if (store_) {
+    store_->publish_trace(store::trace_key(module_hash(), options_hash()),
+                          *trace_, module_hash());
+    store_->publish_golden(store::golden_key(module_hash(), options_hash()),
+                           *golden_);
+  }
+  return true;
+}
+
 const std::shared_ptr<const trace::ColumnTrace>&
 AnalysisSession::trace_locked() {
-  if (!trace_) {
-    if (store_) {
-      // Store-first: mmap the persisted golden trace segments and adopt
-      // them zero-copy (store/trace_io.h) — every TraceView reader runs
-      // over the mapped columns; no traced execution happens at all.
-      if (auto loaded = store_->load_trace(
-              store::trace_key(module_hash(), options_hash()), program_,
-              module_hash())) {
-        trace_ = std::move(loaded);
-        return trace_;
-      }
-    }
-    // Direct-emit traced run: the decoded hot loop appends columnar
-    // records itself — no observer, no DynInstr materialization.
-    trace::ColumnTrace sink(program_);
-    if (golden_) sink.reserve(golden_->instructions);
-    vm::VmOptions opts = app_.base;
-    opts.observer = nullptr;  // an observer would win over the sink
-    opts.column_sink = &sink;
-    auto run = vm::Vm::run(*program_, opts);
-    if (!run.completed()) {
-      throw std::runtime_error("traced fault-free run of '" + app_.name +
-                               "' trapped");
-    }
-    traced_executed_.fetch_add(run.instructions, std::memory_order_relaxed);
-    if (!golden_) {
-      golden_ = std::make_shared<const vm::RunResult>(std::move(run));
-    }
-    trace_ = std::make_shared<const trace::ColumnTrace>(std::move(sink));
-    if (store_) {
-      store_->publish_trace(store::trace_key(module_hash(), options_hash()),
-                            *trace_, module_hash());
-      store_->publish_golden(store::golden_key(module_hash(), options_hash()),
-                             *golden_);
-    }
+  std::uint64_t trapped_at = 0;
+  if (!fill_trace_locked(trapped_at)) {
+    throw std::runtime_error("traced fault-free run of '" + app_.name +
+                             "' trapped");
   }
   return trace_;
 }
@@ -188,24 +196,18 @@ std::shared_ptr<const fault::SiteEnumerationResult>
 AnalysisSession::whole_program_sites() {
   std::lock_guard lock(mu_);
   if (!whole_sites_) {
-    const std::uint64_t sk =
-        store_ ? store::sites_key(module_hash(), options_hash(),
-                                  store::kWholeProgram, store::kWholeProgram)
-               : 0;
-    if (store_) {
-      if (auto cached = store_->load_sites(sk)) {
-        whole_sites_ = std::make_shared<const fault::SiteEnumerationResult>(
-            std::move(*cached));
-        return whole_sites_;
-      }
+    // One columnar pass over the golden trace the session already holds
+    // (store-served or traced once for every golden artifact). A trapping
+    // fault-free run has no population: not found, never an exception.
+    std::uint64_t trapped_at = 0;
+    fault::SiteEnumerationResult ws;
+    if (fill_trace_locked(trapped_at)) {
+      ws = fault::enumerate_whole_program_sites_from_trace(*trace_);
+    } else {
+      ws.fault_free_instructions = trapped_at;
     }
-    // The whole-program enumeration performs its own traced run.
-    auto ws = fault::enumerate_whole_program_sites(*program_, app_.base);
-    traced_executed_.fetch_add(ws.fault_free_instructions,
-                               std::memory_order_relaxed);
     whole_sites_ =
         std::make_shared<const fault::SiteEnumerationResult>(std::move(ws));
-    if (store_) store_->publish_sites(sk, *whole_sites_);
   }
   return whole_sites_;
 }
@@ -345,31 +347,39 @@ fault::RankCampaignResult AnalysisSession::rank_campaign(
   return fault::run_rank_campaign(*program_, prepared, app_.verifier, *pool);
 }
 
-std::size_t AnalysisSession::diff_reserve_hint() const {
-  std::lock_guard lock(mu_);
+acl::DiffOptions AnalysisSession::diff_options(const vm::FaultPlan& plan,
+                                              std::size_t max_records) const {
+  std::uint64_t golden_instructions = 0;
+  {
+    std::lock_guard lock(mu_);
+    if (golden_) golden_instructions = golden_->instructions;
+  }
+  if (golden_instructions == 0) {
+    // Not cached yet: measure without caching (this method is const).
+    golden_instructions = vm::Vm::run(*program_, app_.base).instructions;
+  }
+  acl::DiffOptions opts;
+  opts.base = app_.base;
+  // The campaign hang budget: a fault that never terminates classifies as
+  // a hang after budget_factor x the golden run, as its trial would.
+  opts.base.max_instructions = fault::hang_budget(
+      fault::CampaignConfig{}.budget_factor, golden_instructions);
+  opts.fault = plan;
+  opts.max_records = max_records;
   // A clean-vs-faulty lockstep stream has exactly one record per golden
-  // instruction until divergence — the right reserve when it is known.
-  return golden_ ? static_cast<std::size_t>(golden_->instructions) : 0;
+  // instruction until divergence.
+  opts.reserve_records = static_cast<std::size_t>(golden_instructions);
+  return opts;
 }
 
 acl::DiffResult AnalysisSession::diff_with(const vm::FaultPlan& plan,
                                            std::size_t max_records) const {
-  acl::DiffOptions opts;
-  opts.base = app_.base;
-  opts.fault = plan;
-  opts.max_records = max_records;
-  opts.reserve_records = diff_reserve_hint();
-  return acl::diff_run(*program_, opts);
+  return acl::diff_run(*program_, diff_options(plan, max_records));
 }
 
 acl::ColumnDiff AnalysisSession::column_diff_with(
     const vm::FaultPlan& plan, std::size_t max_records) const {
-  acl::DiffOptions opts;
-  opts.base = app_.base;
-  opts.fault = plan;
-  opts.max_records = max_records;
-  opts.reserve_records = diff_reserve_hint();
-  return acl::diff_run_columnar(program_, opts);
+  return acl::diff_run_columnar(program_, diff_options(plan, max_records));
 }
 
 patterns::PatternReport AnalysisSession::patterns_for(

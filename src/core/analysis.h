@@ -127,7 +127,9 @@ class AnalysisSession {
   /// golden trace (one traced run serves every region of the app).
   std::shared_ptr<const fault::SiteEnumerationResult> region_sites(
       std::uint32_t region_id, std::uint32_t instance);
-  /// Internal sites over the whole run (Tables III/IV campaigns).
+  /// Internal sites over the whole run (Tables III/IV campaigns), read from
+  /// the golden trace in one columnar pass. When the fault-free run traps
+  /// the population is empty and region_found is false.
   std::shared_ptr<const fault::SiteEnumerationResult> whole_program_sites();
   /// DDDG of one region instance of the golden trace.
   std::shared_ptr<const dddg::Graph> region_dddg(std::uint32_t region_id,
@@ -157,7 +159,7 @@ class AnalysisSession {
     return options_hash_.load(std::memory_order_relaxed);
   }
   /// Dynamic instructions this session actually executed on traced golden
-  /// runs (trace production and whole-program site enumeration). Serving
+  /// runs (trace production). Serving
   /// those artifacts from the store does not grow it — the warm-path proof
   /// counter behind AnalysisReport::golden_traced_instructions.
   [[nodiscard]] std::uint64_t traced_instructions_executed() const noexcept {
@@ -206,6 +208,9 @@ class AnalysisSession {
       const fault::CampaignConfig& config);
 
   // --- per-plan analyses (stateless; safe from any thread) ------------------
+  // The faulty side runs under the campaign hang budget (see diff_options),
+  // so a fault that loops forever classifies as a hang within
+  // budget_factor x the golden run, exactly as its campaign trial does.
   /// Differential run under one fault plan (array-of-structs faulty
   /// stream; prefer column_diff_with for bulk analyses).
   [[nodiscard]] acl::DiffResult diff_with(const vm::FaultPlan& plan,
@@ -222,10 +227,18 @@ class AnalysisSession {
  private:
   // All *_locked helpers assume mu_ is held and may compute + fill caches.
   const std::shared_ptr<const vm::RunResult>& golden_locked();
+  /// Fill trace_ from the store or by one traced fault-free run. Returns
+  /// false (trace_ stays null, `trapped_at` = the retired count) when that
+  /// run traps.
+  bool fill_trace_locked(std::uint64_t& trapped_at);
+  /// trace_ after fill_trace_locked; throws when the fault-free run traps.
   const std::shared_ptr<const trace::ColumnTrace>& trace_locked();
-  /// Record-count reserve hint for differential runs: the golden
-  /// instruction count when the golden run is cached, else 0.
-  [[nodiscard]] std::size_t diff_reserve_hint() const;
+  /// Options of a differential run under `plan`: the base options with the
+  /// campaign hang budget (fault::hang_budget at the default
+  /// CampaignConfig::budget_factor over the golden instruction count), and
+  /// that count as the record reserve.
+  [[nodiscard]] acl::DiffOptions diff_options(const vm::FaultPlan& plan,
+                                              std::size_t max_records) const;
   const std::shared_ptr<const std::vector<trace::RegionInstance>>&
   instances_locked();
   const std::shared_ptr<const trace::LocationEvents>& events_locked();

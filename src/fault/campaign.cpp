@@ -45,6 +45,13 @@ std::vector<vm::FaultPlan> sample_plans(const SiteEnumerationResult& sites,
   return plans;
 }
 
+std::uint64_t hang_budget(double budget_factor,
+                          std::uint64_t fault_free_instructions) {
+  const auto budget = static_cast<std::uint64_t>(
+      budget_factor * static_cast<double>(fault_free_instructions));
+  return std::max<std::uint64_t>(budget, 1024);
+}
+
 PreparedCampaign prepare_campaign(const SiteEnumerationResult& sites,
                                   TargetClass target,
                                   const vm::VmOptions& base,
@@ -65,10 +72,8 @@ PreparedCampaign prepare_campaign(const SiteEnumerationResult& sites,
   out.run_opts = base;
   out.run_opts.observer = nullptr;
   out.run_opts.column_sink = nullptr;
-  out.run_opts.max_instructions = static_cast<std::uint64_t>(
-      config.budget_factor *
-      static_cast<double>(sites.fault_free_instructions));
-  if (out.run_opts.max_instructions < 1024) out.run_opts.max_instructions = 1024;
+  out.run_opts.max_instructions =
+      hang_budget(config.budget_factor, sites.fault_free_instructions);
 
   // Fork bounds: the deepest fault-free prefix each trial can be forked at.
   out.fault_free_instructions = sites.fault_free_instructions;
@@ -104,8 +109,9 @@ CampaignSnapshots prepare_snapshots(const vm::DecodedProgram& program,
   // Candidate waypoints are the distinct fork bounds; thin them to the
   // policy's effective gap so snapshot count (and memory) stays bounded
   // while every trial still finds a waypoint close below its bound. The
-  // byte budget lowers the cap for large memory images — a snapshot is
-  // dominated by its copy of program memory.
+  // byte budget lowers the cap for large memory images; it counts one full
+  // image per snapshot, an upper bound since waypoints share unchanged
+  // pages.
   std::size_t max_snapshots = detail::cap_snapshots_to_bytes(
       prepared.fork.max_snapshots, prepared.fork.max_snapshot_bytes,
       program.module().memory_size());
@@ -145,9 +151,13 @@ CampaignSnapshots prepare_snapshots(const vm::DecodedProgram& program,
         golden.instructions_retired() != index) {
       break;
     }
-    auto& w = out.waypoints.emplace_back();
-    w.index = index;
-    golden.save(w.state);
+    // Chained save: the waypoint shares every page the golden run left
+    // unchanged since the previous one.
+    const vm::Vm::Snapshot* prev =
+        out.waypoints.empty() ? nullptr : &out.waypoints.back().state;
+    vm::Vm::Snapshot state;
+    golden.save(state, prev);
+    out.waypoints.push_back({index, std::move(state)});
     out.resume_depth = index;
   }
 

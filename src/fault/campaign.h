@@ -38,8 +38,9 @@ struct ForkPolicy {
   /// Fork trials from golden-prefix snapshots (the default). Disable for a
   /// from-scratch A/B reference — outcome counts never change, only cost.
   bool enabled = true;
-  /// Upper bound on waypoint snapshots per campaign (each waypoint
-  /// deep-copies the machine state).
+  /// Upper bound on waypoint snapshots per campaign (each waypoint copies
+  /// the machine state, sharing the memory pages unchanged since the
+  /// previous waypoint).
   std::size_t max_snapshots = 128;
   /// Memory budget for one campaign's waypoints; lowers the effective
   /// snapshot cap for applications with large memory images. 0 = only
@@ -295,6 +296,12 @@ class TrialRunner {
     const CampaignSnapshots& snapshots, std::size_t plan_index,
     const std::vector<vm::OutputValue>& golden, const Verifier& verify,
     TrialAccounting* accounting = nullptr);
+
+/// Hang budget of a faulty run: `budget_factor` times the fault-free
+/// retired count, and never fewer than 1024 instructions. A run that
+/// retires this many instructions traps as TrapKind::Hang.
+[[nodiscard]] std::uint64_t hang_budget(double budget_factor,
+                                        std::uint64_t fault_free_instructions);
 
 /// Sample the plans and fix the per-trial options for one campaign.
 /// `config.trials == 0` derives the Leveugle sample size from the site

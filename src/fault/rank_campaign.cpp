@@ -200,9 +200,14 @@ RankSnapshots prepare_rank_snapshots(const vm::DecodedProgram& program,
           vm.instructions_retired() != index) {
         break;
       }
-      auto& w = out.per_rank[r].emplace_back();
-      w.index = index;
-      vm.save(w.state);
+      // Chained save: share the pages unchanged since the previous
+      // waypoint of this rank.
+      auto& waypoints = out.per_rank[r];
+      const vm::Vm::Snapshot* prev =
+          waypoints.empty() ? nullptr : &waypoints.back().state;
+      vm::Vm::Snapshot state;
+      vm.save(state, prev);
+      waypoints.push_back({index, std::move(state)});
       out.snapshots_taken++;
     }
   }

@@ -102,8 +102,9 @@ SiteEnumerationResult enumerate_sites(const ir::Module& m,
 
 namespace {
 
-// A lightweight observer suffices: only (index, width) pairs are needed,
-// so the full trace is never materialized.
+// The legacy engine cannot emit a ColumnTrace, so its enumeration applies
+// the per-record rule to the observer stream; only (index, width) pairs are
+// kept.
 class SiteObserver final : public vm::ExecObserver {
  public:
   explicit SiteObserver(std::vector<InternalSite>& out) : out_(out) {}
@@ -118,31 +119,106 @@ class SiteObserver final : public vm::ExecObserver {
   std::vector<InternalSite>& out_;
 };
 
-template <typename Executable>
-SiteEnumerationResult whole_program_sites_impl(const Executable& exe,
-                                               const vm::VmOptions& base) {
+}  // namespace
+
+SiteEnumerationResult enumerate_whole_program_sites(const ir::Module& m,
+                                                    const vm::VmOptions& base) {
   SiteEnumerationResult out;
   SiteObserver obs(out.sites.internal);
   vm::VmOptions opts = base;
   opts.observer = &obs;
   opts.fault = vm::FaultPlan::none();
-  const auto run = vm::Vm::run(exe, opts);
+  const auto run = vm::Vm::run(m, opts);
   out.fault_free_instructions = run.instructions;
   out.region_found = run.completed();
   if (!run.completed()) out.sites.internal.clear();
   return out;
 }
 
-}  // namespace
-
-SiteEnumerationResult enumerate_whole_program_sites(const ir::Module& m,
-                                                    const vm::VmOptions& base) {
-  return whole_program_sites_impl(m, base);
-}
-
 SiteEnumerationResult enumerate_whole_program_sites(
     const vm::DecodedProgram& program, const vm::VmOptions& base) {
-  return whole_program_sites_impl(program, base);
+  // The ColumnTrace only borrows the program for the duration of this call.
+  trace::ColumnTrace sink(std::shared_ptr<const vm::DecodedProgram>(
+      std::shared_ptr<const vm::DecodedProgram>{}, &program));
+  vm::VmOptions opts = base;
+  opts.observer = nullptr;
+  opts.column_sink = &sink;
+  opts.fault = vm::FaultPlan::none();
+  const auto run = vm::Vm::run(program, opts);
+  if (!run.completed()) {
+    SiteEnumerationResult out;
+    out.fault_free_instructions = run.instructions;
+    return out;
+  }
+  return enumerate_whole_program_sites_from_trace(sink);
+}
+
+SiteEnumerationResult enumerate_whole_program_sites_from_trace(
+    const trace::ColumnTrace& golden) {
+  SiteEnumerationResult out;
+  out.fault_free_instructions = golden.size();
+  out.region_found = true;
+
+  // Per-pc site width in bits (0: the record commits nothing), following
+  // ColumnTrace::materialize: a Load or Store always commits; Call, CondBr
+  // and Emit never do; a Ret commits only through a result escape (kRet
+  // marks it); every other opcode commits when it names a result register.
+  constexpr std::uint8_t kRet = 0x80;
+  const auto& program = golden.program();
+  const auto* code = program.code();
+  std::vector<std::uint8_t> width(program.code_size(), 0);
+  for (std::size_t pc = 0; pc < width.size(); ++pc) {
+    const vm::DecodedInstr& ins = code[pc];
+    switch (ins.op) {
+      case ir::Opcode::Store: {
+        const vm::Src& value = program.srcs()[ins.src_begin];
+        width[pc] = static_cast<std::uint8_t>(
+            bit_width(ins.src_count > 0 && value.kind != vm::SrcKind::None
+                          ? value.type
+                          : ir::Type{}));
+        break;
+      }
+      case ir::Opcode::Load:
+        width[pc] = static_cast<std::uint8_t>(bit_width(ins.type));
+        break;
+      case ir::Opcode::Ret: {
+        const auto w = static_cast<std::uint8_t>(bit_width(ins.type));
+        width[pc] = w != 0 ? static_cast<std::uint8_t>(kRet | w) : 0;
+        break;
+      }
+      case ir::Opcode::CondBr:
+      case ir::Opcode::Emit:
+      case ir::Opcode::EmitTrunc:
+      case ir::Opcode::Call:
+        break;
+      default:
+        if (ins.result != ir::kNoReg) {
+          width[pc] = static_cast<std::uint8_t>(bit_width(ins.type));
+        }
+        break;
+    }
+  }
+
+  const auto cols = golden.raw();
+  std::size_t e = 0;  // escape cursor (extras are in row order)
+  for (std::size_t row = 0; row < cols.rows; ++row) {
+    const std::uint8_t w = width[cols.pc[row]];
+    if (w == 0) continue;
+    if (w & kRet) {
+      while (e < cols.num_extras && cols.extras[e].row < row) ++e;
+      std::uint64_t loc = vm::kNoLoc;
+      for (std::size_t k = e; k < cols.num_extras && cols.extras[k].row == row;
+           ++k) {
+        if (cols.extras[k].slot == trace::ColumnTrace::kResultSlot) {
+          loc = cols.extras[k].loc;
+        }
+      }
+      if (loc == vm::kNoLoc) continue;
+    }
+    out.sites.internal.push_back(
+        InternalSite{row, static_cast<std::uint32_t>(w & ~kRet)});
+  }
+  return out;
 }
 
 vm::FaultPlan plan_for_internal(const InternalSite& s, std::uint32_t bit) {

@@ -14,6 +14,7 @@
 
 #include "ir/module.h"
 #include "regions/io.h"
+#include "trace/column.h"
 #include "trace/events.h"
 #include "trace/segment.h"
 #include "vm/fault_plan.h"
@@ -86,15 +87,25 @@ struct SiteEnumerationResult {
 
 /// Enumerate internal sites over the whole program (every committed value
 /// of the full run) — the population for whole-application success rates
-/// (Tables III and IV). Input sites are left empty.
+/// (Tables III and IV). Input sites are left empty. A run that does not
+/// complete yields an empty population with region_found == false.
 [[nodiscard]] SiteEnumerationResult enumerate_whole_program_sites(
     const ir::Module& m, const vm::VmOptions& base);
 
-/// Decoded-engine form of the whole-program enumeration: the traced run
-/// executes the shared pre-decoded program (bit-identical record stream),
-/// so sessions that already decoded the app pay no extra walk of the IR.
+/// Decoded-engine form: one direct-emit traced run into a ColumnTrace, then
+/// enumerate_whole_program_sites_from_trace over it.
 [[nodiscard]] SiteEnumerationResult enumerate_whole_program_sites(
     const vm::DecodedProgram& program, const vm::VmOptions& base);
+
+/// Whole-program internal sites of a COMPLETED golden run, read from its
+/// ColumnTrace in one columnar pass: a row is a site when its record
+/// commits a value (result_loc != kNoLoc), weighted by the bit width of
+/// the stored type for a Store and of the record type otherwise. Widths
+/// resolve per pc through the DecodedInstr; a Ret commits only when the
+/// escape list carries its caller-side result location. Equal to applying
+/// that rule to every record of trace.view() (tests/fault_test.cpp).
+[[nodiscard]] SiteEnumerationResult enumerate_whole_program_sites_from_trace(
+    const trace::ColumnTrace& golden);
 
 /// Build the concrete fault plan for one sampled site.
 [[nodiscard]] vm::FaultPlan plan_for_internal(const InternalSite& s,

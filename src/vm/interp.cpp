@@ -195,9 +195,41 @@ Vm::Status Vm::step(DynInstr* out) {
 // engine restores into the other (pinned by tests/jit_test.cpp).
 // ---------------------------------------------------------------------------
 
-void Vm::save(Snapshot& out) const {
+const std::shared_ptr<const Vm::Snapshot::Page>& Vm::Snapshot::zero_page() {
+  static const std::shared_ptr<const Page> zero = std::make_shared<const Page>();
+  return zero;
+}
+
+std::uint8_t* Vm::Snapshot::own_page(std::size_t p) {
+  auto fresh = std::make_shared<Page>(*pages[p]);
+  std::uint8_t* bytes = fresh->data();
+  pages[p] = std::move(fresh);
+  return bytes;
+}
+
+void Vm::save(Snapshot& out, const Snapshot* prev) const {
   assert(prog_ && "snapshots capture decoded-engine state only");
-  out.mem = mem_;
+  assert((!prev || prev->mem_size == mem_.size()) &&
+         "the previous snapshot must come from a Vm over the same module");
+  constexpr std::size_t kPage = Snapshot::kPageBytes;
+  const std::size_t npages = (mem_.size() + kPage - 1) / kPage;
+  out.mem_size = mem_.size();
+  out.pages.resize(npages);
+  for (std::size_t p = 0; p < npages; ++p) {
+    const std::uint8_t* src = mem_.data() + p * kPage;
+    const std::size_t len = out.page_size(p);
+    auto& slot = out.pages[p];
+    if (prev && std::memcmp(prev->pages[p]->data(), src, len) == 0) {
+      slot = prev->pages[p];
+    } else if (std::memcmp(Snapshot::zero_page()->data(), src, len) == 0) {
+      slot = Snapshot::zero_page();
+    } else {
+      auto fresh = std::make_shared_for_overwrite<Snapshot::Page>();
+      std::memcpy(fresh->data(), src, len);
+      std::memset(fresh->data() + len, 0, kPage - len);
+      slot = std::move(fresh);
+    }
+  }
   out.frames = dframes_;
   out.slots.assign(slots_.begin(), slots_.begin() + slot_top_);
   out.arg_locs.assign(arg_locs_.begin(), arg_locs_.begin() + arg_loc_top_);
@@ -252,9 +284,23 @@ void Vm::restore_machine_state(const Snapshot& s) {
 
 void Vm::restore(const Snapshot& s) {
   assert(prog_ && "snapshots restore decoded-engine state only");
-  assert(s.mem.size() == prog_->module().memory_size() &&
+  assert(s.mem_size == prog_->module().memory_size() &&
          "snapshot must come from a Vm over the same module");
-  mem_ = s.mem;
+  if (mem_.size() == s.mem_size) {
+    for (std::size_t p = 0; p < s.pages.size(); ++p) {
+      std::memcpy(mem_.data() + p * Snapshot::kPageBytes, s.pages[p]->data(),
+                  s.page_size(p));
+    }
+  } else {
+    // Fresh machine (the snapshot constructor): append page by page so the
+    // image is written once, never zero-filled first.
+    mem_.clear();
+    mem_.reserve(s.mem_size);
+    for (std::size_t p = 0; p < s.pages.size(); ++p) {
+      mem_.insert(mem_.end(), s.pages[p]->data(),
+                  s.pages[p]->data() + s.page_size(p));
+    }
+  }
   if (opts_.track_writes && prog_) {
     const std::uint64_t pages =
         (mem_.size() + ((std::uint64_t{1} << kDirtyPageShift) - 1)) >>
@@ -312,11 +358,11 @@ void Vm::fork_from(Vm& golden, bool full) {
 void Vm::restore_dirty(const Snapshot& s) {
   assert(prog_ && !dirty_.empty() &&
          "restore_dirty requires VmOptions::track_writes");
-  assert(s.mem.size() == mem_.size() &&
+  assert(s.mem_size == mem_.size() &&
          "snapshot must come from a Vm over the same module");
   // Copy back only the pages execution wrote since the memory last equaled
-  // s.mem (the restore_dirty precondition); everything else is untouched.
-  constexpr std::uint64_t kPage = std::uint64_t{1} << kDirtyPageShift;
+  // the image of `s` (the restore_dirty precondition); everything else is
+  // untouched.
   for (std::size_t word = 0; word < dirty_.size(); ++word) {
     std::uint64_t bits = dirty_[word];
     if (bits == 0) continue;
@@ -325,9 +371,8 @@ void Vm::restore_dirty(const Snapshot& s) {
       const auto page = word * 64 +
                         static_cast<std::uint64_t>(std::countr_zero(bits));
       bits &= bits - 1;
-      const std::uint64_t begin = page << kDirtyPageShift;
-      const std::uint64_t len = std::min(kPage, mem_.size() - begin);
-      std::memcpy(&mem_[begin], &s.mem[begin], len);
+      std::memcpy(&mem_[page << kDirtyPageShift], s.pages[page]->data(),
+                  s.page_size(page));
     }
   }
   restore_machine_state(s);
@@ -366,13 +411,26 @@ bool Vm::state_equals(const Snapshot& s) const {
   // lands in the sample and the full-image compare is skipped. Equality
   // still requires the full compare below — the sample only fails fast.
   const std::size_t n = mem_.size();
+  if (n != s.mem_size) return false;
   if (n >= 8192) {
-    const std::size_t stride = n / 128;
-    for (std::size_t i = stride / 2; i + 8 <= n; i += stride) {
-      if (std::memcmp(&mem_[i], &s.mem[i], 8) != 0) return false;
+    // 8-aligned windows never straddle a page.
+    const std::size_t stride = (n / 128) & ~std::size_t{7};
+    for (std::size_t i = (stride / 2) & ~std::size_t{7}; i + 8 <= n;
+         i += stride) {
+      const std::size_t p = i / Snapshot::kPageBytes;
+      if (std::memcmp(&mem_[i], s.pages[p]->data() + i % Snapshot::kPageBytes,
+                      8) != 0) {
+        return false;
+      }
     }
   }
-  return mem_ == s.mem;
+  for (std::size_t p = 0; p < s.pages.size(); ++p) {
+    if (std::memcmp(&mem_[p * Snapshot::kPageBytes], s.pages[p]->data(),
+                    s.page_size(p)) != 0) {
+      return false;
+    }
+  }
+  return true;
 }
 
 bool Vm::control_equals(const Snapshot& s) const {

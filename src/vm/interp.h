@@ -40,7 +40,10 @@
 ///                  its site instead of replaying the prefix.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -129,8 +132,9 @@ class Vm {
  public:
   enum class Status : std::uint8_t { Running, Finished, Trapped };
 
-  /// A deep copy of the decoded engine's machine state mid-run (defined
-  /// after the class; it names private frame types). See save()/restore().
+  /// The decoded engine's machine state mid-run, memory held as shared
+  /// copy-on-write pages (defined after the class; it names private frame
+  /// types). See save()/restore().
   struct Snapshot;
 
   /// The module must outlive the Vm and must be laid out (Module::layout(),
@@ -169,13 +173,18 @@ class Vm {
   /// column sink; incompatible with an observer.
   void run_until(std::uint64_t target);
 
-  /// Deep-copy the full machine state (memory image, frame stack, live
+  /// Capture the full machine state (memory image, frame stack, live
   /// register/argument slots, stack pointer, RNG, outputs, region counts,
   /// retired count) into `out`, reusing its buffers. Everything execution
   /// depends on is captured: restore() followed by any run is bit-identical
   /// to an execution that never snapshotted (pinned by
-  /// tests/snapshot_test.cpp).
-  void save(Snapshot& out) const;
+  /// tests/snapshot_test.cpp). The memory image is stored as a table of
+  /// immutable 4 KiB pages: a page byte-equal to the same page of `prev`
+  /// (a snapshot of a Vm over the same program, typically this machine's
+  /// previous save) shares it, an all-zero page shares the process-wide
+  /// zero page, and only the remaining pages are copied. Chained saves along
+  /// one golden run therefore store only the pages each step changed.
+  void save(Snapshot& out, const Snapshot* prev = nullptr) const;
   [[nodiscard]] Snapshot snapshot() const;
 
   /// Overwrite the machine state with `s` (taken from a Vm over the same
@@ -186,7 +195,7 @@ class Vm {
   /// Incremental restore (requires VmOptions::track_writes): copy back only
   /// the memory pages written since the last (full or incremental) restore,
   /// then restore the cheap non-memory state as restore() does.
-  /// PRECONDITION: the machine's memory last equaled `s.mem` (it was
+  /// PRECONDITION: the machine's memory last equaled the image of `s` (it was
   /// constructed from or restored to this same snapshot) and has since been
   /// mutated only through tracked execution — restoring to a *different*
   /// snapshot must go through restore().
@@ -387,13 +396,29 @@ class Vm {
 
 /// The decoded engine's complete machine state at one retired-instruction
 /// boundary. Snapshots are plain value types: copy/move them freely, reuse
-/// one as a save() target across calls (buffers are recycled), and share a
-/// const snapshot across threads — restore() only reads it. Restoring costs
-/// a handful of memcpys (dominated by the memory image), which is what
-/// makes forking a campaign trial from a snapshot cheap next to replaying
-/// the golden prefix it encodes.
+/// one as a save() target across calls, and share a const snapshot across
+/// threads — restore() only reads it.
+///
+/// The memory image is a table of immutable, reference-counted 4 KiB pages
+/// (`pages`, one per page of the image; the last may extend past
+/// `mem_size` and is zero there). Pages are shared, never written in place:
+/// copying a snapshot copies the table, not the bytes; Vm::save() shares
+/// every page equal to its `prev` snapshot's and maps all-zero pages to one
+/// process-wide zero page; and copy-on-write (own_page) gives a snapshot a
+/// private page before it is patched. A chain of boundary snapshots along
+/// one golden run thus costs one image plus the pages each boundary
+/// changed. Because pages are immutable and their reference counts atomic,
+/// snapshots that share pages may be read, copied and destroyed on
+/// different threads concurrently.
 struct Vm::Snapshot {
-  std::vector<std::uint8_t> mem;
+  static constexpr std::size_t kPageBytes = std::size_t{1} << kDirtyPageShift;
+  using Page = std::array<std::uint8_t, kPageBytes>;
+
+  /// The shared all-zero page (one per process).
+  [[nodiscard]] static const std::shared_ptr<const Page>& zero_page();
+
+  std::vector<std::shared_ptr<const Page>> pages;
+  std::uint64_t mem_size = 0;  // image bytes
   std::vector<DFrame> frames;
   std::vector<std::uint64_t> slots;       // live prefix [0, slot_top)
   std::vector<Location> arg_locs;         // live prefix [0, arg_loc_top)
@@ -407,12 +432,27 @@ struct Vm::Snapshot {
   Status status = Status::Running;
   bool fault_fired = false;
 
-  /// Heap bytes the snapshot holds (capacity-independent) — a sizing aid
-  /// for callers budgeting snapshot retention. (The campaign scheduler's
-  /// waypoint cap estimates from the module's memory size instead, which
-  /// dominates every snapshot and is known before any snapshot exists.)
+  /// Image bytes held by page `p` (kPageBytes except for a partial last
+  /// page).
+  [[nodiscard]] std::size_t page_size(std::size_t p) const noexcept {
+    return std::min<std::uint64_t>(kPageBytes, mem_size - p * kPageBytes);
+  }
+
+  /// Copy-on-write: replace page `p` with a private copy and return it for
+  /// writing. Other snapshots that shared the old page are unaffected.
+  /// Each call copies, so patch all words of one page through one call,
+  /// and write through the pointer only before this snapshot is copied.
+  [[nodiscard]] std::uint8_t* own_page(std::size_t p);
+
+  /// Bytes addressable through the snapshot: every page-table entry counted
+  /// at kPageBytes, plus the non-memory state. A page shared with other
+  /// snapshots (or the zero page) is counted in each of them, so summing
+  /// over a snapshot chain overstates the unique footprint; count distinct
+  /// `pages` pointers for that. The campaign schedulers' waypoint caps
+  /// still budget one full image per snapshot (fault/sampling.h), an upper
+  /// bound known before any snapshot exists.
   [[nodiscard]] std::size_t resident_bytes() const noexcept {
-    return mem.size() + frames.size() * sizeof(DFrame) +
+    return pages.size() * kPageBytes + frames.size() * sizeof(DFrame) +
            slots.size() * sizeof(std::uint64_t) +
            arg_locs.size() * sizeof(Location) +
            outputs.size() * sizeof(OutputValue) +

@@ -5,6 +5,7 @@
 #include <filesystem>
 
 #include "core/analysis.h"
+#include "fault/campaign.h"
 #include "hl/builder.h"
 #include "trace/file.h"
 #include "trace/file_sink.h"
@@ -157,6 +158,56 @@ TEST(SessionCaching, DiffWithRecordCap) {
   EXPECT_EQ(diff.usable_records(), 500u);
   // Outcome classification still covers the full run.
   EXPECT_TRUE(diff.clean_result.completed());
+}
+
+// A fault that turns a loop bound into ~2^40 iterations must classify as a
+// hang within the campaign budget on every explain path, not run to the
+// VM's default 2^31-instruction ceiling.
+TEST(SessionCaching, RunawayLoopFaultHitsTheCampaignHangBudget) {
+  hl::ProgramBuilder pb("runaway");
+  auto n = pb.global_init_i64("n", {40});
+  const auto fid = pb.declare_function("main");
+  {
+    auto f = pb.define(fid);
+    auto s = f.var_f64("s", 0.0);
+    f.for_("i", 0, f.ld(n, 0), [&](hl::Value i) {
+      s.set(s.get() + f.sitofp(i));
+    });
+    f.emit(s.get());
+    f.ret();
+  }
+  apps::AppSpec spec;
+  spec.name = "runaway";
+  spec.module = pb.finish();
+  spec.verifier = fault::tolerance_verifier(1e-9);
+  core::AnalysisSession session(std::move(spec));
+
+  // The first load of the bound's value is the load of `n`.
+  const auto golden = session.golden();
+  std::uint64_t bound_load = ~std::uint64_t{0};
+  for (const vm::DynInstr& r : session.golden_trace()->view()) {
+    if (r.op == ir::Opcode::Load && r.result_bits == 40) {
+      bound_load = r.index;
+      break;
+    }
+  }
+  ASSERT_NE(bound_load, ~std::uint64_t{0});
+  const auto plan = vm::FaultPlan::result_bit(bound_load, 40);
+  const auto budget = fault::hang_budget(fault::CampaignConfig{}.budget_factor,
+                                         golden->instructions);
+
+  const auto diff = session.diff_with(plan);
+  EXPECT_TRUE(diff.clean_result.completed());
+  EXPECT_EQ(diff.faulty_result.trap, vm::TrapKind::Hang);
+  EXPECT_LE(diff.faulty_result.instructions, budget);
+  EXPECT_EQ(fault::classify_outcome(diff.faulty_result, golden->outputs,
+                                    session.app().verifier),
+            fault::Outcome::Crashed);
+
+  const auto cdiff = session.column_diff_with(plan);
+  EXPECT_EQ(cdiff.faulty_result.trap, vm::TrapKind::Hang);
+  EXPECT_LE(cdiff.faulty_result.instructions, budget);
+  (void)session.patterns_for(plan);
 }
 
 class SessionOverApps : public ::testing::TestWithParam<std::string> {};

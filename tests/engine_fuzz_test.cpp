@@ -510,6 +510,25 @@ bool check_seed(std::uint64_t seed, std::string* diag) {
   // the cold run published). A mismatch names the offending section.
   if (legacy.trap == vm::TrapKind::None && legacy.instructions > 8) {
     const auto sites = fault::enumerate_whole_program_sites(*program, {});
+    // Trace-derived sites equal the per-record rule over the materialized
+    // records (Ret commits included: some programs call a helper).
+    std::size_t nsite = 0;
+    for (const vm::DynInstr& r : sink.view()) {
+      if (r.result_loc == vm::kNoLoc) continue;
+      const auto w =
+          bit_width(r.op == ir::Opcode::Store ? r.op_type[0] : r.type);
+      if (w == 0) continue;
+      if (nsite >= sites.sites.internal.size() ||
+          sites.sites.internal[nsite].dyn_index != r.index ||
+          sites.sites.internal[nsite].width_bits != w) {
+        return fail("whole-program site ", nsite, " differs from record ",
+                    r.index);
+      }
+      ++nsite;
+    }
+    if (nsite != sites.sites.internal.size()) {
+      return fail("whole-program site count mismatch");
+    }
     fault::CampaignConfig ccfg;
     ccfg.trials = 12;
     ccfg.seed = seed * 0x6C62272E07BB0142ull + 11;

@@ -4,10 +4,13 @@
 
 #include <cmath>
 
+#include "apps/app.h"
+#include "core/analysis.h"
 #include "fault/campaign.h"
 #include "fault/outcome.h"
 #include "fault/sites.h"
 #include "hl/builder.h"
+#include "trace/column.h"
 #include "util/bits.h"
 #include "util/stats.h"
 #include "vm/interp.h"
@@ -77,6 +80,125 @@ TEST(Sites, WholeProgramEnumeration) {
   const auto region_sites = fault::enumerate_sites(h.mod, h.rid, 0, {});
   EXPECT_GT(sites.sites.internal.size(),
             region_sites.sites.internal.size());
+}
+
+/// The per-record site rule over a materializing TraceView: a record that
+/// commits a value is a site, weighted by the width of the stored type for
+/// a Store and of the record type otherwise.
+std::vector<fault::InternalSite> sites_by_record_rule(
+    const trace::ColumnTrace& t) {
+  std::vector<fault::InternalSite> out;
+  for (const vm::DynInstr& r : t.view()) {
+    if (r.result_loc == vm::kNoLoc) continue;
+    const auto w =
+        bit_width(r.op == ir::Opcode::Store ? r.op_type[0] : r.type);
+    if (w != 0) out.push_back(fault::InternalSite{r.index, w});
+  }
+  return out;
+}
+
+void expect_same_sites(const std::vector<fault::InternalSite>& got,
+                       const std::vector<fault::InternalSite>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].dyn_index, want[i].dyn_index) << i;
+    ASSERT_EQ(got[i].width_bits, want[i].width_bits) << i;
+  }
+}
+
+class WholeProgramSites : public ::testing::TestWithParam<std::string> {};
+
+// The columnar scan over the golden trace, the decoded overload (its own
+// traced run) and the session all reproduce the per-record rule.
+TEST_P(WholeProgramSites, TraceDerivedMatchesPerRecordRule) {
+  auto app = apps::build_app(GetParam());
+  const auto prog = std::make_shared<const vm::DecodedProgram>(
+      vm::DecodedProgram::decode(app.module));
+  trace::ColumnTrace golden(prog);
+  vm::VmOptions opts = app.base;
+  opts.column_sink = &golden;
+  ASSERT_TRUE(vm::Vm::run(*prog, opts).completed());
+  const auto want = sites_by_record_rule(golden);
+  ASSERT_FALSE(want.empty());
+
+  const auto scanned = fault::enumerate_whole_program_sites_from_trace(golden);
+  EXPECT_TRUE(scanned.region_found);
+  EXPECT_EQ(scanned.fault_free_instructions, golden.size());
+  expect_same_sites(scanned.sites.internal, want);
+
+  const auto decoded = fault::enumerate_whole_program_sites(*prog, app.base);
+  EXPECT_TRUE(decoded.region_found);
+  expect_same_sites(decoded.sites.internal, want);
+
+  core::AnalysisSession session(std::move(app));
+  const auto from_session = session.whole_program_sites();
+  EXPECT_TRUE(from_session->region_found);
+  expect_same_sites(from_session->sites.internal, want);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllApps, WholeProgramSites,
+                         ::testing::ValuesIn(apps::all_app_names()),
+                         [](const auto& info) { return info.param; });
+
+// Builders type Ret as Void, so no app commits a site through a Ret. With a
+// typed Ret the record commits to the caller's register through the escape
+// list, and the columnar scan must count it as the per-record rule does.
+TEST(WholeProgramSites, TypedRetCommitsThroughTheEscapeList) {
+  hl::ProgramBuilder pb("typed_ret");
+  const auto helper = pb.declare_function("helper", ir::Type::F64,
+                                          {ir::Param{ir::Type::F64, "x"}});
+  const auto fid = pb.declare_function("main");
+  {
+    auto f = pb.define(helper);
+    f.ret(f.arg(0) * 2.0);
+  }
+  {
+    auto f = pb.define(fid);
+    auto s = f.var_f64("s", 1.0);
+    f.for_("i", 0, 4, [&](hl::Value) { s.set(f.call(helper, {s.get()})); });
+    f.emit(s.get());
+    f.ret();
+  }
+  auto mod = pb.finish();
+  for (auto& block : mod.function(helper).blocks) {
+    for (auto& ins : block.instrs) {
+      if (ins.op == ir::Opcode::Ret) ins.type = ir::Type::F64;
+    }
+  }
+  const auto prog = std::make_shared<const vm::DecodedProgram>(
+      vm::DecodedProgram::decode(mod));
+  trace::ColumnTrace golden(prog);
+  vm::VmOptions opts;
+  opts.column_sink = &golden;
+  ASSERT_TRUE(vm::Vm::run(*prog, opts).completed());
+  const auto want = sites_by_record_rule(golden);
+  std::size_t ret_sites = 0;
+  for (const auto& site : want) {
+    ret_sites += golden.opcode_at(site.dyn_index) == ir::Opcode::Ret;
+  }
+  EXPECT_EQ(ret_sites, 4u);
+  expect_same_sites(
+      fault::enumerate_whole_program_sites_from_trace(golden).sites.internal,
+      want);
+}
+
+// A golden run that traps (here: at a tiny instruction ceiling) has no
+// population — not found, never an exception.
+TEST(WholeProgramSites, TrappingGoldenRunIsNotFound) {
+  auto app = apps::build_cg();
+  app.base.max_instructions = 500;
+  const auto prog = vm::DecodedProgram::decode(app.module);
+  const auto direct = fault::enumerate_whole_program_sites(prog, app.base);
+  EXPECT_FALSE(direct.region_found);
+  EXPECT_TRUE(direct.sites.internal.empty());
+  EXPECT_GT(direct.fault_free_instructions, 0u);
+
+  core::AnalysisSession session(std::move(app));
+  std::shared_ptr<const fault::SiteEnumerationResult> sites;
+  ASSERT_NO_THROW(sites = session.whole_program_sites());
+  EXPECT_FALSE(sites->region_found);
+  EXPECT_TRUE(sites->sites.internal.empty());
+  EXPECT_EQ(sites->fault_free_instructions, direct.fault_free_instructions);
 }
 
 TEST(Plans, SamplingIsDeterministicAndInRange) {

@@ -6,6 +6,7 @@
 // for all ten workloads, clean, faulted and trapping.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "apps/app.h"
@@ -235,6 +236,43 @@ TEST_P(SnapshotEquivalence, ForkedCampaignCountsMatchScratch) {
   EXPECT_GT(forked.snapshots_taken, 0u);
   EXPECT_GT(forked.resume_depth, 0u);
   EXPECT_LT(forked.instructions_retired, scratch.instructions_retired);
+}
+
+// A chained save shares exactly the pages that did not change since the
+// previous snapshot (and maps all-zero pages to the shared zero page); the
+// chained snapshot still restores bit-identically.
+TEST_P(SnapshotEquivalence, ChainedSaveSharesUnchangedPages) {
+  const auto app = apps::build_app(GetParam());
+  const auto prog = vm::DecodedProgram::decode(app.module);
+  const auto baseline = vm::Vm::run(prog, app.base);
+  ASSERT_TRUE(baseline.completed());
+
+  vm::Vm golden(prog, app.base);
+  golden.run_until(baseline.instructions / 3);
+  const auto first = golden.snapshot();
+  golden.run_until(baseline.instructions / 2);
+  ASSERT_EQ(golden.status(), vm::Vm::Status::Running);
+  vm::Vm::Snapshot second;
+  golden.save(second, &first);
+  EXPECT_TRUE(golden.state_equals(second));
+
+  const auto& zero = vm::Vm::Snapshot::zero_page();
+  std::size_t shared = 0;
+  for (std::size_t p = 0; p < second.pages.size(); ++p) {
+    const auto& a = first.pages[p];
+    const auto& b = second.pages[p];
+    const bool same_bytes =
+        std::equal(a->begin(), a->end(), b->begin(), b->end());
+    EXPECT_EQ(a == b, same_bytes) << "page " << p;
+    if (std::all_of(b->begin(), b->end(), [](auto x) { return x == 0; })) {
+      EXPECT_EQ(b, zero) << "page " << p;
+    }
+    if (a == b) ++shared;
+  }
+  EXPECT_GT(shared, 0u);
+
+  vm::Vm resumed(prog, second, app.base);
+  expect_same_result(resumed.run(), baseline);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllApps, SnapshotEquivalence,

@@ -6,8 +6,7 @@
 //                    a reduced trial count so `for b in build/bench/*` runs
 //                    in minutes on two cores;
 //   --trials=N       override the per-target trial count explicitly;
-//   --seed=N         campaign RNG seed;
-//   --legacy         serialize campaigns per region (A/B against batching).
+//   --seed=N         campaign RNG seed.
 #pragma once
 
 #include <cstdio>
@@ -26,7 +25,6 @@ struct BenchConfig {
   bool full = false;
   std::size_t trials = 0;  // 0 = pick: full ? Leveugle : quick_default
   std::uint64_t seed = 0xF11Dull;
-  bool legacy = false;  // per-region serialized campaigns (old facade flow)
 
   static BenchConfig parse(int argc, char** argv) {
     const util::Cli cli(argc, argv);
@@ -34,13 +32,7 @@ struct BenchConfig {
     c.full = cli.get_bool("full", false);
     c.trials = static_cast<std::size_t>(cli.get_int("trials", 0));
     c.seed = static_cast<std::uint64_t>(cli.get_int("seed", 0xF11D));
-    c.legacy = cli.get_bool("legacy", false);
     return c;
-  }
-
-  [[nodiscard]] core::ExecutionMode mode() const noexcept {
-    return legacy ? core::ExecutionMode::LegacyPerRegion
-                  : core::ExecutionMode::Batched;
   }
 
   /// Campaign config for one target. With --full, trials=0 lets the

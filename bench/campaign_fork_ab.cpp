@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
   const auto forked_prep = fault::prepare_campaign(
       *sites, fault::TargetClass::Internal, base, forked_cfg);
 
-  util::ThreadPool pool(workers);
+  util::Scheduler pool(workers);
   std::printf("campaign: %s, %zu trials over %llu population bits, "
               "%llu golden instructions, %zu workers\n",
               name.c_str(), forked_prep.plans.size(),

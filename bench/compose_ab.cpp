@@ -36,7 +36,7 @@
 #include "fault/campaign.h"
 #include "fault/sites.h"
 #include "store/artifact_store.h"
-#include "util/thread_pool.h"
+#include "util/scheduler.h"
 #include "vm/decode.h"
 #include "vm/interp.h"
 
@@ -115,7 +115,7 @@ inline constexpr std::uint32_t kNoPc = ~std::uint32_t{0};
 
 [[nodiscard]] fault::CampaignResult exhaustive_counts(
     core::AnalysisSession& session, const fault::CampaignConfig& cfg,
-    util::ThreadPool& pool) {
+    util::Scheduler& pool) {
   const auto prepared = fault::prepare_campaign(
       *session.whole_program_sites(), fault::TargetClass::Internal,
       session.app().base, cfg);
@@ -134,7 +134,7 @@ int main(int argc, char** argv) {
   fault::CampaignConfig ccfg;
   ccfg.trials = cfg.trials != 0 ? cfg.trials : 32;
   ccfg.seed = cfg.seed;
-  util::ThreadPool pool(4);
+  util::Scheduler pool(4);
 
   // --- leg 1: equivalence sweep, every app --------------------------------
   util::Table table({"app", "sections", "trials", "avoided", "composed ms",

@@ -9,8 +9,7 @@
 //
 // One declarative request covers the whole figure: every region campaign of
 // every app is scheduled as a single batched work queue, so regions and
-// apps execute concurrently on the shared pool (pass --legacy for the old
-// serialized-per-region schedule; scripts/bench_smoke.sh A/Bs the two).
+// apps execute concurrently on the shared scheduler.
 // Extra flags: --apps=CG,MG,...   restrict the app set (smoke runs use CG).
 #include "bench_common.h"
 
@@ -40,8 +39,7 @@ int main(int argc, char** argv) {
       core::run_analysis(request.analysis_regions()
                              .target(fault::TargetClass::Internal)
                              .target(fault::TargetClass::Input)
-                             .success_rates(cfg.campaign(100))
-                             .execution(cfg.mode()));
+                             .success_rates(cfg.campaign(100)));
 
   util::Table table({"app", "region", "SR internal", "SR input",
                      "crash internal", "crash input", "pop (bits)"});

@@ -24,8 +24,7 @@ int main(int argc, char** argv) {
                              .main_loop_iterations()
                              .target(fault::TargetClass::Internal)
                              .target(fault::TargetClass::Input)
-                             .success_rates(cfg.campaign(60))
-                             .execution(cfg.mode()));
+                             .success_rates(cfg.campaign(60)));
 
   util::Table table({"app", "iteration", "SR internal", "SR input"});
   for (const auto& e : report.entries) {

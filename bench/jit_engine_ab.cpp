@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
   const auto jit_prep = fault::prepare_campaign(
       *sites, fault::TargetClass::Internal, spec.base, campaign_cfg);
 
-  auto& pool = util::default_executor();
+  auto& pool = util::global_scheduler();
   std::printf("campaign: %zu trials over %llu population bits, %zu workers\n",
               interp_prep.plans.size(),
               static_cast<unsigned long long>(interp_prep.population_bits),

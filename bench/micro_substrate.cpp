@@ -298,8 +298,8 @@ void BM_DddgBuild(benchmark::State& state) {
 BENCHMARK(BM_DddgBuild);
 
 // Observer-pipeline gating: a fully gated ObserverChain must keep the VM
-// near the no-observer dispatch rate (the fast path MultiObserver's old
-// always-true enabled() used to defeat).
+// near the no-observer dispatch rate (the fast path an always-true
+// enabled() on a fan-out observer would defeat).
 void BM_ObserverChainGated(benchmark::State& state) {
   const auto mod = make_kernel();
   for (auto _ : state) {

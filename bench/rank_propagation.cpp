@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
     auto prepared = fault::prepare_rank_campaign(
         *session.rank_enumeration(nranks), spec.base, rc);
     prepared.fork.enabled = false;
-    util::ThreadPool pool;
+    util::Scheduler pool;
     const auto nofork = fault::run_rank_campaign(
         *session.program(), prepared, spec.verifier, pool);
     const bool same = parallel.masked_locally == nofork.masked_locally &&

@@ -1,22 +1,19 @@
-// Scheduler A/B on an imbalanced multi-request mix: three concurrent
-// clients — a CG whole-app campaign (light), a LULESH-RANKED cross-rank
-// campaign (heavy), and an MG compositional campaign (medium) — run against
-// the legacy single-queue ThreadPool and against the work-stealing
-// Scheduler (util/scheduler.h) at the same worker count. The mix is exactly
-// the shape the single FIFO queue handles worst: one long request convoys
-// the short ones behind its coarse chunks, while the work-stealing deques
-// interleave all three and fine-grained chunk claiming keeps the tail
-// balanced. scripts/bench_smoke.sh gates the speedup (>= 1.3x on multi-core
-// hosts; reported as skipped on boxes with < 4 cores, where wall clock
-// equals total CPU work for every scheduler).
+// Scheduler/service count identity on an imbalanced multi-request mix:
+// three concurrent clients — a CG whole-app campaign (light), a
+// LULESH-RANKED cross-rank campaign (heavy), and an MG compositional
+// campaign (medium) — run on a one-worker util::Scheduler, on an N-worker
+// util::Scheduler, and through core::CampaignService on an N-worker
+// scheduler. The mix is the bursty, imbalanced shape the service produces;
+// the scheduler must change only WHERE trials run, never what they count.
 //
-// Outcome counts must be IDENTICAL between both executors and the
-// CampaignService leg — plans are drawn per unit from the seeds, never from
-// the schedule — and the bench exits nonzero on any mismatch. The third leg
-// routes the same mix through core::CampaignService to cover the async
-// front end end-to-end (admission, shared sessions, single-flight store
-// semantics are exercised by tests/service_test.cpp; here the service must
-// simply reproduce the same counts while multiplexing the mix).
+// Outcome counts must be IDENTICAL across all three legs and across
+// repetitions — plans are drawn per unit from the seeds, never from the
+// schedule — and the bench exits nonzero on any mismatch. Wall clock and
+// the N-worker scheduler's steal/queue-depth telemetry are printed for the
+// record; no speed is gated. The service leg covers the async front end
+// end to end (admission, shared sessions and single-flight store semantics
+// are exercised by tests/service_test.cpp; here the service must simply
+// reproduce the same counts while multiplexing the mix).
 //
 //   sched_service_ab [--trials=N] [--seed=N] [--workers=N]
 #include <cstdlib>
@@ -53,18 +50,18 @@ core::AnalysisRequest mg_request(const MixConfigs& mix) {
   return core::AnalysisRequest().app("MG").compositional(mix.mg);
 }
 
-/// The three clients as three concurrent threads sharing one executor —
+/// The three clients as three concurrent threads sharing one scheduler —
 /// the service front end's admission pattern, minus the service.
-MixReports run_mix(util::Executor& exec, const MixConfigs& mix) {
+MixReports run_mix(util::Scheduler& sched, const MixConfigs& mix) {
   MixReports out;
   util::Stopwatch sw;
   std::thread t_cg(
-      [&] { out.cg = core::run_analysis(cg_request(mix).pool(&exec)); });
+      [&] { out.cg = core::run_analysis(cg_request(mix).pool(&sched)); });
   std::thread t_lu([&] {
-    out.lulesh = core::run_analysis(lulesh_request(mix).pool(&exec));
+    out.lulesh = core::run_analysis(lulesh_request(mix).pool(&sched));
   });
   std::thread t_mg(
-      [&] { out.mg = core::run_analysis(mg_request(mix).pool(&exec)); });
+      [&] { out.mg = core::run_analysis(mg_request(mix).pool(&sched)); });
   t_cg.join();
   t_lu.join();
   t_mg.join();
@@ -107,7 +104,7 @@ bool same_mix(const MixReports& a, const MixReports& b, const char* what) {
 int main(int argc, char** argv) {
   const auto cfg = bench::BenchConfig::parse(argc, argv);
   const util::Cli cli(argc, argv);
-  bench::print_header("scheduler A/B - work stealing vs single queue", cfg);
+  bench::print_header("scheduler/service count identity - mixed load", cfg);
 
   const unsigned cores = std::thread::hardware_concurrency();
   const auto workers = static_cast<std::size_t>(
@@ -123,39 +120,41 @@ int main(int argc, char** argv) {
   mix.mg.seed = cfg.seed;
 
   std::printf("mix: CG app campaign + LULESH-RANKED rank campaign (4 ranks) "
-              "+ MG compositional, 3 concurrent clients, %zu workers\n\n",
+              "+ MG compositional, 3 concurrent clients, 1 vs %zu workers\n\n",
               workers);
 
   // Alternate legs to keep cache/frequency effects symmetric; best-of.
-  double legacy_ms = 1e30;
+  double serial_ms = 1e30;
   double sched_ms = 1e30;
-  MixReports legacy_mix;
+  MixReports serial_mix;
   MixReports sched_mix;
   constexpr int kReps = 3;
   for (int rep = 0; rep < kReps; ++rep) {
     {
-      util::ThreadPool pool(workers);
-      auto r = run_mix(pool, mix);
-      if (rep > 0 && !same_mix(r, legacy_mix, "legacy across reps")) return 1;
-      if (r.wall_ms < legacy_ms) legacy_ms = r.wall_ms;
-      legacy_mix = std::move(r);
+      util::Scheduler one(1);
+      auto r = run_mix(one, mix);
+      if (rep > 0 && !same_mix(r, serial_mix, "1 worker across reps")) {
+        return 1;
+      }
+      if (r.wall_ms < serial_ms) serial_ms = r.wall_ms;
+      serial_mix = std::move(r);
     }
     {
       util::Scheduler sched(workers);
       auto r = run_mix(sched, mix);
-      if (rep > 0 && !same_mix(r, sched_mix, "scheduler across reps")) {
+      if (rep > 0 && !same_mix(r, sched_mix, "N workers across reps")) {
         return 1;
       }
       if (r.wall_ms < sched_ms) sched_ms = r.wall_ms;
       sched_mix = std::move(r);
-      std::printf("rep %d: legacy %.1f ms, work-stealing %.1f ms "
+      std::printf("rep %d: 1 worker %.1f ms, %zu workers %.1f ms "
                   "(%llu steals, max queue depth %llu)\n",
-                  rep, legacy_mix.wall_ms, r.wall_ms,
+                  rep, serial_mix.wall_ms, workers, r.wall_ms,
                   static_cast<unsigned long long>(sched.steals()),
                   static_cast<unsigned long long>(sched.queue_depth_max()));
     }
   }
-  if (!same_mix(sched_mix, legacy_mix, "scheduler vs legacy")) return 1;
+  if (!same_mix(sched_mix, serial_mix, "N workers vs 1 worker")) return 1;
 
   // Third leg: the same mix through the async service front end. Counts
   // must again be identical; the stats line shows the multiplexing.
@@ -173,7 +172,7 @@ int main(int argc, char** argv) {
     r.lulesh = f_lu.get();
     r.mg = f_mg.get();
     r.wall_ms = sw.millis();
-    if (!same_mix(r, legacy_mix, "service vs legacy")) return 1;
+    if (!same_mix(r, serial_mix, "service vs 1 worker")) return 1;
     const auto st = service.stats();
     std::printf("\nservice leg: %.1f ms, %llu requests admitted, "
                 "%llu sessions built\n",
@@ -181,15 +180,10 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(st.sessions_created));
   }
 
-  std::printf("\nsched A/B: legacy pool %.1f ms, work-stealing %.1f ms\n",
-              legacy_ms, sched_ms);
-  std::printf("counts: identical across legacy, work-stealing and service\n");
-  if (cores < 4) {
-    // One busy core serializes every schedule: wall clock equals total CPU
-    // work and the comparison measures nothing. The CI runners gate it.
-    std::printf("sched speedup: skipped (single-core host)\n");
-  } else {
-    std::printf("sched speedup: %.2fx\n", legacy_ms / sched_ms);
-  }
+  std::printf(
+      "\nmix wall (best of %d): 1 worker %.1f ms, %zu workers %.1f ms\n",
+      kReps, serial_ms, workers, sched_ms);
+  std::printf("counts: identical across 1 worker, %zu workers and service\n",
+              workers);
   return 0;
 }

@@ -56,7 +56,6 @@ int main(int argc, char** argv) {
         .target(fault::TargetClass::Input)
         .success_rates(cfg.campaign(60))
         .app_campaign(cfg.campaign(40))
-        .execution(cfg.mode())
         .store_dir(store_dir + "/store");
   };
 

@@ -51,8 +51,7 @@ int main(int argc, char** argv) {
       request.region("cg_makea")
           .target(fault::TargetClass::Internal)
           .success_rates(cfg.campaign(250, 0.99, 0.01))
-          .app_campaign(cfg.campaign(250, 0.99, 0.01))
-          .execution(cfg.mode()));
+          .app_campaign(cfg.campaign(250, 0.99, 0.01)));
 
   util::Table table({"resi. pattern applied", "app. resi. (SR)",
                      "makea-phase SR", "exe time (ms) min-max / avg",

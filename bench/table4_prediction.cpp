@@ -31,8 +31,7 @@ int main(int argc, char** argv) {
   for (const auto& name : names) request.app(name);
   const auto report = core::run_analysis(
       request.pattern_rates()
-          .app_campaign(cfg.campaign(250, 0.99, 0.01))
-          .execution(cfg.mode()));
+          .app_campaign(cfg.campaign(250, 0.99, 0.01)));
 
   util::Table features({"benchmark", "cond rate", "shift rate", "trunc rate",
                         "dead loc rate", "rep add rate", "overwrite rate",

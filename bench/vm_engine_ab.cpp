@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   base.jit = nullptr;
   const auto prepared = fault::prepare_campaign(
       *sites, fault::TargetClass::Internal, base, campaign_cfg);
-  auto& pool = util::default_executor();
+  auto& pool = util::global_scheduler();
   std::printf("campaign: %zu trials over %llu population bits, %zu workers\n",
               prepared.plans.size(),
               static_cast<unsigned long long>(prepared.population_bits),

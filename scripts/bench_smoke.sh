@@ -14,9 +14,9 @@
 #     pattern counts on both substrates (the binary exits nonzero on an
 #     equivalence failure).
 #
-#  3. Scheduling A/B (fig5 on CG): the batched analysis executor vs legacy
-#     per-region scheduling. Batched must never be slower than legacy
-#     beyond noise; on multi-core machines it should win outright.
+#  3. Batched analysis (fig5 on CG): the Fig. 5 request on one app through
+#     the batched work queue. The section fails when the binary exits
+#     nonzero; its schedule and campaign-wall lines go into the artifact.
 #
 #  4. Campaign-scheduler A/B (campaign_fork_ab): snapshot-forked trials vs
 #     the from-scratch trial loop on the CG whole-program campaign (one
@@ -63,16 +63,14 @@
 #     semantically required and excluded from the gate). The section output
 #     is also written to <build-dir>/compose_ab.out for the CI artifact.
 #
-# 10. Scheduler/service A/B (sched_service_ab): an imbalanced multi-request
-#     mix (CG app campaign + LULESH-RANKED rank campaign + MG compositional,
-#     three concurrent clients) on the legacy single-queue ThreadPool vs the
-#     work-stealing Scheduler at the same worker count, plus a
-#     CampaignService leg multiplexing the same mix. Outcome counts must be
-#     bit-identical across all three legs (the binary exits nonzero on a
-#     mismatch); on hosts with >= 4 cores the work-stealing leg must stay
-#     >= 1.3x in mix wall clock, on smaller hosts the speedup reports
-#     "skipped" and only count identity gates. The section output is also
-#     written to <build-dir>/sched_ab.out for the CI artifact.
+# 10. Scheduler/service count identity (sched_service_ab): an imbalanced
+#     multi-request mix (CG app campaign + LULESH-RANKED rank campaign + MG
+#     compositional, three concurrent clients) on a one-worker Scheduler, on
+#     an N-worker Scheduler, and through a CampaignService leg multiplexing
+#     the same mix. Outcome counts must be bit-identical across all three
+#     legs (the binary exits nonzero on a mismatch). Wall clock is recorded,
+#     not gated. The section output is also written to
+#     <build-dir>/sched_ab.out for the CI artifact.
 #
 # The combined output is also written to <build-dir>/bench_smoke.out so CI
 # can upload it as an artifact.
@@ -113,8 +111,8 @@ extract_ms() {
   sed -n 's/^campaign wall: \([0-9.]*\) ms.*/\1/p' "$1"
 }
 
-tmp_engine=$(mktemp) tmp_trace=$(mktemp) tmp_batched=$(mktemp) tmp_legacy=$(mktemp) tmp_fork=$(mktemp) tmp_rank=$(mktemp) tmp_store=$(mktemp) tmp_jit=$(mktemp) tmp_harden=$(mktemp) tmp_compose=$(mktemp) tmp_sched=$(mktemp)
-trap 'rm -f "$tmp_engine" "$tmp_trace" "$tmp_batched" "$tmp_legacy" "$tmp_fork" "$tmp_rank" "$tmp_store" "$tmp_jit" "$tmp_harden" "$tmp_compose" "$tmp_sched"' EXIT
+tmp_engine=$(mktemp) tmp_trace=$(mktemp) tmp_batched=$(mktemp) tmp_fork=$(mktemp) tmp_rank=$(mktemp) tmp_store=$(mktemp) tmp_jit=$(mktemp) tmp_harden=$(mktemp) tmp_compose=$(mktemp) tmp_sched=$(mktemp)
+trap 'rm -f "$tmp_engine" "$tmp_trace" "$tmp_batched" "$tmp_fork" "$tmp_rank" "$tmp_store" "$tmp_jit" "$tmp_harden" "$tmp_compose" "$tmp_sched"' EXIT
 
 echo "== bench smoke 1/10: decoded vs legacy engine on the CG campaign =="
 # A longer campaign than section 3 (and interleaved best-of-3 inside the
@@ -149,21 +147,14 @@ awk -v s="$trace_speedup" -v r="$bytes_ratio" 'BEGIN {
 
 echo
 echo "== bench smoke 3/10: fig5 on CG, $trials trials per region/class =="
+# A nonzero exit of the binary fails the smoke under pipefail.
 "$bench" --apps=CG --trials="$trials" | tee "$tmp_batched" | grep -E "^(schedule|campaign)"
-echo
-echo "-- legacy per-region scheduling --"
-"$bench" --apps=CG --trials="$trials" --legacy | tee "$tmp_legacy" | grep -E "^(schedule|campaign)"
-cat "$tmp_batched" "$tmp_legacy" >> "$out"
+cat "$tmp_batched" >> "$out"
 
 batched_ms=$(extract_ms "$tmp_batched")
-legacy_ms=$(extract_ms "$tmp_legacy")
-
-echo
-awk -v b="$batched_ms" -v l="$legacy_ms" 'BEGIN {
-  printf "batched: %.1f ms   legacy: %.1f ms   speedup: %.2fx\n", b, l, l / b;
-  # Fail only on a clear regression: batched >25% slower than legacy.
-  if (b > l * 1.25) { print "REGRESSION: batched scheduling slower than legacy"; exit 1 }
-  print "OK"
+awk -v b="$batched_ms" 'BEGIN {
+  if (b == "") { print "ERROR: no campaign wall reported"; exit 1 }
+  printf "batched analysis OK (%.1f ms campaign wall)\n", b
 }' | tee -a "$out"
 
 echo
@@ -272,23 +263,18 @@ awk -v s="$compose_speedup" 'BEGIN {
 }' | tee -a "$out"
 
 echo
-echo "== bench smoke 10/10: work-stealing scheduler vs single-queue pool on a mixed load =="
-# Three concurrent clients on one executor (quick trial counts are baked
+echo "== bench smoke 10/10: scheduler and service count identity on a mixed load =="
+# Three concurrent clients on one scheduler (quick trial counts are baked
 # into the bench: the mix's imbalance is the point, not its size). The
-# binary exits nonzero when outcome counts differ between the legacy pool,
-# the work-stealing scheduler, or the CampaignService leg.
+# binary exits nonzero when outcome counts differ between the one-worker
+# scheduler, the N-worker scheduler, or the CampaignService leg.
 "$sched_ab" | tee "$tmp_sched"
 cat "$tmp_sched" >> "$out"
 # The scheduler section is its own CI artifact, next to bench_smoke.out.
 cp "$tmp_sched" "$sched_ab_out"
 
-sched_speedup=$(sed -n 's/^sched speedup: \([0-9.]*\)x$/\1/p' "$tmp_sched")
-if grep -q '^sched speedup: skipped' "$tmp_sched"; then
-  echo "sched speedup skipped (single-core host; count identity still gated)" | tee -a "$out"
-else
-  awk -v s="$sched_speedup" 'BEGIN {
-    if (s == "") { print "ERROR: no sched speedup reported"; exit 1 }
-    if (s < 1.3) { printf "REGRESSION: work-stealing only %.2fx the single-queue pool (need >= 1.3x)\n", s; exit 1 }
-    printf "scheduler OK (%.2fx >= 1.3x on the mixed load)\n", s
-  }' | tee -a "$out"
+if ! grep -q '^counts: identical across ' "$tmp_sched"; then
+  echo "ERROR: no count-identity line reported" | tee -a "$out"
+  exit 1
 fi
+echo "scheduler/service count identity OK" | tee -a "$out"

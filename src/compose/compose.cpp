@@ -470,7 +470,7 @@ ComposedResult run_composed_campaign(const vm::DecodedProgram& program,
                                      const SectionPlan& plan,
                                      const std::vector<vm::OutputValue>& golden,
                                      const fault::Verifier& verify,
-                                     util::Executor& pool,
+                                     util::Scheduler& pool,
                                      const ComposeOptions& opts) {
   ComposedResult r;
   r.sections_total = plan.sections.size();

@@ -55,7 +55,7 @@
 #include "fault/outcome.h"
 #include "trace/column.h"
 #include "trace/segment.h"
-#include "util/thread_pool.h"
+#include "util/scheduler.h"
 #include "vm/interp.h"
 
 namespace ft::store {
@@ -237,7 +237,7 @@ struct ComposedResult {
 [[nodiscard]] ComposedResult run_composed_campaign(
     const vm::DecodedProgram& program, const fault::PreparedCampaign& prepared,
     const SectionPlan& plan, const std::vector<vm::OutputValue>& golden,
-    const fault::Verifier& verify, util::Executor& pool,
+    const fault::Verifier& verify, util::Scheduler& pool,
     const ComposeOptions& opts = {});
 
 /// Serialize / parse one section's summaries (the BlobKind::Summary payload;

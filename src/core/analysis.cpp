@@ -294,7 +294,7 @@ fault::CampaignResult AnalysisSession::region_campaign(
     const fault::CampaignConfig& config) {
   const auto sites = region_sites(region_id, instance);
   const auto golden_run = golden();
-  auto* pool = config.pool ? config.pool : &util::default_executor();
+  auto* pool = config.pool ? config.pool : &util::global_scheduler();
   return fault::run_prepared_campaign(
       *program_, fault::prepare_campaign(*sites, target, app_.base, config),
       golden_run->outputs, app_.verifier, *pool);
@@ -304,7 +304,7 @@ fault::CampaignResult AnalysisSession::app_campaign(
     const fault::CampaignConfig& config) {
   const auto sites = whole_program_sites();
   const auto golden_run = golden();
-  auto* pool = config.pool ? config.pool : &util::default_executor();
+  auto* pool = config.pool ? config.pool : &util::global_scheduler();
   return fault::run_prepared_campaign(
       *program_,
       fault::prepare_campaign(*sites, fault::TargetClass::Internal, app_.base,
@@ -322,7 +322,7 @@ compose::ComposedResult AnalysisSession::run_compositional(
   const auto golden_run = golden();
   const auto trace = golden_trace();
   const auto instances = region_instances();
-  auto* pool = config.pool ? config.pool : &util::default_executor();
+  auto* pool = config.pool ? config.pool : &util::global_scheduler();
   auto prepared = fault::prepare_campaign(
       *sites, fault::TargetClass::Internal, app_.base, config);
   const auto plan =
@@ -343,7 +343,7 @@ fault::RankCampaignResult AnalysisSession::rank_campaign(
     const fault::RankCampaignConfig& config) {
   const auto en = rank_enumeration(config.nranks);
   const auto prepared = fault::prepare_rank_campaign(*en, app_.base, config);
-  auto* pool = config.pool ? config.pool : &util::default_executor();
+  auto* pool = config.pool ? config.pool : &util::global_scheduler();
   return fault::run_rank_campaign(*program_, prepared, app_.verifier, *pool);
 }
 
@@ -517,13 +517,8 @@ AnalysisRequest& AnalysisRequest::store(
   return *this;
 }
 
-AnalysisRequest& AnalysisRequest::pool(util::Executor* p) {
+AnalysisRequest& AnalysisRequest::pool(util::Scheduler* p) {
   pool_ = p;
-  return *this;
-}
-
-AnalysisRequest& AnalysisRequest::execution(ExecutionMode mode) {
-  mode_ = mode;
   return *this;
 }
 
@@ -690,7 +685,7 @@ AnalysisReport run_analysis(const AnalysisRequest& request) {
   // rather than silently picking one.
   auto* pool = request.pool_;
   if (!pool) {
-    util::Executor* config_pools[] = {
+    util::Scheduler* config_pools[] = {
         request.region_campaign_ ? request.region_campaign_->pool : nullptr,
         request.app_campaign_ ? request.app_campaign_->pool : nullptr,
         request.compositional_ ? request.compositional_->pool : nullptr,
@@ -706,7 +701,7 @@ AnalysisReport run_analysis(const AnalysisRequest& request) {
       pool = p;
     }
   }
-  if (!pool) pool = &util::default_executor();
+  if (!pool) pool = &util::global_scheduler();
   report.pool_workers = pool->size();
 
   // Optional persistent artifact store: an explicit store wins; a store_dir
@@ -968,215 +963,183 @@ AnalysisReport run_analysis(const AnalysisRequest& request) {
     rank_counts.emplace_back(static_cast<std::size_t>(unit.prepared.nranks))
         .remaining.store(unit.prepared.plans.size());
   }
-  if (request.mode_ == ExecutionMode::Batched) {
-    // The global queue is chunked per unit: each scalar chunk task owns one
-    // TrialRunner (machine reuse across its trials); each rank chunk runs
-    // whole worlds (one per trial, nranks VM threads each). A unit's
-    // waypoint snapshots are placed lazily by the first chunk that touches
-    // it (workers on other units keep draining the queue meanwhile) and
-    // freed by the last chunk to finish, so peak snapshot memory tracks
-    // the units in flight, not the whole request.
-    struct TrialChunk {
-      bool rank = false;      // scalar unit or rank-campaign unit
-      std::size_t unit = 0;
-      std::size_t begin = 0;  // plan indices within the unit
-      std::size_t end = 0;
-    };
-    std::vector<TrialChunk> chunks;
-    std::vector<UnitRuntime> runtimes(units.size());
-    // Progress streaming: one snapshot at a time under this mutex, counts
-    // loaded inside the critical section so every field is monotone per
-    // unit; stale boundary reports (a chunk that finished earlier but lost
-    // the race to report) are dropped via progress_done. The hook never
-    // feeds back into results.
-    std::mutex progress_mu;
-    const auto& progress = request.progress_;
-    auto emit_scalar = [&](std::size_t u, std::size_t left) {
-      const auto& unit = units[u];
-      UnitProgress p;
-      p.trials_total = unit.prepared.plans.size();
-      p.trials_done = p.trials_total - left;
-      p.done = left == 0;
-      if (unit.entry_index != ~std::size_t{0}) {
-        const auto& e = report.entries[unit.entry_index];
-        p.app = e.app;
-        p.region_id = e.region_id;
-        p.region_name = e.region_name;
-        p.instance = e.instance;
-        p.target = e.target;
-      } else {
-        p.app = report.apps[unit.app_index].app;
-        p.whole_app = true;
-      }
-      std::lock_guard lock(progress_mu);
-      auto& rt = runtimes[u];
-      if (p.trials_done <= rt.progress_done && !p.done) return;
-      rt.progress_done = p.trials_done;
-      p.success = counts[u].success.load();
-      p.failed = counts[u].failed.load();
-      p.crashed = counts[u].crashed.load();
-      p.detected_recovered = counts[u].detected_recovered.load();
-      p.detected_unrecoverable = counts[u].detected_unrecoverable.load();
-      progress(p);
-    };
-    auto emit_rank = [&](std::size_t u, std::size_t left) {
-      const auto& unit = rank_units[u];
-      UnitProgress p;
+  // The global queue is chunked per unit: each scalar chunk task owns one
+  // TrialRunner (machine reuse across its trials); each rank chunk runs
+  // whole worlds (one per trial, nranks VM threads each). A unit's
+  // waypoint snapshots are placed lazily by the first chunk that touches
+  // it (workers on other units keep draining the queue meanwhile) and
+  // freed by the last chunk to finish, so peak snapshot memory tracks
+  // the units in flight, not the whole request.
+  struct TrialChunk {
+    bool rank = false;      // scalar unit or rank-campaign unit
+    std::size_t unit = 0;
+    std::size_t begin = 0;  // plan indices within the unit
+    std::size_t end = 0;
+  };
+  std::vector<TrialChunk> chunks;
+  std::vector<UnitRuntime> runtimes(units.size());
+  // Progress streaming: one snapshot at a time under this mutex, counts
+  // loaded inside the critical section so every field is monotone per
+  // unit; stale boundary reports (a chunk that finished earlier but lost
+  // the race to report) are dropped via progress_done. The hook never
+  // feeds back into results.
+  std::mutex progress_mu;
+  const auto& progress = request.progress_;
+  auto emit_scalar = [&](std::size_t u, std::size_t left) {
+    const auto& unit = units[u];
+    UnitProgress p;
+    p.trials_total = unit.prepared.plans.size();
+    p.trials_done = p.trials_total - left;
+    p.done = left == 0;
+    if (unit.entry_index != ~std::size_t{0}) {
+      const auto& e = report.entries[unit.entry_index];
+      p.app = e.app;
+      p.region_id = e.region_id;
+      p.region_name = e.region_name;
+      p.instance = e.instance;
+      p.target = e.target;
+    } else {
       p.app = report.apps[unit.app_index].app;
-      p.rank = true;
-      p.trials_total = unit.prepared.plans.size();
-      p.trials_done = p.trials_total - left;
-      p.done = left == 0;
-      std::lock_guard lock(progress_mu);
-      auto& rc = rank_counts[u];
-      if (p.trials_done <= rc.progress_done && !p.done) return;
-      rc.progress_done = p.trials_done;
-      progress(p);
-    };
-    for (std::size_t u = 0; u < units.size(); ++u) {
-      const std::size_t n = units[u].prepared.plans.size();
-      runtimes[u].remaining.store(n);
-      if (n == 0) continue;
-      const std::size_t chunk =
-          std::clamp<std::size_t>(n / (pool->size() * 8), 1, 32);
-      for (std::size_t b = 0; b < n; b += chunk) {
-        chunks.push_back(TrialChunk{false, u, b, std::min(n, b + chunk)});
-      }
+      p.whole_app = true;
     }
-    for (std::size_t u = 0; u < rank_units.size(); ++u) {
-      const std::size_t n = rank_units[u].prepared.plans.size();
-      if (n == 0) continue;
-      // Rank trials are whole multi-rank executions: smaller chunks keep
-      // the shared queue balanced against the cheaper scalar trials.
-      const std::size_t chunk = fault::rank_campaign_chunk(n, pool->size());
-      for (std::size_t b = 0; b < n; b += chunk) {
-        chunks.push_back(TrialChunk{true, u, b, std::min(n, b + chunk)});
-      }
+    std::lock_guard lock(progress_mu);
+    auto& rt = runtimes[u];
+    if (p.trials_done <= rt.progress_done && !p.done) return;
+    rt.progress_done = p.trials_done;
+    p.success = counts[u].success.load();
+    p.failed = counts[u].failed.load();
+    p.crashed = counts[u].crashed.load();
+    p.detected_recovered = counts[u].detected_recovered.load();
+    p.detected_unrecoverable = counts[u].detected_unrecoverable.load();
+    progress(p);
+  };
+  auto emit_rank = [&](std::size_t u, std::size_t left) {
+    const auto& unit = rank_units[u];
+    UnitProgress p;
+    p.app = report.apps[unit.app_index].app;
+    p.rank = true;
+    p.trials_total = unit.prepared.plans.size();
+    p.trials_done = p.trials_total - left;
+    p.done = left == 0;
+    std::lock_guard lock(progress_mu);
+    auto& rc = rank_counts[u];
+    if (p.trials_done <= rc.progress_done && !p.done) return;
+    rc.progress_done = p.trials_done;
+    progress(p);
+  };
+  for (std::size_t u = 0; u < units.size(); ++u) {
+    const std::size_t n = units[u].prepared.plans.size();
+    runtimes[u].remaining.store(n);
+    if (n == 0) continue;
+    const std::size_t chunk =
+        std::clamp<std::size_t>(n / (pool->size() * 8), 1, 32);
+    for (std::size_t b = 0; b < n; b += chunk) {
+      chunks.push_back(TrialChunk{false, u, b, std::min(n, b + chunk)});
     }
-    if (!chunks.empty()) {
-      pool->parallel_for(chunks.size(), [&](std::size_t c) {
-        const auto& [is_rank, u, begin, end] = chunks[c];
-        if (is_rank) {
-          const auto& unit = rank_units[u];
-          auto& rc = rank_counts[u];
-          std::call_once(rc.once, [&] {
-            rc.snapshots =
-                fault::prepare_rank_snapshots(*unit.program, unit.prepared);
-            rc.snapshots_taken = rc.snapshots.snapshots_taken;
-          });
-          for (std::size_t pos = begin; pos < end; ++pos) {
-            std::uint64_t instr = 0, prefix = 0;
-            const auto trial = fault::run_rank_trial(
-                *unit.program, unit.prepared, rc.snapshots, pos,
-                unit.session->app().verifier, &instr, &prefix);
-            rc.acc.add(trial,
-                       static_cast<std::size_t>(unit.prepared.plan_rank[pos]),
-                       instr, prefix);
-          }
-          const std::size_t left =
-              rc.remaining.fetch_sub(end - begin) - (end - begin);
-          if (left == 0) rc.snapshots = fault::RankSnapshots{};
-          if (progress) emit_rank(u, left);
-          return;
-        }
-        const auto& unit = units[u];
-        auto& rt = runtimes[u];
-        std::call_once(rt.once, [&] {
-          rt.snapshots =
-              fault::prepare_snapshots(*unit.program, unit.prepared);
-          rt.order = fault::fork_schedule(unit.prepared);
-          rt.snapshots_taken = rt.snapshots.waypoints.size();
-          rt.resume_depth = rt.snapshots.resume_depth;
+  }
+  for (std::size_t u = 0; u < rank_units.size(); ++u) {
+    const std::size_t n = rank_units[u].prepared.plans.size();
+    if (n == 0) continue;
+    // Rank trials are whole multi-rank executions: smaller chunks keep
+    // the shared queue balanced against the cheaper scalar trials.
+    const std::size_t chunk = fault::rank_campaign_chunk(n, pool->size());
+    for (std::size_t b = 0; b < n; b += chunk) {
+      chunks.push_back(TrialChunk{true, u, b, std::min(n, b + chunk)});
+    }
+  }
+  if (!chunks.empty()) {
+    pool->parallel_for(chunks.size(), [&](std::size_t c) {
+      const auto& [is_rank, u, begin, end] = chunks[c];
+      if (is_rank) {
+        const auto& unit = rank_units[u];
+        auto& rc = rank_counts[u];
+        std::call_once(rc.once, [&] {
+          rc.snapshots =
+              fault::prepare_rank_snapshots(*unit.program, unit.prepared);
+          rc.snapshots_taken = rc.snapshots.snapshots_taken;
         });
-        fault::TrialRunner runner(*unit.program, unit.prepared, rt.snapshots,
-                                  unit.golden->outputs,
-                                  unit.session->app().verifier);
         for (std::size_t pos = begin; pos < end; ++pos) {
-          const std::size_t i = rt.order.empty() ? pos : rt.order[pos];
-          fault::TrialAccounting acct;
-          switch (runner.run(i, &acct)) {
-            case fault::Outcome::VerificationSuccess:
-              counts[u].success.fetch_add(1);
-              break;
-            case fault::Outcome::VerificationFailed:
-              counts[u].failed.fetch_add(1);
-              break;
-            case fault::Outcome::Crashed:
-              counts[u].crashed.fetch_add(1);
-              break;
-            case fault::Outcome::DetectedRecovered:
-              counts[u].detected_recovered.fetch_add(1);
-              break;
-            case fault::Outcome::DetectedUnrecoverable:
-              counts[u].detected_unrecoverable.fetch_add(1);
-              break;
-          }
-          counts[u].instructions.fetch_add(acct.instructions);
-          counts[u].prefix_saved.fetch_add(acct.prefix_saved);
-          counts[u].convergence_saved.fetch_add(acct.convergence_saved);
-          if (acct.early_exit) counts[u].early_exits.fetch_add(1);
+          std::uint64_t instr = 0, prefix = 0;
+          const auto trial = fault::run_rank_trial(
+              *unit.program, unit.prepared, rc.snapshots, pos,
+              unit.session->app().verifier, &instr, &prefix);
+          rc.acc.add(trial,
+                     static_cast<std::size_t>(unit.prepared.plan_rank[pos]),
+                     instr, prefix);
         }
-        // Last finisher of the unit releases its waypoint memory. The
-        // seq_cst decrement also orders every finished chunk's count
-        // updates before the left == 0 observation, so the final progress
-        // snapshot carries the unit's exact outcome counts.
         const std::size_t left =
-            rt.remaining.fetch_sub(end - begin) - (end - begin);
-        if (left == 0) rt.snapshots = fault::CampaignSnapshots{};
-        if (progress) emit_scalar(u, left);
+            rc.remaining.fetch_sub(end - begin) - (end - begin);
+        if (left == 0) rc.snapshots = fault::RankSnapshots{};
+        if (progress) emit_rank(u, left);
+        return;
+      }
+      const auto& unit = units[u];
+      auto& rt = runtimes[u];
+      std::call_once(rt.once, [&] {
+        rt.snapshots =
+            fault::prepare_snapshots(*unit.program, unit.prepared);
+        rt.order = fault::fork_schedule(unit.prepared);
+        rt.snapshots_taken = rt.snapshots.waypoints.size();
+        rt.resume_depth = rt.snapshots.resume_depth;
       });
-      report.pool_batches = 1;
-    }
-    for (std::size_t u = 0; u < units.size(); ++u) {
-      const auto result = unit_result(units[u], counts[u], runtimes[u]);
-      fold_prefix_reuse(report, result);
-      if (store && units[u].store_key != 0) {
-        store->publish_campaign(units[u].store_key, result);
+      fault::TrialRunner runner(*unit.program, unit.prepared, rt.snapshots,
+                                unit.golden->outputs,
+                                unit.session->app().verifier);
+      for (std::size_t pos = begin; pos < end; ++pos) {
+        const std::size_t i = rt.order.empty() ? pos : rt.order[pos];
+        fault::TrialAccounting acct;
+        switch (runner.run(i, &acct)) {
+          case fault::Outcome::VerificationSuccess:
+            counts[u].success.fetch_add(1);
+            break;
+          case fault::Outcome::VerificationFailed:
+            counts[u].failed.fetch_add(1);
+            break;
+          case fault::Outcome::Crashed:
+            counts[u].crashed.fetch_add(1);
+            break;
+          case fault::Outcome::DetectedRecovered:
+            counts[u].detected_recovered.fetch_add(1);
+            break;
+          case fault::Outcome::DetectedUnrecoverable:
+            counts[u].detected_unrecoverable.fetch_add(1);
+            break;
+        }
+        counts[u].instructions.fetch_add(acct.instructions);
+        counts[u].prefix_saved.fetch_add(acct.prefix_saved);
+        counts[u].convergence_saved.fetch_add(acct.convergence_saved);
+        if (acct.early_exit) counts[u].early_exits.fetch_add(1);
       }
-      if (units[u].entry_index != ~std::size_t{0}) {
-        report.entries[units[u].entry_index].campaign = result;
-      } else {
-        report.apps[units[u].app_index].whole_app = result;
-      }
+      // Last finisher of the unit releases its waypoint memory. The
+      // seq_cst decrement also orders every finished chunk's count
+      // updates before the left == 0 observation, so the final progress
+      // snapshot carries the unit's exact outcome counts.
+      const std::size_t left =
+          rt.remaining.fetch_sub(end - begin) - (end - begin);
+      if (left == 0) rt.snapshots = fault::CampaignSnapshots{};
+      if (progress) emit_scalar(u, left);
+    });
+    report.pool_batches = 1;
+  }
+  for (std::size_t u = 0; u < units.size(); ++u) {
+    const auto result = unit_result(units[u], counts[u], runtimes[u]);
+    fold_prefix_reuse(report, result);
+    if (store && units[u].store_key != 0) {
+      store->publish_campaign(units[u].store_key, result);
     }
-    for (std::size_t u = 0; u < rank_units.size(); ++u) {
-      const auto result = rank_counts[u].acc.result(
-          rank_units[u].prepared, rank_counts[u].snapshots_taken);
-      report.total_instructions += result.instructions_retired;
-      report.instructions_saved += result.prefix_instructions_saved;
-      report.snapshots_taken += result.snapshots_taken;
-      report.apps[rank_units[u].app_index].rank_campaign = result;
+    if (units[u].entry_index != ~std::size_t{0}) {
+      report.entries[units[u].entry_index].campaign = result;
+    } else {
+      report.apps[units[u].app_index].whole_app = result;
     }
-  } else {
-    // Legacy mode: one blocking parallel_for per unit, serializing between
-    // regions exactly as the facade-era call pattern did (same decoded
-    // engine and same snapshot-forked trials — this mode A/Bs the
-    // scheduling, not the interpreter or the fork policy).
-    for (const auto& unit : units) {
-      const auto& spec = unit.session->app();
-      const auto result = fault::run_prepared_campaign(
-          *unit.program, unit.prepared, unit.golden->outputs, spec.verifier,
-          *pool);
-      report.pool_batches += unit.prepared.plans.empty() ? 0 : 1;
-      fold_prefix_reuse(report, result);
-      if (store && unit.store_key != 0) {
-        store->publish_campaign(unit.store_key, result);
-      }
-      if (unit.entry_index != ~std::size_t{0}) {
-        report.entries[unit.entry_index].campaign = result;
-      } else {
-        report.apps[unit.app_index].whole_app = result;
-      }
-    }
-    for (const auto& unit : rank_units) {
-      const auto result = fault::run_rank_campaign(
-          *unit.program, unit.prepared, unit.session->app().verifier, *pool);
-      report.pool_batches += unit.prepared.plans.empty() ? 0 : 1;
-      report.total_instructions += result.instructions_retired;
-      report.instructions_saved += result.prefix_instructions_saved;
-      report.snapshots_taken += result.snapshots_taken;
-      report.apps[unit.app_index].rank_campaign = result;
-    }
+  }
+  for (std::size_t u = 0; u < rank_units.size(); ++u) {
+    const auto result = rank_counts[u].acc.result(
+        rank_units[u].prepared, rank_counts[u].snapshots_taken);
+    report.total_instructions += result.instructions_retired;
+    report.instructions_saved += result.prefix_instructions_saved;
+    report.snapshots_taken += result.snapshots_taken;
+    report.apps[rank_units[u].app_index].rank_campaign = result;
   }
   if (store) {
     const auto c = store->counters();

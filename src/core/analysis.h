@@ -58,7 +58,7 @@
 #include "trace/collector.h"
 #include "trace/events.h"
 #include "trace/segment.h"
-#include "util/thread_pool.h"
+#include "util/scheduler.h"
 
 namespace ft::store {
 class ArtifactStore;
@@ -292,16 +292,6 @@ enum class RegionScope : std::uint8_t {
   None,
 };
 
-/// How the campaigns of a request are scheduled.
-enum class ExecutionMode : std::uint8_t {
-  /// All trials of all (app, region, target) units interleave on one
-  /// shared work queue — regions and apps execute concurrently.
-  Batched,
-  /// One blocking run_campaign per unit, as the old facade drove it.
-  /// Kept for A/B comparison (scripts/bench_smoke.sh, determinism tests).
-  LegacyPerRegion,
-};
-
 /// One (app, region instance, target class) result row.
 struct AnalysisEntry {
   std::string app;
@@ -377,8 +367,8 @@ struct AnalysisReport {
   /// Deepest golden resume point of any unit (the longest serial prefix the
   /// scheduler had to execute once).
   std::uint64_t max_resume_depth = 0;
-  /// Injection work-queue dispatches (batched: 1). Snapshot preparation is
-  /// artifact prep and is not counted here.
+  /// Injection work-queue dispatches (1 when any trial ran, else 0).
+  /// Snapshot preparation is artifact prep and is not counted here.
   std::size_t pool_batches = 0;
   std::size_t pool_workers = 0;
 
@@ -571,16 +561,15 @@ class AnalysisRequest {
   AnalysisRequest& store(std::shared_ptr<store::ArtifactStore> s);
 
   // --- execution ------------------------------------------------------------
-  /// Pool the batched work queue runs on. When unset, a pool named by the
-  /// campaign configs is honored (two configs naming different pools is
-  /// rejected); otherwise util::default_executor() (the work-stealing scheduler).
-  AnalysisRequest& pool(util::Executor* p);
-  AnalysisRequest& execution(ExecutionMode mode);
-  /// Stream per-unit aggregate snapshots as campaign chunks complete
-  /// (Batched mode only; LegacyPerRegion ignores the hook). The callback is
-  /// invoked under an internal mutex — one snapshot at a time — from
-  /// whichever executor thread finished a chunk, so it must not re-enter
-  /// run_analysis or block on the executor. Snapshots never affect results.
+  /// Scheduler the batched work queue runs on. When unset, a pool named by
+  /// the campaign configs is honored (two configs naming different pools is
+  /// rejected); otherwise util::global_scheduler().
+  AnalysisRequest& pool(util::Scheduler* p);
+  /// Stream per-unit aggregate snapshots as campaign chunks complete. The
+  /// callback is invoked under an internal mutex — one snapshot at a time —
+  /// from whichever scheduler thread finished a chunk, so it must not
+  /// re-enter run_analysis or block on the scheduler. Snapshots never affect
+  /// results.
   AnalysisRequest& on_progress(std::function<void(const UnitProgress&)> fn);
   /// Keep golden traces of internally built sessions after artifact prep
   /// (default: dropped to bound memory, as the old reset_trace() flow did).
@@ -618,16 +607,15 @@ class AnalysisRequest {
   bool want_region_io_ = false;
   std::string store_dir_;
   std::shared_ptr<store::ArtifactStore> store_;
-  util::Executor* pool_ = nullptr;
-  ExecutionMode mode_ = ExecutionMode::Batched;
+  util::Scheduler* pool_ = nullptr;
   std::function<void(const UnitProgress&)> progress_;
   bool keep_traces_ = false;
 };
 
 /// Execute a request. Campaign results are deterministic in the request
 /// (plans are drawn up-front per unit from CampaignConfig::seed) and
-/// independent of pool size and execution mode. Throws std::invalid_argument
-/// for unknown app/region names and propagates golden-run failures.
+/// independent of pool size. Throws std::invalid_argument for unknown
+/// app/region names and propagates golden-run failures.
 [[nodiscard]] AnalysisReport run_analysis(const AnalysisRequest& request);
 
 /// Campaign -> transform -> re-campaign in one call:

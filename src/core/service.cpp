@@ -185,7 +185,7 @@ class SingleFlightStore final : public store::ArtifactStore {
 // ---------------------------------------------------------------------------
 
 CampaignService::CampaignService(ServiceOptions opts)
-    : scheduler_(opts.scheduler ? opts.scheduler : &util::default_executor()),
+    : scheduler_(opts.scheduler ? opts.scheduler : &util::global_scheduler()),
       store_(std::move(opts.store)),
       flights_(std::make_shared<FlightTable>()) {
   if (!store_ && !opts.store_dir.empty()) {

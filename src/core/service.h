@@ -45,7 +45,7 @@
 #include <string>
 
 #include "core/analysis.h"
-#include "util/thread_pool.h"
+#include "util/scheduler.h"
 
 namespace ft::store {
 class ArtifactStore;
@@ -55,9 +55,9 @@ namespace ft::core {
 
 /// Configuration of a CampaignService.
 struct ServiceOptions {
-  /// Executor all admitted requests run on; nullptr means
-  /// util::default_executor() (the process-wide work-stealing scheduler).
-  util::Executor* scheduler = nullptr;
+  /// Scheduler all admitted requests run on; nullptr means
+  /// util::global_scheduler() (the process-wide work-stealing scheduler).
+  util::Scheduler* scheduler = nullptr;
   /// Shared artifact store (wins over store_dir). Requests that do not
   /// carry their own store run against it through the single-flight view.
   std::shared_ptr<store::ArtifactStore> store;
@@ -134,7 +134,7 @@ class CampaignService {
   AnalysisReport execute(std::uint64_t id, AnalysisRequest request,
                          ServiceSubscriber subscriber);
 
-  util::Executor* scheduler_ = nullptr;
+  util::Scheduler* scheduler_ = nullptr;
   std::shared_ptr<store::ArtifactStore> store_;
   std::shared_ptr<FlightTable> flights_;
 

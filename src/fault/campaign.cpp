@@ -419,7 +419,7 @@ CampaignResult run_prepared_impl(const Executable& exe,
                                  const PreparedCampaign& prepared,
                                  const std::vector<vm::OutputValue>& golden,
                                  const Verifier& verify,
-                                 util::Executor& pool) {
+                                 util::Scheduler& pool) {
   CampaignResult out;
   out.population_bits = prepared.population_bits;
   out.trials = prepared.plans.size();
@@ -462,7 +462,7 @@ CampaignResult run_prepared_forked(const vm::DecodedProgram& program,
                                    const PreparedCampaign& prepared,
                                    const std::vector<vm::OutputValue>& golden,
                                    const Verifier& verify,
-                                   util::Executor& pool) {
+                                   util::Scheduler& pool) {
   CampaignResult out;
   out.population_bits = prepared.population_bits;
   out.trials = prepared.plans.size();
@@ -538,7 +538,7 @@ CampaignResult run_prepared_campaign(const vm::DecodedProgram& program,
                                      const PreparedCampaign& prepared,
                                      const std::vector<vm::OutputValue>& golden,
                                      const Verifier& verify,
-                                     util::Executor& pool) {
+                                     util::Scheduler& pool) {
   if (prepared.fork.enabled &&
       prepared.fork_bounds.size() == prepared.plans.size()) {
     return run_prepared_forked(program, prepared, golden, verify, pool);
@@ -550,7 +550,7 @@ CampaignResult run_prepared_campaign(const ir::Module& m,
                                      const PreparedCampaign& prepared,
                                      const std::vector<vm::OutputValue>& golden,
                                      const Verifier& verify,
-                                     util::Executor& pool) {
+                                     util::Scheduler& pool) {
   return run_prepared_impl(m, prepared, golden, verify, pool);
 }
 
@@ -560,7 +560,7 @@ CampaignResult run_campaign(const ir::Module& m,
                             const std::vector<vm::OutputValue>& golden,
                             const Verifier& verify, const vm::VmOptions& base,
                             const CampaignConfig& config) {
-  auto* pool = config.pool ? config.pool : &util::default_executor();
+  auto* pool = config.pool ? config.pool : &util::global_scheduler();
   return run_prepared_campaign(m, prepare_campaign(sites, target, base, config),
                                golden, verify, *pool);
 }

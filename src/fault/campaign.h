@@ -29,7 +29,7 @@
 
 #include "fault/outcome.h"
 #include "fault/sites.h"
-#include "util/thread_pool.h"
+#include "util/scheduler.h"
 
 namespace ft::fault {
 
@@ -73,8 +73,9 @@ struct ForkPolicy {
 /// Both fields are SEMANTIC campaign inputs (they change outcome counts)
 /// and therefore hash into the store's campaign key, unlike the pure
 /// scheduling knobs in ForkPolicy. Outcomes stay independent of pool size,
-/// execution mode and fork on/off: the landing and detection indices are
-/// properties of the deterministic execution, not of the scheduler.
+/// batched vs per-region dispatch and fork on/off: the landing and
+/// detection indices are properties of the deterministic execution, not of
+/// the scheduler.
 struct RecoveryPolicy {
   /// Roll back + re-execute on DetectedFault. Programs without detectors
   /// never take this path, so the default costs nothing.
@@ -96,7 +97,7 @@ struct CampaignConfig {
   /// Hang budget: faulty runs may retire at most this multiple of the
   /// fault-free instruction count before classifying as Crashed(hang).
   double budget_factor = 8.0;
-  util::Executor* pool = nullptr;  // nullptr = util::default_executor()
+  util::Scheduler* pool = nullptr;  // nullptr = util::global_scheduler()
   /// Snapshot-forked trial execution (copied into the prepared campaign).
   ForkPolicy fork{};
   /// Checkpoint/rollback recovery (copied into the prepared campaign).
@@ -341,13 +342,13 @@ class TrialRunner {
 [[nodiscard]] CampaignResult run_prepared_campaign(
     const vm::DecodedProgram& program, const PreparedCampaign& prepared,
     const std::vector<vm::OutputValue>& golden, const Verifier& verify,
-    util::Executor& pool);
+    util::Scheduler& pool);
 
 /// Legacy-engine form (A/B baseline).
 [[nodiscard]] CampaignResult run_prepared_campaign(
     const ir::Module& m, const PreparedCampaign& prepared,
     const std::vector<vm::OutputValue>& golden, const Verifier& verify,
-    util::Executor& pool);
+    util::Scheduler& pool);
 
 /// Modeled checkpoint/rollback verdict for a detector trap. The recovery
 /// runtime checkpoints every RecoveryPolicy::checkpoint_interval retired

@@ -339,7 +339,7 @@ RankCampaignResult RankCampaignAccumulator::result(
 RankCampaignResult run_rank_campaign(const vm::DecodedProgram& program,
                                      const PreparedRankCampaign& prepared,
                                      const Verifier& verify,
-                                     util::Executor& pool) {
+                                     util::Scheduler& pool) {
   const auto n = static_cast<std::size_t>(prepared.nranks);
   RankCampaignAccumulator acc(n);
   if (prepared.plans.empty()) return acc.result(prepared, 0);
@@ -373,7 +373,7 @@ RankCampaignResult run_rank_campaign(
   const auto enumeration = enumerate_rank_sites(program, config.nranks, base,
                                                 /*keep_traces=*/false);
   const auto prepared = prepare_rank_campaign(enumeration, base, config);
-  auto* pool = config.pool ? config.pool : &util::default_executor();
+  auto* pool = config.pool ? config.pool : &util::global_scheduler();
   return run_rank_campaign(*program, prepared, verify, *pool);
 }
 

@@ -133,7 +133,7 @@ struct RankCampaignConfig {
   std::uint64_t seed = 0xF11Dull;
   /// Per-rank hang budget factor over that rank's golden retired count.
   double budget_factor = 8.0;
-  util::Executor* pool = nullptr;  // nullptr = util::default_executor()
+  util::Scheduler* pool = nullptr;  // nullptr = util::global_scheduler()
   /// Rank-local snapshot forking of the injected rank (never changes
   /// counts; see the header comment).
   ForkPolicy fork{};
@@ -298,7 +298,7 @@ class RankCampaignAccumulator {
 /// taxonomy. Counts are independent of pool size, chunking, and ForkPolicy.
 [[nodiscard]] RankCampaignResult run_rank_campaign(
     const vm::DecodedProgram& program, const PreparedRankCampaign& prepared,
-    const Verifier& verify, util::Executor& pool);
+    const Verifier& verify, util::Scheduler& pool);
 
 /// One-shot convenience: enumerate (traces dropped), prepare, run.
 [[nodiscard]] RankCampaignResult run_rank_campaign(

@@ -173,7 +173,7 @@ void Scheduler::parallel_for(std::size_t count,
   // Shared chunk-claim state, heap-owned by every helper closure: even if a
   // helper runs after this frame would have unwound, everything it touches
   // is alive — and the join below means the frame never unwinds early
-  // anyway (the use-after-scope the legacy pool had).
+  // anyway.
   struct State {
     std::atomic<std::size_t> next{0};
     std::atomic<std::size_t> outstanding{0};
@@ -232,8 +232,8 @@ void Scheduler::parallel_for(std::size_t count,
   // Help-first join: while our helpers are outstanding, run other queued
   // drain tasks (our own or other concurrent parallel_fors') instead of
   // blocking. This makes nested parallel_for deadlock-free — a waiter is
-  // always also a worker — and removes the single-queue convoy where a
-  // parallel_for could not finish until unrelated queued work drained.
+  // always also a worker — and keeps a parallel_for from waiting on
+  // unrelated queued work to drain.
   while (st->outstanding.load(std::memory_order_acquire) != 0) {
     Task t;
     if (take(t, /*helpers_only=*/true)) {
@@ -252,7 +252,5 @@ Scheduler& global_scheduler() {
   static Scheduler sched;
   return sched;
 }
-
-Executor& default_executor() { return global_scheduler(); }
 
 }  // namespace ft::util

@@ -170,30 +170,4 @@ class RegionWindowGate final : public ExecObserver {
   bool active_ = false;
 };
 
-/// Fans one VM execution out to several observers.
-///
-/// Deprecated: prefer ObserverChain, which adds per-stage gating and
-/// filters. Kept for one release as the legacy fan-out primitive.
-class MultiObserver final : public ExecObserver {
- public:
-  void add(ExecObserver* o) { observers_.push_back(o); }
-  void on_instruction(const DynInstr& d) override {
-    const bool marker = is_region_marker(d);
-    for (auto* o : observers_) {
-      if (marker || o->enabled()) o->on_instruction(d);
-    }
-  }
-  /// Enabled iff any child is — an always-true default here used to defeat
-  /// the VM fast path even when every child was gated off.
-  [[nodiscard]] bool enabled() const override {
-    for (const auto* o : observers_) {
-      if (o->enabled()) return true;
-    }
-    return false;
-  }
-
- private:
-  std::vector<ExecObserver*> observers_;
-};
-
 }  // namespace ft::vm

@@ -1,6 +1,6 @@
 // The composable analysis API: AnalysisSession caching and thread safety,
 // declarative AnalysisRequest execution, cross-region campaign batching,
-// seed determinism across pool sizes and execution modes, and the
+// seed determinism across pool sizes and per-region calls, and the
 // observer-pipeline gating semantics.
 #include <gtest/gtest.h>
 
@@ -100,7 +100,7 @@ TEST(CampaignDeterminism, IdenticalCountsAcrossPoolSizes) {
 
   std::vector<fault::CampaignResult> results;
   for (const std::size_t workers : {1u, 2u, 8u}) {
-    util::ThreadPool pool(workers);
+    util::Scheduler pool(workers);
     auto cfg = quick_campaign(12, /*seed=*/77);
     cfg.pool = &pool;
     results.push_back(session.region_campaign(
@@ -115,37 +115,26 @@ TEST(CampaignDeterminism, IdenticalCountsAcrossPoolSizes) {
   }
 }
 
-TEST(CampaignDeterminism, BatchedMatchesLegacyAndFacadeFlow) {
+TEST(CampaignDeterminism, BatchedMatchesPerRegionFacadeFlow) {
   auto session = std::make_shared<core::AnalysisSession>(apps::build_cg());
   const auto cfg = quick_campaign(10, /*seed=*/42);
 
-  const auto run_mode = [&](core::ExecutionMode mode) {
-    return core::run_analysis(core::AnalysisRequest()
-                                  .session(session)
-                                  .region("cg_a")
-                                  .region("cg_b")
-                                  .target(fault::TargetClass::Internal)
-                                  .target(fault::TargetClass::Input)
-                                  .success_rates(cfg)
-                                  .execution(mode));
-  };
-  const auto batched = run_mode(core::ExecutionMode::Batched);
-  const auto legacy = run_mode(core::ExecutionMode::LegacyPerRegion);
+  const auto batched =
+      core::run_analysis(core::AnalysisRequest()
+                             .session(session)
+                             .region("cg_a")
+                             .region("cg_b")
+                             .target(fault::TargetClass::Internal)
+                             .target(fault::TargetClass::Input)
+                             .success_rates(cfg));
 
+  // Every batched entry matches the imperative per-region session call.
   ASSERT_EQ(batched.entries.size(), 4u);
-  ASSERT_EQ(legacy.entries.size(), batched.entries.size());
-  for (std::size_t i = 0; i < batched.entries.size(); ++i) {
-    const auto& b = batched.entries[i].campaign;
-    const auto& l = legacy.entries[i].campaign;
-    EXPECT_EQ(b.trials, l.trials);
-    EXPECT_EQ(b.success, l.success);
-    EXPECT_EQ(b.failed, l.failed);
-    EXPECT_EQ(b.crashed, l.crashed);
-
-    // And both match the imperative per-region session call.
-    const auto& e = batched.entries[i];
+  for (const auto& e : batched.entries) {
+    const auto& b = e.campaign;
     const auto direct =
         session->region_campaign(e.region_id, e.instance, e.target, cfg);
+    EXPECT_EQ(b.trials, direct.trials);
     EXPECT_EQ(b.success, direct.success);
     EXPECT_EQ(b.failed, direct.failed);
     EXPECT_EQ(b.crashed, direct.crashed);
@@ -155,7 +144,7 @@ TEST(CampaignDeterminism, BatchedMatchesLegacyAndFacadeFlow) {
 // --- cross-region batching -----------------------------------------------------
 
 TEST(Batching, MultiRegionRequestDispatchesOnePoolBatch) {
-  util::ThreadPool pool(2);
+  util::Scheduler pool(2);
   const auto report =
       core::run_analysis(core::AnalysisRequest()
                              .app("CG")
@@ -191,28 +180,13 @@ TEST(Batching, MultiRegionRequestDispatchesOnePoolBatch) {
 TEST(Batching, CampaignConfigPoolIsHonored) {
   // run_campaign's contract (CampaignConfig::pool) must hold through the
   // declarative path too when no request-level pool is set.
-  util::ThreadPool pool(2);
+  util::Scheduler pool(2);
   auto cfg = quick_campaign(5);
   cfg.pool = &pool;
   const auto report = core::run_analysis(
       core::AnalysisRequest().app("CG").region("cg_a").success_rates(cfg));
   EXPECT_EQ(pool.parallel_for_calls(), 1u);
   EXPECT_EQ(report.pool_workers, 2u);
-}
-
-TEST(Batching, LegacyModeDispatchesPerUnit) {
-  util::ThreadPool pool(2);
-  const auto report =
-      core::run_analysis(core::AnalysisRequest()
-                             .app("CG")
-                             .region("cg_a")
-                             .region("cg_b")
-                             .success_rates(quick_campaign(5))
-                             .pool(&pool)
-                             .execution(core::ExecutionMode::LegacyPerRegion));
-  EXPECT_EQ(report.campaign_units, 2u);
-  EXPECT_EQ(report.pool_batches, 2u);
-  EXPECT_EQ(pool.parallel_for_calls(), 2u);
 }
 
 // --- the request/report model --------------------------------------------------
@@ -434,32 +408,6 @@ TEST(ObserverChain, StageFiltersSelectRecords) {
   for (const auto& r : stores.trace().records) {
     EXPECT_EQ(r.op, ir::Opcode::Store);
   }
-}
-
-TEST(MultiObserver, EnabledReflectsChildren) {
-  // A fully gated observer set must not defeat the VM fast path: with the
-  // old always-true default the VM materialized every DynInstr even though
-  // no child wanted records.
-  std::uint32_t rid = 0;
-  const auto mod = gated_module(&rid);
-  trace::TraceCollector sink;
-  vm::RegionWindowGate gate(&sink, rid);
-  vm::MultiObserver multi;
-  EXPECT_FALSE(multi.enabled());  // no children
-  multi.add(&gate);
-  EXPECT_FALSE(multi.enabled());  // gated child, window closed
-
-  vm::VmOptions opts;
-  opts.observer = &multi;
-  const auto run = vm::Vm::run(mod, opts);
-  ASSERT_TRUE(run.completed());
-  // Only the region window (plus its markers) was delivered.
-  EXPECT_GT(sink.trace().size(), 10u);
-  EXPECT_LT(sink.trace().size(), run.instructions / 2);
-
-  trace::TraceCollector always;
-  multi.add(&always);
-  EXPECT_TRUE(multi.enabled());
 }
 
 }  // namespace

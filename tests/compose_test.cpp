@@ -24,7 +24,7 @@
 #include "store/artifact_store.h"
 #include "trace/column.h"
 #include "trace/segment.h"
-#include "util/thread_pool.h"
+#include "util/scheduler.h"
 #include "vm/decode.h"
 #include "vm/interp.h"
 
@@ -77,7 +77,7 @@ namespace fs = std::filesystem;
     const std::vector<trace::RegionInstance>& instances,
     const fault::PreparedCampaign& prepared, const compose::SectionPlan& plan,
     const std::vector<vm::OutputValue>& golden, const fault::Verifier& verify,
-    util::ThreadPool& pool) {
+    util::Scheduler& pool) {
   for (std::size_t s = 0; s < plan.sections.size(); ++s) {
     if (plan.section_plans[s].empty()) continue;
     const auto sub = restrict_to(prepared, plan.section_plans[s]);
@@ -121,7 +121,7 @@ TEST_P(ComposeEquivalence, ComposedCountsMatchExhaustive) {
     c.fork.enabled = fork;
     const auto prepared = fault::prepare_campaign(
         *sites, fault::TargetClass::Internal, session->app().base, c);
-    util::ThreadPool ref_pool(4);
+    util::Scheduler ref_pool(4);
     const auto exhaustive = fault::run_prepared_campaign(
         *program, prepared, golden->outputs, verify, ref_pool);
     const auto plan =
@@ -130,7 +130,7 @@ TEST_P(ComposeEquivalence, ComposedCountsMatchExhaustive) {
     ASSERT_EQ(plan.plan_section.size(), prepared.plans.size());
 
     for (const std::size_t workers : {1, 2, 8}) {
-      util::ThreadPool pool(workers);
+      util::Scheduler pool(workers);
       const auto composed = compose::run_composed_campaign(
           *program, prepared, plan, golden->outputs, verify, pool);
       EXPECT_EQ(composed.sections_total, plan.sections.size());
@@ -414,7 +414,7 @@ TEST_P(ComposeIncremental, WarmStoreRecomputesOnlyAffectedSections) {
   const auto prepared = fault::prepare_campaign(
       *msession->whole_program_sites(), fault::TargetClass::Internal,
       mutated.base, cfg);
-  util::ThreadPool pool(4);
+  util::Scheduler pool(4);
   const auto exhaustive = fault::run_prepared_campaign(
       *msession->program(), prepared, msession->golden()->outputs,
       mutated.verifier, pool);

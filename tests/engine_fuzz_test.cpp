@@ -39,7 +39,7 @@
 #include "trace/column.h"
 #include "trace/segment.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
+#include "util/scheduler.h"
 #include "vm/decode.h"
 #include "vm/interp.h"
 
@@ -537,7 +537,7 @@ bool check_seed(std::uint64_t seed, std::string* diag) {
     if (sites.region_found && !prepared.plans.empty()) {
       const auto instances = trace::segment_regions(sink);
       const auto verify = fault::tolerance_verifier(1e-9);
-      util::ThreadPool pool(2);
+      util::Scheduler pool(2);
       const auto exhaustive = fault::run_prepared_campaign(
           *program, prepared, decoded.outputs, verify, pool);
       const auto plan =

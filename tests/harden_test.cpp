@@ -13,7 +13,7 @@
 #include "harden/harden.h"
 #include "hl/builder.h"
 #include "ir/verify.h"
-#include "util/thread_pool.h"
+#include "util/scheduler.h"
 #include "vm/decode.h"
 #include "vm/interp.h"
 
@@ -172,7 +172,7 @@ TEST(HardenCampaign, DetectorsFireAndRecoveryRecovers) {
   const auto sites = fault::enumerate_sites(hr.module, h.rid, 0, {});
   ASSERT_TRUE(sites.region_found);
 
-  util::ThreadPool pool(2);
+  util::Scheduler pool(2);
   fault::CampaignConfig cfg;
   cfg.trials = 192;
   cfg.seed = 0xD07ull;
@@ -259,7 +259,7 @@ TEST(HardenCampaign, RecoveryCountsDeterministicAcrossPoolsAndFork) {
     for (const bool fork : {false, true}) {
       auto c = cfg;
       c.fork.enabled = fork;
-      util::ThreadPool pool(workers);
+      util::Scheduler pool(workers);
       results.push_back(fault::run_prepared_campaign(
           prog,
           fault::prepare_campaign(sites, fault::TargetClass::Internal, {}, c),

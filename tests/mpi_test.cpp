@@ -373,7 +373,7 @@ TEST(RankCampaign, CountsInvariantAcrossPoolsRunsAndForkPolicy) {
   auto prepared_nofork = prepared;
   prepared_nofork.fork.enabled = false;
 
-  util::ThreadPool pool1(1), pool2(2), pool8(8);
+  util::Scheduler pool1(1), pool2(2), pool8(8);
   const auto a = fault::run_rank_campaign(*program, prepared, verifier, pool8);
   ASSERT_EQ(a.trials, 40u);
   ASSERT_EQ(a.masked_locally + a.absorbed_by_collective + a.propagated +

@@ -102,7 +102,7 @@ TEST_P(RankedAppCampaign, FourRankCountsDeterministic) {
   auto prepared_nofork = prepared;
   prepared_nofork.fork.enabled = false;
 
-  util::ThreadPool pool1(1), pool2(2), pool8(8);
+  util::Scheduler pool1(1), pool2(2), pool8(8);
   const auto a =
       fault::run_rank_campaign(*app.program, prepared, app.spec.verifier,
                                pool8);
@@ -158,7 +158,7 @@ TEST(RankCampaignForking, PrefixReuseActiveWhereCommFreePrefixExists) {
   const auto snapshots =
       fault::prepare_rank_snapshots(*app.program, prepared);
   EXPECT_GT(snapshots.snapshots_taken, 0u);
-  util::ThreadPool pool(4);
+  util::Scheduler pool(4);
   const auto r =
       fault::run_rank_campaign(*app.program, prepared, app.spec.verifier,
                                pool);
@@ -231,7 +231,7 @@ TEST(AnalysisRankCampaign, SessionAndBatchedRequestAgree) {
   // on one shared pool.
   fault::CampaignConfig scalar;
   scalar.trials = 20;
-  util::ThreadPool pool(4);
+  util::Scheduler pool(4);
   const auto request = core::AnalysisRequest()
                            .app(ring_spec())
                            .analysis_regions()
@@ -248,27 +248,19 @@ TEST(AnalysisRankCampaign, SessionAndBatchedRequestAgree) {
   EXPECT_EQ(report.pool_batches, 1u);  // still ONE batched dispatch
   EXPECT_GT(report.total_instructions, 0u);
 
-  // Legacy per-unit scheduling produces the same counts.
-  const auto legacy = core::run_analysis(
-      core::AnalysisRequest()
-          .app(ring_spec())
-          .analysis_regions()
-          .success_rates(scalar)
-          .rank_campaign(cfg)
-          .pool(&pool)
-          .execution(core::ExecutionMode::LegacyPerRegion));
-  ASSERT_TRUE(legacy.apps[0].rank_campaign.has_value());
-  expect_same_counts(*report.apps[0].rank_campaign,
-                     *legacy.apps[0].rank_campaign);
+  // The batched scalar entry matches the per-region session call.
   const auto* entry = report.find("ringapp", "main",
                                   fault::TargetClass::Internal);
-  const auto* legacy_entry = legacy.find("ringapp", "main",
-                                         fault::TargetClass::Internal);
   ASSERT_NE(entry, nullptr);
-  ASSERT_NE(legacy_entry, nullptr);
-  EXPECT_EQ(entry->campaign.success, legacy_entry->campaign.success);
-  EXPECT_EQ(entry->campaign.failed, legacy_entry->campaign.failed);
-  EXPECT_EQ(entry->campaign.crashed, legacy_entry->campaign.crashed);
+  auto scalar_direct = scalar;
+  scalar_direct.pool = &pool;
+  const auto per_region = session.region_campaign(
+      entry->region_id, entry->instance, fault::TargetClass::Internal,
+      scalar_direct);
+  EXPECT_EQ(entry->campaign.trials, per_region.trials);
+  EXPECT_EQ(entry->campaign.success, per_region.success);
+  EXPECT_EQ(entry->campaign.failed, per_region.failed);
+  EXPECT_EQ(entry->campaign.crashed, per_region.crashed);
 }
 
 TEST(AnalysisRankCampaign, SerialVsParallelComparisonShape) {

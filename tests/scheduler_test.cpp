@@ -2,7 +2,7 @@
 // parallel_for semantics, steal correctness (every task runs exactly once,
 // wherever it runs), nested parallel_for from workers and from submitted
 // tasks, exception propagation with full chunk joins, counter semantics,
-// and campaign count-identity across executor implementations and sizes.
+// and campaign count-identity against a serial oracle at every size.
 // This test runs under the TSan CI job — the deque protocol, the idle
 // backoff and the help-first join are exactly the code paths a race would
 // hide in.
@@ -20,7 +20,6 @@
 #include "core/analysis.h"
 #include "fault/campaign.h"
 #include "util/scheduler.h"
-#include "util/thread_pool.h"
 
 namespace ft {
 namespace {
@@ -205,31 +204,56 @@ TEST(Scheduler, CounterSemantics) {
   EXPECT_EQ(sched.size(), 2u);
 }
 
-// The Executor seam: campaign counts are bit-identical across executor
-// implementations and worker counts — the scheduler changes WHERE trials
-// run, never what they compute.
-TEST(Scheduler, CampaignCountsMatchLegacyPoolAndAllSizes) {
+// Campaign counts are schedule-invariant: the scheduler at every worker
+// count reproduces an executor-free oracle — a plain loop of
+// fault::run_trial over the prepared plans on the test thread. The
+// scheduler changes WHERE trials run, never what they compute.
+TEST(Scheduler, CampaignCountsMatchSerialRunTrialAtAllSizes) {
   core::AnalysisSession session(apps::build_app("CG"));
-  const auto& region = session.app().analysis_regions.front();
   fault::CampaignConfig cfg;
   cfg.trials = 24;
   cfg.seed = 12345;
+  ASSERT_TRUE(cfg.fork.enabled);
 
-  util::ThreadPool legacy(2);
-  cfg.pool = &legacy;
-  const auto baseline = session.region_campaign(
-      region.id, 0, fault::TargetClass::Internal, cfg);
+  // The whole-program population: its trials fork deep enough into the
+  // golden run that the scheduler legs take the snapshot path.
+  const auto sites = session.whole_program_sites();
+  const auto golden = session.golden();
+  const auto prepared = fault::prepare_campaign(
+      *sites, fault::TargetClass::Internal, session.app().base, cfg);
+  ASSERT_EQ(prepared.plans.size(), cfg.trials);
+  fault::CampaignResult oracle;
+  oracle.trials = prepared.plans.size();
+  for (const auto& plan : prepared.plans) {
+    switch (fault::run_trial(*session.program(), prepared, plan,
+                             golden->outputs, session.app().verifier)) {
+      case fault::Outcome::VerificationSuccess: ++oracle.success; break;
+      case fault::Outcome::VerificationFailed: ++oracle.failed; break;
+      case fault::Outcome::Crashed: ++oracle.crashed; break;
+      case fault::Outcome::DetectedRecovered:
+        ++oracle.detected_recovered;
+        break;
+      case fault::Outcome::DetectedUnrecoverable:
+        ++oracle.detected_unrecoverable;
+        break;
+    }
+  }
 
-  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+  for (const std::size_t workers :
+       {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
     util::Scheduler sched(workers);
     cfg.pool = &sched;
-    const auto got = session.region_campaign(region.id, 0,
-                                             fault::TargetClass::Internal, cfg);
-    EXPECT_EQ(got.trials, baseline.trials) << workers;
-    EXPECT_EQ(got.success, baseline.success) << workers;
-    EXPECT_EQ(got.failed, baseline.failed) << workers;
-    EXPECT_EQ(got.crashed, baseline.crashed) << workers;
-    EXPECT_EQ(got.population_bits, baseline.population_bits) << workers;
+    const auto got = session.app_campaign(cfg);
+    EXPECT_EQ(got.trials, oracle.trials) << workers;
+    EXPECT_EQ(got.success, oracle.success) << workers;
+    EXPECT_EQ(got.failed, oracle.failed) << workers;
+    EXPECT_EQ(got.crashed, oracle.crashed) << workers;
+    EXPECT_EQ(got.detected_recovered, oracle.detected_recovered) << workers;
+    EXPECT_EQ(got.detected_unrecoverable, oracle.detected_unrecoverable)
+        << workers;
+    EXPECT_EQ(got.population_bits, prepared.population_bits) << workers;
+    // Forking was on: the scheduler leg really took the snapshot path.
+    EXPECT_GT(got.snapshots_taken, 0u) << workers;
   }
 }
 

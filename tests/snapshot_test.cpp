@@ -215,7 +215,7 @@ TEST_P(SnapshotEquivalence, ForkedCampaignCountsMatchScratch) {
   auto forked_cfg = scratch_cfg;
   forked_cfg.fork.enabled = true;
 
-  util::ThreadPool pool(2);
+  util::Scheduler pool(2);
   const auto scratch = fault::run_prepared_campaign(
       prog, fault::prepare_campaign(sites, fault::TargetClass::Internal,
                                     app.base, scratch_cfg),
@@ -454,7 +454,7 @@ TEST(ForkedCampaign, DeterministicAcrossRunsAndPoolSizes) {
 
   std::vector<fault::CampaignResult> results;
   for (const std::size_t workers : {1u, 2u, 8u}) {
-    util::ThreadPool pool(workers);
+    util::Scheduler pool(workers);
     results.push_back(fault::run_prepared_campaign(
         prog, prepared, golden.outputs, app.verifier, pool));
   }

@@ -55,18 +55,24 @@ struct TempDir {
   }
 };
 
+/// Byte-identity of one column of `n` bytes. A zero-length column is
+/// trivially equal; its pointer may be null, which memcmp must never see.
+bool same_bytes(const void* a, const void* b, std::size_t n) {
+  return n == 0 || std::memcmp(a, b, n) == 0;
+}
+
 /// Bit-identity of two column traces: every column byte-compared.
 bool same_columns(const trace::ColumnTrace& a, const trace::ColumnTrace& b) {
   const auto ra = a.raw();
   const auto rb = b.raw();
   return ra.rows == rb.rows && ra.ops == rb.ops &&
          ra.num_extras == rb.num_extras &&
-         std::memcmp(ra.pc, rb.pc, 4 * ra.rows) == 0 &&
-         std::memcmp(ra.activation, rb.activation, 4 * ra.rows) == 0 &&
-         std::memcmp(ra.ops_offset, rb.ops_offset, 4 * ra.rows) == 0 &&
-         std::memcmp(ra.result_bits, rb.result_bits, 8 * ra.rows) == 0 &&
-         std::memcmp(ra.op_bits, rb.op_bits, 8 * ra.ops) == 0 &&
-         std::memcmp(ra.extras, rb.extras, 24 * ra.num_extras) == 0;
+         same_bytes(ra.pc, rb.pc, 4 * ra.rows) &&
+         same_bytes(ra.activation, rb.activation, 4 * ra.rows) &&
+         same_bytes(ra.ops_offset, rb.ops_offset, 4 * ra.rows) &&
+         same_bytes(ra.result_bits, rb.result_bits, 8 * ra.rows) &&
+         same_bytes(ra.op_bits, rb.op_bits, 8 * ra.ops) &&
+         same_bytes(ra.extras, rb.extras, 24 * ra.num_extras);
 }
 
 /// Golden columnar trace of one app spec (direct-emit traced run).

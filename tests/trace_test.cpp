@@ -103,11 +103,10 @@ TEST(Segmentation, CrashTruncatedRegionIsIncomplete) {
   auto mod = pb.finish();
   trace::TraceCollector c;
   trace::RegionSegmenter seg;
-  vm::MultiObserver multi;
-  multi.add(&c);
-  multi.add(&seg);
+  vm::ObserverChain chain;
+  chain.then(&c).then(&seg);
   vm::VmOptions opts;
-  opts.observer = &multi;
+  opts.observer = &chain;
   const auto r = vm::Vm::run(mod, opts);
   EXPECT_EQ(r.trap, vm::TrapKind::OutOfBounds);
   seg.finish();

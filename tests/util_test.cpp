@@ -1,13 +1,9 @@
-// Unit tests for src/util: bits, hash, rng, stats, thread pool, cli, table.
+// Unit tests for src/util: bits, hash, rng, stats, cli, table.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <cmath>
 #include <set>
-#include <sstream>
-#include <stdexcept>
-#include <thread>
+#include <vector>
 
 #include "util/bits.h"
 #include "util/cli.h"
@@ -16,7 +12,6 @@
 #include "util/stats.h"
 #include "util/stopwatch.h"
 #include "util/table.h"
-#include "util/thread_pool.h"
 
 namespace ft::util {
 namespace {
@@ -245,56 +240,6 @@ TEST_P(SampleSizeMonotone, GrowsWithPopulation) {
 
 INSTANTIATE_TEST_SUITE_P(Populations, SampleSizeMonotone,
                          ::testing::Values(1, 10, 100, 1000, 10000, 1000000));
-
-// --- thread pool ------------------------------------------------------------------
-
-TEST(ThreadPool, ParallelForCoversAllIndices) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for(1000, [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, SubmitRuns) {
-  ThreadPool pool(2);
-  std::atomic<int> x{0};
-  auto f = pool.submit([&] { x = 42; });
-  f.get();
-  EXPECT_EQ(x.load(), 42);
-}
-
-TEST(ThreadPool, ZeroCountIsNoop) {
-  ThreadPool pool(2);
-  pool.parallel_for(0, [&](std::size_t) { FAIL(); });
-}
-
-// A worker exception propagates to the caller, and parallel_for returns only
-// after EVERY chunk finished — pinning the old use-after-scope where the
-// caller's stack frame (holding `next`/fn) was torn down while a worker was
-// still draining, and the worker's exception was silently dropped.
-TEST(ThreadPool, ParallelForJoinsAllChunksBeforeThrowing) {
-  ThreadPool pool(4);
-  std::atomic<int> entered{0};
-  std::atomic<int> exited{0};
-  auto run = [&] {
-    pool.parallel_for(400, [&](std::size_t i) {
-      entered.fetch_add(1);
-      if (i == 13) {
-        exited.fetch_add(1);
-        throw std::runtime_error("trial failure");
-      }
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-      exited.fetch_add(1);
-    });
-  };
-  EXPECT_THROW(run(), std::runtime_error);
-  // No chunk is still running once parallel_for returned.
-  EXPECT_EQ(entered.load(), exited.load());
-  // The pool survives and runs clean work afterwards.
-  std::atomic<int> after{0};
-  pool.parallel_for(100, [&](std::size_t) { after.fetch_add(1); });
-  EXPECT_EQ(after.load(), 100);
-}
 
 // --- cli -----------------------------------------------------------------------------
 

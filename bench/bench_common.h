@@ -71,11 +71,14 @@ inline void print_report_meta(const core::AnalysisReport& report) {
               report.instructions_per_second() / 1e6);
   if (report.snapshots_taken > 0) {
     std::printf(
-        "prefix reuse: %llu snapshots, %llu instr saved, %llu early exits, "
-        "max resume depth %llu\n",
+        "prefix reuse: %llu snapshots, %llu instr saved, %llu early exits "
+        "(%llu bit-equal, %llu dead-delta), max resume depth %llu\n",
         static_cast<unsigned long long>(report.snapshots_taken),
         static_cast<unsigned long long>(report.instructions_saved),
         static_cast<unsigned long long>(report.early_exits),
+        static_cast<unsigned long long>(report.early_exits -
+                                        report.dead_delta_exits),
+        static_cast<unsigned long long>(report.dead_delta_exits),
         static_cast<unsigned long long>(report.max_resume_depth));
   }
 }

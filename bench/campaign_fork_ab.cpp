@@ -16,6 +16,13 @@
 // scripts/bench_smoke.sh section 4 gates on the forked scheduler staying
 // >= 2x in trial throughput.
 //
+// A second, Fig. 5 leg runs every analysis region x {Internal, Input}
+// campaign of the app both ways, the forked side probing the session's
+// golden section ladder (fault/ladder.h). It prints the early exits split
+// into bit-equal convergences and dead-delta closures; counts must agree
+// per campaign (nonzero exit otherwise), and section 4 gates the early-exit
+// share, a deterministic count for a given seed and trial count.
+//
 //   campaign_fork_ab [--trials=N] [--seed=N] [--reps=N] [--app=NAME]
 //                    [--workers=N]
 #include "bench_common.h"
@@ -104,11 +111,52 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(forked.result.early_exits));
   std::printf("fork speedup: %.2fx\n", tps(forked) / tps(scratch));
 
-  const bool counts_match = scratch.result.success == forked.result.success &&
-                            scratch.result.failed == forked.result.failed &&
-                            scratch.result.crashed == forked.result.crashed;
+  const auto same = [](const fault::CampaignResult& a,
+                       const fault::CampaignResult& b) {
+    return a.success == b.success && a.failed == b.failed &&
+           a.crashed == b.crashed &&
+           a.detected_recovered == b.detected_recovered &&
+           a.detected_unrecoverable == b.detected_unrecoverable;
+  };
+  const bool counts_match = same(scratch.result, forked.result);
   std::printf("outcome counts: %s (success %zu, failed %zu, crashed %zu)\n",
               counts_match ? "identical" : "MISMATCH", forked.result.success,
               forked.result.failed, forked.result.crashed);
-  return counts_match ? 0 : 1;
+
+  // Fig. 5 leg: every region campaign, forked trials probing the ladder.
+  std::size_t region_trials = 0;
+  std::uint64_t early = 0;
+  std::uint64_t dead = 0;
+  bool regions_match = true;
+  for (const auto& r : spec.analysis_regions) {
+    const auto rsites = session.region_sites(r.id, 0);
+    for (const auto target :
+         {fault::TargetClass::Internal, fault::TargetClass::Input}) {
+      const auto s = fault::run_prepared_campaign(
+          *session.program(),
+          fault::prepare_campaign(*rsites, target, base, scratch_cfg),
+          golden->outputs, spec.verifier, pool);
+      const auto f = fault::run_prepared_campaign(
+          *session.program(),
+          fault::prepare_campaign(*rsites, target, base, forked_cfg),
+          golden->outputs, spec.verifier, pool);
+      regions_match = regions_match && same(s, f);
+      region_trials += f.trials;
+      early += f.early_exits;
+      dead += f.dead_delta_exits;
+    }
+  }
+  if (const auto ladder = session.ladder()) {
+    std::printf("golden section ladder: %zu sections, %.2f MB\n",
+                ladder->sections.size(), ladder->resident_bytes() / 1e6);
+  }
+  std::printf(
+      "region leg: %zu campaigns, %zu trials, %llu early exits "
+      "(%llu bit-equal, %llu dead-delta), counts %s\n",
+      2 * spec.analysis_regions.size(), region_trials,
+      static_cast<unsigned long long>(early),
+      static_cast<unsigned long long>(early - dead),
+      static_cast<unsigned long long>(dead),
+      regions_match ? "identical" : "MISMATCH");
+  return counts_match && regions_match ? 0 : 1;
 }

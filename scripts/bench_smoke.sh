@@ -23,6 +23,11 @@
 #     pool worker — per-worker efficiency, stable across hosts). Forked
 #     must stay >= 2x in trials/sec with identical outcome counts (the
 #     binary exits nonzero on a mismatch) and must report prefix reuse.
+#     Its Fig. 5 leg runs every CG region x {Internal, Input} campaign both
+#     ways, the forked side probing the golden section ladder: counts must
+#     be identical per campaign (nonzero exit otherwise) and at least 10%
+#     of the trials must close early at a probe — a deterministic count
+#     for the fixed seed and trial count, so the gate is host-independent.
 #
 #  5. Cross-rank determinism (rank_propagation): 4-rank campaigns on the
 #     rank-decomposed CG/MG/LULESH with the rank-local ForkPolicy A/B'd on
@@ -173,6 +178,16 @@ awk -v s="$fork_speedup" -v n="$fork_snaps" 'BEGIN {
   if (n == "" || n == 0) { print "ERROR: forked campaign took no snapshots (prefix reuse inactive)"; exit 1 }
   if (s < 2.0) { printf "REGRESSION: snapshot-forked campaign only %.2fx from-scratch trial throughput (need >= 2x)\n", s; exit 1 }
   printf "campaign scheduler OK (%.2fx >= 2x trials/s, %d snapshots)\n", s, n
+}' | tee -a "$out"
+# "region leg: 12 campaigns, 1440 trials, 253 early exits (83 bit-equal, ..."
+region_trials=$(sed -n 's/^region leg: [0-9]* campaigns, \([0-9]*\) trials.*/\1/p' "$tmp_fork")
+region_early=$(sed -n 's/^region leg: .* trials, \([0-9]*\) early exits.*/\1/p' "$tmp_fork")
+region_counts=$(sed -n 's/^region leg: .*, counts \([A-Za-z]*\)$/\1/p' "$tmp_fork")
+awk -v t="$region_trials" -v e="$region_early" -v c="$region_counts" 'BEGIN {
+  if (t == "" || t == 0 || e == "") { print "ERROR: no region leg reported"; exit 1 }
+  if (c != "identical") { print "REGRESSION: ladder-probed region campaigns disagree with the from-scratch loop"; exit 1 }
+  if (e < 0.10 * t) { printf "REGRESSION: only %d of %d region trials closed early (need >= 10%%)\n", e, t; exit 1 }
+  printf "ladder probes OK (%d of %d region trials closed early, %.1f%% >= 10%%)\n", e, t, 100 * e / t
 }' | tee -a "$out"
 
 echo

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstring>
 #include <memory>
 #include <optional>
 #include <string>
@@ -18,22 +17,6 @@
 
 namespace ft::compose {
 namespace {
-
-constexpr std::uint64_t kBlockMask = ~std::uint64_t{7};
-
-[[nodiscard]] bool is_mpi(ir::Opcode op) noexcept {
-  switch (op) {
-    case ir::Opcode::MpiRank:
-    case ir::Opcode::MpiSize:
-    case ir::Opcode::MpiSend:
-    case ir::Opcode::MpiRecv:
-    case ir::Opcode::MpiAllreduce:
-    case ir::Opcode::MpiBarrier:
-      return true;
-    default:
-      return false;
-  }
-}
 
 /// Whole-page FNV-1a digests, memoized per page object: a page shared by
 /// many boundary snapshots of one plan is read once. Keys are the pages'
@@ -110,33 +93,6 @@ class PageDigests {
   return h.digest();
 }
 
-/// mem delta (sorted by address) intersects a sorted block set?
-[[nodiscard]] bool intersects(
-    const std::vector<std::pair<std::uint64_t, std::uint64_t>>& mem,
-    const std::vector<std::uint64_t>& blocks) {
-  auto it = blocks.begin();
-  for (const auto& [addr, bits] : mem) {
-    (void)bits;
-    it = std::lower_bound(it, blocks.end(), addr);
-    if (it == blocks.end()) return false;
-    if (*it == addr) return true;
-  }
-  return false;
-}
-
-/// Drop delta words the section fully overwrites.
-void subtract_kills(std::vector<std::pair<std::uint64_t, std::uint64_t>>& mem,
-                    const std::vector<std::uint64_t>& kills) {
-  if (mem.empty() || kills.empty()) return;
-  std::size_t w = 0;
-  auto it = kills.begin();
-  for (const auto& e : mem) {
-    it = std::lower_bound(it, kills.end(), e.first);
-    if (it == kills.end() || *it != e.first) mem[w++] = e;
-  }
-  mem.resize(w);
-}
-
 struct Tally {
   std::atomic<std::size_t> success{0};
   std::atomic<std::size_t> failed{0};
@@ -145,6 +101,7 @@ struct Tally {
   std::atomic<std::size_t> unrecoverable{0};
   std::atomic<std::uint64_t> instructions{0};
   std::atomic<std::uint64_t> early_exits{0};
+  std::atomic<std::uint64_t> dead_delta_exits{0};
   std::atomic<std::uint64_t> composed{0};
   std::atomic<std::uint64_t> avoided{0};
 
@@ -161,56 +118,60 @@ struct Tally {
 
 /// Execute one trial suffix from a boundary snapshot: either a Diverged
 /// site (fault plan armed, forked at its own section entry) or a Delta
-/// fallback (no plan; the delta is materialized into a patched snapshot).
-/// Mirrors fault::TrialRunner::run tail semantics exactly — convergence
-/// probes against later boundary snapshots, then run-out, then the
-/// checkpoint/rollback recovery decision — so the outcome is bit-identical
-/// to the exhaustive trial it replaces.
-[[nodiscard]] fault::Outcome run_suffix(
+/// fallback (no plan; the delta is patched into a copy of the boundary
+/// state). Mirrors fault::TrialRunner::run tail semantics exactly — probes
+/// with the ladder's closure rules at later boundaries, then run-out, then
+/// the checkpoint/rollback recovery decision — so the outcome is
+/// bit-identical to the exhaustive trial it replaces. Returns nullopt,
+/// executing nothing, when the delta does not patch into the boundary
+/// (fault::patch_snapshot).
+[[nodiscard]] std::optional<fault::Outcome> run_suffix(
     const vm::DecodedProgram& program, const fault::PreparedCampaign& prepared,
-    const SectionPlan& plan, std::uint32_t start,
-    const vm::FaultPlan* armed,
-    const std::vector<std::pair<std::uint64_t, std::uint64_t>>* mem_patch,
-    const std::vector<std::pair<std::uint32_t, std::uint64_t>>* out_patch,
+    const SectionPlan& plan, std::uint32_t start, const vm::FaultPlan* armed,
+    const fault::MemDelta* mem_patch, const fault::OutDelta* out_patch,
     std::uint64_t landing, const std::vector<vm::OutputValue>& golden,
     const fault::Verifier& verify, Tally& tally) {
   vm::VmOptions topts = prepared.run_opts;
   topts.fault = armed ? *armed : vm::FaultPlan::none();
+  topts.track_writes = true;
 
+  const fault::SectionLadder& ladder = *plan.ladder;
+  // Pages where the machine may differ from golden at `start`: those the
+  // patch writes (none for an armed fork).
+  std::vector<std::uint64_t> entry_pages(
+      plan.sections[start].written.size(), 0);
   std::optional<vm::Vm> vm;
   if (armed) {
     vm.emplace(program, plan.snapshots[start], topts);
   } else {
-    // Materialize the delta into a copy of the boundary state. Sound
-    // because every surviving delta word was neither read nor written
-    // between its section and `start`, and outputs are append-only. The
-    // copy shares the boundary's pages; only the pages the delta touches
-    // are copied (delta words are 8-aligned, so none straddles a page, and
-    // sorted, so each page is copied once).
+    // Sound because every surviving delta word was neither read nor
+    // written between its section and `start`, and outputs are
+    // append-only. The copy shares the boundary's pages; only the pages
+    // the delta touches are copied.
     vm::Vm::Snapshot patched = plan.snapshots[start];
-    constexpr std::size_t kPage = vm::Vm::Snapshot::kPageBytes;
-    std::size_t owned = ~std::size_t{0};
-    std::uint8_t* page = nullptr;
-    for (const auto& [addr, bits] : *mem_patch) {
-      if (addr / kPage != owned) {
-        owned = addr / kPage;
-        page = patched.own_page(owned);
-      }
-      std::memcpy(page + addr % kPage, &bits, sizeof(bits));
+    if (!fault::patch_snapshot(patched, *mem_patch, *out_patch)) {
+      return std::nullopt;
     }
-    for (const auto& [idx, bits] : *out_patch) patched.outputs[idx].bits = bits;
+    for (const auto& [addr, bits] : *mem_patch) {
+      (void)bits;
+      const std::uint64_t page = addr / vm::Vm::Snapshot::kPageBytes;
+      entry_pages[page / 64] |= std::uint64_t{1} << (page % 64);
+    }
     vm.emplace(program, patched, topts);
   }
   const std::uint64_t begin = plan.sections[start].begin;
 
-  // Convergence probes at later boundaries (geometric backoff, same policy
-  // as the forked scheduler). A patched machine carries no armed plan, so
-  // state equality alone is conclusive; an armed plan must have fired first.
+  // Probes at later boundaries (geometric backoff, same policy as the
+  // forked scheduler). A patched machine carries no armed plan, so the
+  // closure rules apply at once; an armed plan must have fired first.
   if (prepared.fork.probe_convergence) {
     const std::size_t nsec = plan.sections.size();
     std::size_t failed = 0;
     std::size_t stride = 1;
     std::size_t p = start + 1;
+    std::vector<std::uint64_t> pages;
+    fault::MemDelta mem;
+    fault::OutDelta out;
     while (p < nsec && failed < prepared.fork.max_probes) {
       vm->run_until(plan.sections[p].begin);
       if (vm->status() != vm::Vm::Status::Running) break;
@@ -218,10 +179,22 @@ struct Tally {
         ++p;
         continue;
       }
-      if (vm->state_equals(plan.snapshots[p])) {
+      const auto k = static_cast<std::uint32_t>(p);
+      fault::probe_pages(ladder, vm->dirty_pages(), start, k, pages);
+      if (!pages.empty()) {
+        for (std::size_t i = 0; i < pages.size(); ++i) {
+          pages[i] |= entry_pages[i];
+        }
+      }
+      const auto probe = fault::probe_boundary(*vm, ladder, k, pages, golden,
+                                               verify, mem, out);
+      if (probe.kind != fault::Probe::Kind::Open) {
         tally.instructions += vm->instructions_retired() - begin;
         tally.early_exits++;
-        return fault::Outcome::VerificationSuccess;
+        if (probe.kind == fault::Probe::Kind::DeadDelta) {
+          tally.dead_delta_exits++;
+        }
+        return probe.outcome;
       }
       ++failed;
       p += stride;
@@ -302,167 +275,56 @@ bool decode_summary(std::string_view payload, std::size_t expected_sites,
   return r.done();
 }
 
-SectionPlan plan_sections(const vm::DecodedProgram& program,
-                          const trace::ColumnTrace& trace,
-                          std::span<const trace::RegionInstance> instances,
-                          const fault::PreparedCampaign& prepared,
-                          std::size_t max_sections) {
+SectionPlan assign_sections(std::shared_ptr<const fault::SectionLadder> ladder,
+                            const fault::PreparedCampaign& prepared) {
   SectionPlan plan;
-  const std::uint64_t total = prepared.fault_free_instructions;
-  plan.total_instructions = total;
-  if (total == 0 || prepared.plans.empty() ||
+  plan.total_instructions = prepared.fault_free_instructions;
+  if (!ladder || ladder->empty() || prepared.plans.empty() ||
       prepared.fork_bounds.size() != prepared.plans.size() ||
-      trace.size() != total) {
+      ladder->total_instructions != prepared.fault_free_instructions) {
     return plan;
   }
-
-  // Honor the fork policy's snapshot byte budget like prepare_snapshots
-  // does (one full image per snapshot: an upper bound, since boundaries
-  // share unchanged pages).
-  std::size_t cap = std::max<std::size_t>(max_sections, 1);
-  const std::uint64_t mem_size = program.module().memory_size();
-  if (prepared.fork.max_snapshot_bytes > 0 && mem_size > 0) {
-    cap = std::min<std::size_t>(
-        cap, std::max<std::uint64_t>(
-                 1, prepared.fork.max_snapshot_bytes / mem_size));
-  }
-  std::vector<std::uint64_t> begins =
-      trace::section_boundaries(instances, total, cap - 1);
-  begins.insert(begins.begin(), 0);
-
-  // One serial golden pass places every boundary snapshot. A boundary the
-  // golden run cannot pause at (stale instances) truncates the cut list —
-  // the tail then becomes one long final section.
-  vm::VmOptions gopts = prepared.run_opts;
-  gopts.fault = vm::FaultPlan::none();
-  vm::Vm g(program, gopts);
-  for (std::size_t i = 0; i < begins.size(); ++i) {
-    const std::uint64_t b = begins[i];
-    if (b > 0) {
-      g.run_until(b);
-      if (g.status() != vm::Vm::Status::Running ||
-          g.instructions_retired() != b) {
-        begins.resize(i);
-        break;
-      }
-    }
-    // Chain each boundary onto the previous one: only the pages the
-    // golden run wrote in between are copied.
-    plan.snapshots.emplace_back();
-    g.save(plan.snapshots.back(),
-           i > 0 ? &plan.snapshots[plan.snapshots.size() - 2] : nullptr);
-  }
-  if (begins.empty()) {
-    plan.snapshots.clear();
-    return plan;
-  }
-
-  // Per-section golden-trace facts in one columnar pass: executed function
-  // set, upward-exposed read blocks, fully-killed blocks, opacity. Block
-  // membership is tracked with per-block epoch marks (epoch = section + 1),
-  // so each block is tested and recorded in O(1) and every list comes out
-  // unique.
-  const auto cols = trace.raw();
-  const auto* code = program.code();
-  const auto* srcs = program.srcs();
-  const std::size_t nfuncs = program.num_functions();
-  const std::uint64_t nblocks = (mem_size + 7) / 8;
-  plan.sections.resize(begins.size());
-  std::vector<std::uint8_t> seen(nfuncs, 0);
-  std::vector<std::uint8_t> seen_pc(program.code_size(), 0);
-  std::vector<std::uint32_t> killed_in(nblocks, 0);
-  std::vector<std::uint32_t> read_in(nblocks, 0);
-  for (std::size_t s = 0; s < begins.size(); ++s) {
-    SectionInfo& sec = plan.sections[s];
-    sec.begin = begins[s];
-    sec.end = s + 1 < begins.size() ? begins[s + 1] : total;
-    const auto epoch = static_cast<std::uint32_t>(s + 1);
-    for (std::uint64_t row = sec.begin; row < sec.end; ++row) {
-      const std::uint32_t pc = cols.pc[row];
-      const auto& ins = code[pc];
-      if (!seen_pc[pc]) {
-        seen_pc[pc] = 1;
-        sec.pcs.push_back(pc);
-      }
-      if (!seen[ins.func]) {
-        seen[ins.func] = 1;
-        sec.funcs.push_back(ins.func);
-      }
-      if (is_mpi(ins.op)) sec.opaque = true;
-      if (ins.op != ir::Opcode::Load && ins.op != ir::Opcode::Store) continue;
-      // Effective address and width as ColumnTrace::materialize derives
-      // them: a Load records its pointer as the only pool entry; a Store
-      // records its value, then its address.
-      const std::uint64_t* pool = cols.op_bits + cols.ops_offset[row];
-      std::uint64_t addr = 0;
-      std::uint32_t size = 0;
-      if (ins.op == ir::Opcode::Load) {
-        addr = pool[0];
-        size = store_size(ins.type);
-      } else {
-        const vm::Src* ss = srcs + ins.src_begin;
-        if (ss[1].kind != vm::SrcKind::None) {
-          addr = pool[ss[0].kind != vm::SrcKind::None ? 1 : 0];
-        }
-        size = store_size(ss[0].type);
-      }
-      const std::uint64_t first = addr & kBlockMask;
-      const std::uint64_t last =
-          (addr + std::max<std::uint32_t>(size, 1) - 1) & kBlockMask;
-      if (last < first || (last >> 3) >= nblocks) {
-        // Outside the image (a stale or damaged trace): make the section
-        // opaque so no delta is ever transported through it.
-        sec.opaque = true;
-        continue;
-      }
-      const bool full_store =
-          ins.op == ir::Opcode::Store && (addr & 7) == 0 && size == 8;
-      for (std::uint64_t b = first; b <= last; b += 8) {
-        const std::uint64_t blk = b >> 3;
-        if (killed_in[blk] == epoch) continue;
-        if (full_store) {
-          killed_in[blk] = epoch;
-          sec.kills.push_back(b);
-        } else if (read_in[blk] != epoch) {
-          // Loads and partial stores both consume the block's prior
-          // content for delta purposes (a partial store merges old bytes
-          // with new).
-          read_in[blk] = epoch;
-          sec.reads.push_back(b);
-        }
-      }
-    }
-    for (const auto f : sec.funcs) seen[f] = 0;
-    for (const auto pc : sec.pcs) seen_pc[pc] = 0;
-    std::sort(sec.pcs.begin(), sec.pcs.end());
-    std::sort(sec.funcs.begin(), sec.funcs.end());
-    std::sort(sec.reads.begin(), sec.reads.end());
-    std::sort(sec.kills.begin(), sec.kills.end());
-  }
+  plan.ladder = std::move(ladder);
+  plan.sections = plan.ladder->sections;
+  plan.snapshots = plan.ladder->snapshots;
 
   // Assign every plan to the section containing its fork bound.
   plan.plan_section.resize(prepared.plans.size());
   plan.section_plans.resize(plan.sections.size());
   for (std::size_t i = 0; i < prepared.plans.size(); ++i) {
-    const std::uint64_t bound = prepared.fork_bounds[i];
-    auto it = std::upper_bound(begins.begin(), begins.end(), bound);
-    const auto s = static_cast<std::uint32_t>(
-        it == begins.begin() ? 0 : (it - begins.begin()) - 1);
+    const std::uint32_t s = plan.ladder->section_of(prepared.fork_bounds[i]);
     plan.plan_section[i] = s;
     plan.section_plans[s].push_back(static_cast<std::uint32_t>(i));
   }
 
   // Entry-snapshot hashes (the boundary live-set component of a summary
-  // key) are a property of the golden decomposition, not of any one
-  // campaign run: digest each image once at planning time, and only where
-  // a key will need it — plan-bearing sections with a downstream boundary.
+  // key): digest each image only where a key will need it — plan-bearing
+  // sections with a downstream boundary.
+  plan.entry_hashes.assign(plan.sections.size(), 0);
   PageDigests digests;
   for (std::size_t s = 0; s + 1 < plan.sections.size(); ++s) {
     if (!plan.section_plans[s].empty()) {
-      plan.sections[s].entry_hash = hash_snapshot(plan.snapshots[s], digests);
+      plan.entry_hashes[s] = hash_snapshot(plan.snapshots[s], digests);
     }
   }
   return plan;
+}
+
+SectionPlan plan_sections(const vm::DecodedProgram& program,
+                          const trace::ColumnTrace& trace,
+                          std::span<const trace::RegionInstance> instances,
+                          const fault::PreparedCampaign& prepared,
+                          std::size_t max_sections) {
+  if (prepared.plans.empty() ||
+      trace.size() != prepared.fault_free_instructions) {
+    return assign_sections(nullptr, prepared);
+  }
+  return assign_sections(
+      std::make_shared<const fault::SectionLadder>(fault::build_ladder(
+          program, trace, instances, prepared.run_opts,
+          fault::ladder_cap(program, prepared.fork.max_snapshot_bytes,
+                            max_sections))),
+      prepared);
 }
 
 ComposedResult run_composed_campaign(const vm::DecodedProgram& program,
@@ -546,7 +408,7 @@ ComposedResult run_composed_campaign(const vm::DecodedProgram& program,
     }
     if (st) {
       keys[i] = store::summary_key(
-          window_hash[i], sec.entry_hash, sec.begin, sec.end,
+          window_hash[i], plan.entry_hashes[i], sec.begin, sec.end,
           hash_plans(plans, idxs), opts.options_hash, opts.config);
       if (auto blob = st->load_summary(keys[i]);
           blob && decode_summary(*blob, idxs.size(), sum)) {
@@ -571,38 +433,8 @@ ComposedResult run_composed_campaign(const vm::DecodedProgram& program,
       bool probe = false;
       if (at_boundary && vm.control_equals(exit_snap)) {
         // Control-equal: only memory words and emitted outputs can differ.
-        const auto& fo = vm.outputs();
-        const auto& go = exit_snap.outputs;
-        bool diverged = fo.size() != go.size();
-        for (std::size_t j = 0; !diverged && j < fo.size(); ++j) {
-          if (fo[j].type != go[j].type) {
-            diverged = true;
-          } else if (fo[j].bits != go[j].bits) {
-            site.out.emplace_back(static_cast<std::uint32_t>(j), fo[j].bits);
-          }
-        }
-        const auto fm = vm.memory();
-        diverged = diverged || fm.size() != exit_snap.mem_size ||
-                   fm.size() % 8 != 0;
-        for (std::size_t p = 0; !diverged && p < exit_snap.pages.size(); ++p) {
-          const std::size_t off = p * vm::Vm::Snapshot::kPageBytes;
-          const std::size_t len = exit_snap.page_size(p);
-          const std::uint8_t* gm = exit_snap.pages[p]->data();
-          if (std::memcmp(fm.data() + off, gm, len) == 0) continue;
-          for (std::size_t w = 0; w < len; w += 8) {
-            std::uint64_t fb = 0;
-            std::uint64_t gb = 0;
-            std::memcpy(&fb, fm.data() + off + w, 8);
-            std::memcpy(&gb, gm + w, 8);
-            if (fb == gb) continue;
-            site.mem.emplace_back(off + w, fb);
-            if (site.mem.size() > opts.max_delta_words) {
-              diverged = true;
-              break;
-            }
-          }
-        }
-        if (diverged) {
+        if (!fault::data_delta(vm, exit_snap, {}, opts.max_delta_words,
+                               site.mem, site.out)) {
           site.mem.clear();
           site.out.clear();
           probe = true;  // oversized delta — reconvergence may still apply
@@ -652,6 +484,12 @@ ComposedResult run_composed_campaign(const vm::DecodedProgram& program,
     const SiteSummary& site = summaries[s].sites[slot[pi]];
     const bool hit = from_store[s] != 0;
     const std::uint64_t landing = prepared.fork_bounds[pi];
+    const auto rerun = [&] {
+      // Re-execute the site like an exhaustive trial, forked at its own
+      // section entry.
+      tally.count(*run_suffix(program, prepared, plan, s, &plans[pi], nullptr,
+                              nullptr, landing, golden, verify, tally));
+    };
     switch (site.kind) {
       case SiteSummary::Kind::Masked:
       case SiteSummary::Kind::Converged:
@@ -662,66 +500,39 @@ ComposedResult run_composed_campaign(const vm::DecodedProgram& program,
         tally.count(fault::Outcome::VerificationSuccess);
         return;
       case SiteSummary::Kind::Diverged:
-        tally.count(run_suffix(program, prepared, plan, s, &plans[pi],
-                               nullptr, nullptr, landing, golden, verify,
-                               tally));
+        rerun();
         return;
       case SiteSummary::Kind::Delta:
         break;
     }
-    // Symbolic delta transport: walk downstream sections until the delta is
-    // consumed (fallback), fully killed (golden replay), or survives to the
-    // end (classify patched outputs).
+    // Symbolic delta transport from the section's exit boundary.
     auto mem = site.mem;
-    std::uint32_t t = s + 1;
-    bool fell_back = false;
-    for (; t < nsec; ++t) {
-      const SectionInfo& sec = plan.sections[t];
-      if (sec.opaque || intersects(mem, sec.reads)) {
-        fell_back = true;
+    const auto closure = fault::close_delta(*plan.ladder, s + 1, mem, site.out,
+                                            golden, verify);
+    tally.composed += closure.sections_crossed;
+    switch (closure.kind) {
+      case fault::Closure::Kind::Converged:
+      case fault::Closure::Kind::Dead:
+        if (hit) tally.avoided++;
+        tally.count(closure.outcome);
+        return;
+      case fault::Closure::Kind::Open:
+        // Consumed downstream: execute from the consuming section's entry
+        // with the transported delta patched in.
+        if (const auto o = run_suffix(program, prepared, plan,
+                                      closure.consumed_at, nullptr, &mem,
+                                      &site.out, landing, golden, verify,
+                                      tally)) {
+          tally.count(*o);
+          return;
+        }
         break;
-      }
-      subtract_kills(mem, sec.kills);
-      tally.composed++;
-      if (mem.empty() && site.out.empty()) break;
-    }
-    if (fell_back) {
-      tally.count(run_suffix(program, prepared, plan, t, nullptr, &mem,
-                             &site.out, landing, golden, verify, tally));
-      return;
-    }
-    if (mem.empty() && site.out.empty()) {
-      // The delta was fully overwritten: the machine re-converged with the
-      // golden run, so the remainder replays it.
-      if (hit) tally.avoided++;
-      tally.count(fault::Outcome::VerificationSuccess);
-      return;
-    }
-    // The delta survives to program end untouched: the faulty run retires
-    // the identical instruction stream and completes with golden outputs
-    // patched at the recorded slots.
-    vm::RunResult rr;
-    rr.trap = vm::TrapKind::None;
-    rr.instructions = plan.total_instructions;
-    rr.fault_fired = true;
-    rr.outputs = golden;
-    bool in_range = true;
-    for (const auto& [idx, bits] : site.out) {
-      if (idx >= rr.outputs.size()) {
-        in_range = false;
+      case fault::Closure::Kind::Invalid:
         break;
-      }
-      rr.outputs[idx].bits = bits;
     }
-    if (!in_range) {
-      // Defensive: a summary that indexes outside the golden outputs is
-      // stale — resolve by execution instead of trusting it.
-      tally.count(run_suffix(program, prepared, plan, s, &plans[pi], nullptr,
-                             nullptr, landing, golden, verify, tally));
-      return;
-    }
-    if (hit) tally.avoided++;
-    tally.count(fault::classify_outcome(rr, golden, verify));
+    // A delta that does not fit the ladder (a stale or damaged store-served
+    // summary) is never trusted: resolve by execution.
+    rerun();
   });
 
   r.counts.success = tally.success.load();
@@ -731,6 +542,7 @@ ComposedResult run_composed_campaign(const vm::DecodedProgram& program,
   r.counts.detected_unrecoverable = tally.unrecoverable.load();
   r.counts.instructions_retired = tally.instructions.load();
   r.counts.early_exits = tally.early_exits.load();
+  r.counts.dead_delta_exits = tally.dead_delta_exits.load();
   r.counts.snapshots_taken = nsec;
   r.counts.resume_depth = plan.sections.back().begin;
   const auto t2 = std::chrono::steady_clock::now();

@@ -13,18 +13,15 @@
 /// deltas a downstream section actually consumes fall back to forked
 /// execution of the affected suffix.
 ///
-/// Why this is sound (docs/campaign-lifecycle.md, "The compositional
-/// path"): a site summary is only classed Delta when the faulty machine is
-/// control-equal to the golden boundary snapshot (same frames, registers,
-/// RNG, region counts — everything except memory words and emitted
-/// outputs). From a control-equal state, downstream golden execution reads
-/// only non-delta locations iff the delta is disjoint from the section's
-/// upward-exposed read set, in which case it retires the identical
-/// instruction stream and writes identical values — the delta survives
-/// verbatim minus fully-overwritten blocks, by induction over sections.
-/// Anything else (trap, early exit, control divergence, oversized delta)
-/// is classed Diverged and re-executed exactly like an exhaustive trial,
-/// so composed outcome counts are bit-identical to
+/// Why this is sound: the transport rule and its argument are stated once,
+/// for this engine and the forked trial scheduler alike, in
+/// fault/ladder.h. A site summary is only classed Delta when the faulty
+/// machine is control-equal to the golden boundary snapshot; fault::
+/// close_delta then walks the delta through the downstream sections of the
+/// same golden ladder the forked scheduler probes on. Anything else (trap,
+/// early exit, control divergence, oversized delta, a store-served delta
+/// that does not fit the ladder) is re-executed exactly like an exhaustive
+/// trial, so composed outcome counts are bit-identical to
 /// fault::run_prepared_campaign by construction — pinned per app by
 /// tests/compose_test.cpp and per fuzz seed by tests/engine_fuzz_test.cpp.
 ///
@@ -52,6 +49,7 @@
 #include <vector>
 
 #include "fault/campaign.h"
+#include "fault/ladder.h"
 #include "fault/outcome.h"
 #include "trace/column.h"
 #include "trace/segment.h"
@@ -64,33 +62,8 @@ class ArtifactStore;
 
 namespace ft::compose {
 
-/// Golden-trace facts of one section: the dynamic-instruction span, the
-/// functions it executes, and its 8-byte-block memory footprint. Blocks are
-/// 8-aligned byte addresses (addr & ~7). `reads` is the upward-exposed read
-/// set — blocks a load or partial store touches before the section fully
-/// overwrites them (a partial store merges old bytes with new, so it
-/// consumes the old content for delta purposes). `kills` is the blocks the
-/// section fully overwrites with one aligned 8-byte store.
-struct SectionInfo {
-  std::uint64_t begin = 0;  // first dynamic instruction of the section
-  std::uint64_t end = 0;    // one past the last
-  std::vector<std::uint32_t> funcs;   // sorted unique executed function ids
-  /// Sorted unique static pcs the golden run executes inside the section —
-  /// the code footprint the summary key hashes (store::hash_section). Edits
-  /// to instructions outside every windowed footprint leave keys intact.
-  std::vector<std::uint32_t> pcs;
-  std::vector<std::uint64_t> reads;   // sorted unique upward-exposed blocks
-  std::vector<std::uint64_t> kills;   // sorted unique fully-written blocks
-  /// Sections executing MiniMPI ops never transport a delta symbolically
-  /// (communication makes the footprint non-local).
-  bool opaque = false;
-  /// Content hash of the section's entry snapshot (compose::entry_hash,
-  /// the boundary live-set component of its summary key), digested once at
-  /// planning time for plan-bearing sections with a downstream boundary; 0
-  /// otherwise. Any upstream edit that perturbs the state flowing into the
-  /// section changes this hash and soundly invalidates the key.
-  std::uint64_t entry_hash = 0;
-};
+/// Golden facts of one section (fault/ladder.h).
+using SectionInfo = fault::SectionInfo;
 
 /// One section's per-site boundary summaries, parallel to the section's
 /// assigned plan list. This is the unit the artifact store caches
@@ -127,29 +100,34 @@ struct SiteSummary {
   /// bits). Absolute faulty values, so a fallback at any later boundary
   /// patches them verbatim (blocks that survive the walk were neither read
   /// nor written in between).
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> mem;
+  fault::MemDelta mem;
   /// Differing emitted outputs at section exit: (output index, faulty
   /// bits). Outputs are append-only and never read back, so these always
   /// propagate symbolically.
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> out;
+  fault::OutDelta out;
 };
 
 struct SectionSummary {
   std::vector<SiteSummary> sites;  // parallel to the section's plan indices
 };
 
-/// The section decomposition of one prepared campaign: spans + golden
-/// boundary snapshots (one serial golden pass) + per-plan section
-/// assignment. Built once by plan_sections and shared read-only by every
-/// worker of run_composed_campaign.
+/// The section decomposition of one prepared campaign: the golden section
+/// ladder (fault/ladder.h; campaign-independent, shared) plus the per-plan
+/// section assignment and the entry hashes its summary keys need. Built by
+/// assign_sections (or plan_sections) and shared read-only by every worker
+/// of run_composed_campaign.
 struct SectionPlan {
-  std::vector<SectionInfo> sections;
-  /// Golden machine state at sections[i].begin (snapshots.size() ==
-  /// sections.size()); snapshots[0] is the pristine pre-run machine. Each
-  /// boundary shares every memory page the golden run left unchanged since
-  /// the previous one (vm::Vm::save), so the chain costs one image plus the
-  /// pages written between boundaries.
-  std::vector<vm::Vm::Snapshot> snapshots;
+  std::shared_ptr<const fault::SectionLadder> ladder;
+  /// ladder->sections and ladder->snapshots (empty without a ladder):
+  /// snapshots[i] is the golden machine state at sections[i].begin.
+  std::span<const SectionInfo> sections;
+  std::span<const vm::Vm::Snapshot> snapshots;
+  /// Per section: content hash of its entry snapshot (compose::entry_hash),
+  /// the boundary live-set component of its summary key. Digested for
+  /// plan-bearing sections with a downstream boundary, 0 elsewhere. Any
+  /// upstream edit that perturbs the state flowing into a section changes
+  /// its hash and soundly invalidates the key.
+  std::vector<std::uint64_t> entry_hashes;
   /// Per plan (parallel to PreparedCampaign::plans): the section whose span
   /// contains the plan's fork bound.
   std::vector<std::uint32_t> plan_section;
@@ -161,17 +139,25 @@ struct SectionPlan {
   [[nodiscard]] bool empty() const noexcept { return sections.empty(); }
 };
 
-/// Cut the golden trace into sections at region-instance boundaries
-/// (trace::section_boundaries), execute the golden prefix once to snapshot
-/// every boundary (chained, page-shared saves), and scan each section's
-/// rows for its function set, read/kill block sets and opacity.
-/// `max_sections` bounds the snapshot count; the prepared campaign's
-/// ForkPolicy::max_snapshot_bytes budget lowers it further for large memory
-/// images.
+/// Assign every plan of `prepared` to the section of `ladder` containing
+/// its fork bound and digest the entry hashes the summary keys need. An
+/// empty plan (the campaign then runs exhaustively) when the ladder is
+/// missing, empty or of another golden run length, or the campaign carries
+/// no fork bounds.
+[[nodiscard]] SectionPlan assign_sections(
+    std::shared_ptr<const fault::SectionLadder> ladder,
+    const fault::PreparedCampaign& prepared);
+
+/// Build a ladder from the golden trace (fault::build_ladder, at most
+/// `max_sections` sections, lowered by the prepared campaign's
+/// ForkPolicy::max_snapshot_bytes budget for large memory images) and
+/// assign the campaign to it. core::AnalysisSession::run_compositional
+/// reuses the session's ladder instead.
 [[nodiscard]] SectionPlan plan_sections(
     const vm::DecodedProgram& program, const trace::ColumnTrace& trace,
     std::span<const trace::RegionInstance> instances,
-    const fault::PreparedCampaign& prepared, std::size_t max_sections = 32);
+    const fault::PreparedCampaign& prepared,
+    std::size_t max_sections = fault::kLadderSections);
 
 /// Content hash of a boundary machine state as summary keys use it
 /// (`ft.summary.entry.v2`): every control field of the snapshot plus one
@@ -190,7 +176,7 @@ struct ComposeOptions {
   fault::CampaignConfig config{};
   /// Sites whose boundary delta exceeds this many differing 8-byte words
   /// are classed Diverged instead of Delta.
-  std::size_t max_delta_words = 4096;
+  std::size_t max_delta_words = fault::kMaxDeltaWords;
 };
 
 /// Outcome counts plus the proof counters that make the compositional

@@ -127,6 +127,13 @@ AnalysisSession::events_locked() {
   return events_;
 }
 
+void AnalysisSession::ensure_ladder_locked() {
+  if (ladder_ || !trace_) return;
+  ladder_ = std::make_shared<const fault::SectionLadder>(fault::build_ladder(
+      *program_, *trace_, *instances_locked(), app_.base,
+      fault::ladder_cap(*program_, fault::ForkPolicy{}.max_snapshot_bytes)));
+}
+
 std::shared_ptr<const fault::SiteEnumerationResult>
 AnalysisSession::sites_locked(std::uint32_t region_id,
                               std::uint32_t instance) {
@@ -136,22 +143,26 @@ AnalysisSession::sites_locked(std::uint32_t region_id,
       store_ ? store::sites_key(module_hash(), options_hash(), region_id,
                                 instance)
              : 0;
-  if (store_) {
-    if (auto cached = store_->load_sites(sk)) {
-      auto sites = std::make_shared<const fault::SiteEnumerationResult>(
-          std::move(*cached));
-      sites_.emplace(k, sites);
-      return sites;
-    }
+  fault::SiteEnumerationResult sites;
+  std::optional<fault::SiteEnumerationResult> cached;
+  if (store_) cached = store_->load_sites(sk);
+  if (cached) {
+    sites = std::move(*cached);
+  } else {
+    sites = fault::enumerate_sites_from_trace(trace_locked()->view(),
+                                              *instances_locked(),
+                                              *events_locked(), region_id,
+                                              instance);
+    if (store_) store_->publish_sites(sk, sites);
   }
-  auto sites = std::make_shared<const fault::SiteEnumerationResult>(
-      fault::enumerate_sites_from_trace(trace_locked()->view(),
-                                        *instances_locked(),
-                                        *events_locked(), region_id,
-                                        instance));
-  sites_.emplace(k, sites);
-  if (store_) store_->publish_sites(sk, *sites);
-  return sites;
+  // A store-served population gets the ladder only when the trace is
+  // already at hand.
+  ensure_ladder_locked();
+  sites.ladder = ladder_;
+  auto shared =
+      std::make_shared<const fault::SiteEnumerationResult>(std::move(sites));
+  sites_.emplace(k, shared);
+  return shared;
 }
 
 std::shared_ptr<const vm::RunResult> AnalysisSession::golden() {
@@ -203,6 +214,8 @@ AnalysisSession::whole_program_sites() {
     fault::SiteEnumerationResult ws;
     if (fill_trace_locked(trapped_at)) {
       ws = fault::enumerate_whole_program_sites_from_trace(*trace_);
+      ensure_ladder_locked();
+      ws.ladder = ladder_;
     } else {
       ws.fault_free_instructions = trapped_at;
     }
@@ -268,6 +281,11 @@ std::shared_ptr<store::ArtifactStore> AnalysisSession::store() const {
   return store_;
 }
 
+std::shared_ptr<const fault::SectionLadder> AnalysisSession::ladder() const {
+  std::lock_guard lock(mu_);
+  return ladder_;
+}
+
 void AnalysisSession::invalidate_trace() {
   std::lock_guard lock(mu_);
   trace_.reset();
@@ -284,6 +302,7 @@ void AnalysisSession::invalidate_all() {
   events_.reset();
   rates_.reset();
   whole_sites_.reset();
+  ladder_.reset();
   rank_enums_.clear();
   sites_.clear();
   dddgs_.clear();
@@ -314,19 +333,22 @@ fault::CampaignResult AnalysisSession::app_campaign(
 
 compose::ComposedResult AnalysisSession::run_compositional(
     const fault::CampaignConfig& config) {
-  // Same population and golden artifacts as app_campaign; the trace and
-  // region instances additionally drive the section decomposition. Fetch
-  // everything through the cached accessors so a store-served trace is
-  // reused and a warm store can serve the summaries too.
+  // Same population and golden artifacts as app_campaign. The section
+  // decomposition is the session's ladder, which rides with the population;
+  // a fork policy whose snapshot budget cuts another ladder builds its own
+  // from the golden trace.
   const auto sites = whole_program_sites();
   const auto golden_run = golden();
-  const auto trace = golden_trace();
-  const auto instances = region_instances();
   auto* pool = config.pool ? config.pool : &util::global_scheduler();
   auto prepared = fault::prepare_campaign(
       *sites, fault::TargetClass::Internal, app_.base, config);
+  const std::size_t cap =
+      fault::ladder_cap(*program_, config.fork.max_snapshot_bytes);
   const auto plan =
-      compose::plan_sections(*program_, *trace, *instances, prepared);
+      prepared.ladder && prepared.ladder->max_sections == cap
+          ? compose::assign_sections(prepared.ladder, prepared)
+          : compose::plan_sections(*program_, *golden_trace(),
+                                   *region_instances(), prepared);
   compose::ComposeOptions opts;
   {
     std::lock_guard lock(mu_);
@@ -587,6 +609,7 @@ struct UnitCounts {
   std::atomic<std::size_t> detected_recovered{0};
   std::atomic<std::size_t> detected_unrecoverable{0};
   std::atomic<std::size_t> early_exits{0};
+  std::atomic<std::size_t> dead_delta_exits{0};
   std::atomic<std::uint64_t> instructions{0};
   std::atomic<std::uint64_t> prefix_saved{0};
   std::atomic<std::uint64_t> convergence_saved{0};
@@ -651,6 +674,7 @@ fault::CampaignResult unit_result(const CampaignUnit& unit,
   r.prefix_instructions_saved = counts.prefix_saved.load();
   r.convergence_instructions_saved = counts.convergence_saved.load();
   r.early_exits = counts.early_exits.load();
+  r.dead_delta_exits = counts.dead_delta_exits.load();
   return r;
 }
 
@@ -662,6 +686,7 @@ void fold_prefix_reuse(AnalysisReport& report,
                                result.convergence_instructions_saved;
   report.snapshots_taken += result.snapshots_taken;
   report.early_exits += result.early_exits;
+  report.dead_delta_exits += result.dead_delta_exits;
   report.max_resume_depth =
       std::max(report.max_resume_depth, result.resume_depth);
 }
@@ -1109,6 +1134,7 @@ AnalysisReport run_analysis(const AnalysisRequest& request) {
         counts[u].prefix_saved.fetch_add(acct.prefix_saved);
         counts[u].convergence_saved.fetch_add(acct.convergence_saved);
         if (acct.early_exit) counts[u].early_exits.fetch_add(1);
+        if (acct.dead_delta) counts[u].dead_delta_exits.fetch_add(1);
       }
       // Last finisher of the unit releases its waypoint memory. The
       // seq_cst decrement also orders every finished chunk's count

@@ -166,11 +166,19 @@ class AnalysisSession {
     return traced_executed_.load(std::memory_order_relaxed);
   }
 
+  /// The golden section ladder (fault/ladder.h): built once from the
+  /// golden trace, when the session first derives a site population from
+  /// it, and attached to every population the session hands out
+  /// (SiteEnumerationResult::ladder), so campaigns probe on it. Null until
+  /// then, and when the fault-free run traps.
+  [[nodiscard]] std::shared_ptr<const fault::SectionLadder> ladder() const;
+
   // --- invalidation ---------------------------------------------------------
   /// Drop the bulk trace artifacts (trace, region instances, location
   /// events, pattern rates). Compact derived summaries (site enumerations,
-  /// DDDGs) are kept: they are what campaigns consume after the trace is
-  /// no longer needed. Concurrent readers holding snapshots are unaffected.
+  /// DDDGs, the section ladder) are kept: they are what campaigns consume
+  /// after the trace is no longer needed. Concurrent readers holding
+  /// snapshots are unaffected.
   void invalidate_trace();
   /// Drop every cached artifact, including the golden run and the compact
   /// derived summaries.
@@ -244,6 +252,10 @@ class AnalysisSession {
   const std::shared_ptr<const trace::LocationEvents>& events_locked();
   std::shared_ptr<const fault::SiteEnumerationResult> sites_locked(
       std::uint32_t region_id, std::uint32_t instance);
+  /// Build ladder_ from the held trace if it is not built yet. Never runs a
+  /// traced golden run of its own: without a held trace it leaves ladder_
+  /// as it is.
+  void ensure_ladder_locked();
 
   static std::uint64_t key(std::uint32_t region_id,
                            std::uint32_t instance) noexcept {
@@ -266,6 +278,7 @@ class AnalysisSession {
   std::shared_ptr<const trace::LocationEvents> events_;
   std::shared_ptr<const patterns::PatternRates> rates_;
   std::shared_ptr<const fault::SiteEnumerationResult> whole_sites_;
+  std::shared_ptr<const fault::SectionLadder> ladder_;
   std::unordered_map<std::int64_t,
                      std::shared_ptr<const fault::RankEnumeration>>
       rank_enums_;
@@ -364,6 +377,9 @@ struct AnalysisReport {
   std::uint64_t instructions_saved = 0;
   std::uint64_t snapshots_taken = 0;  // waypoint snapshots across all units
   std::uint64_t early_exits = 0;      // trials classified at a probe
+  /// The early exits closed by the dead-delta rule (fault/ladder.h); the
+  /// rest converged bit for bit.
+  std::uint64_t dead_delta_exits = 0;
   /// Deepest golden resume point of any unit (the longest serial prefix the
   /// scheduler had to execute once).
   std::uint64_t max_resume_depth = 0;

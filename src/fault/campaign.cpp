@@ -79,6 +79,7 @@ PreparedCampaign prepare_campaign(const SiteEnumerationResult& sites,
   out.fault_free_instructions = sites.fault_free_instructions;
   out.fork = config.fork;
   out.recovery = config.recovery;
+  out.ladder = sites.ladder;
   out.fork_bounds.reserve(out.plans.size());
   for (const auto& plan : out.plans) {
     std::uint64_t bound = 0;
@@ -194,6 +195,18 @@ std::uint64_t plan_landing_index(const vm::FaultPlan& plan) {
   return plan.kind == vm::FaultPlan::Kind::ResultBit ? plan.dyn_index : 0;
 }
 
+/// The campaign's ladder when trials of `program` may probe on it: built
+/// over the same program and the same golden run length.
+const SectionLadder* probe_ladder(const vm::DecodedProgram& program,
+                                  const PreparedCampaign& prepared) {
+  const SectionLadder* ladder = prepared.ladder.get();
+  return ladder && !ladder->empty() && ladder->program == &program &&
+                 ladder->total_instructions ==
+                     prepared.fault_free_instructions
+             ? ladder
+             : nullptr;
+}
+
 }  // namespace
 
 bool TrialRunner::seek_cursor(std::uint64_t bound) {
@@ -264,28 +277,31 @@ Outcome TrialRunner::run(std::size_t plan_index, TrialAccounting* accounting) {
     accounting->prefix_saved = fork_index;
   }
 
-  // Convergence probes: pause at later waypoints and compare machine state
-  // against the golden snapshot. Equality (with the fault already fired)
-  // proves the remainder replays the golden run — classify Success without
-  // executing the tail. The fault_fired() guard keeps armed-but-unfired
-  // plans (input faults whose region entry lies past the probe) from
-  // exiting before their flip ever lands. Probes back off geometrically:
-  // most flips either die within a few waypoints (the first probes catch
-  // them) or live in state that only a later phase overwrites, so the
-  // budgeted probes spread across scales instead of burning out right
-  // after the injection.
+  // Probes: pause at later ladder boundaries (campaign waypoints without a
+  // ladder) and try the closure rules of fault/ladder.h. The fault_fired()
+  // guard keeps armed-but-unfired plans (input faults whose region entry
+  // lies past the probe) from closing before their flip ever lands. Probes
+  // back off geometrically: most flips either die within a few sections
+  // (the first probes catch them) or live in state that only a later phase
+  // overwrites or never reads again, so the budgeted probes spread across
+  // scales instead of burning out right after the injection.
   if (prepared_->fork.probe_convergence) {
-    std::size_t failed_probes = 0;
-    std::size_t stride = 1;
-    // First waypoint past the fork bound (fork_waypoint counts those at or
-    // before it).
-    std::size_t p = snapshots_->fork_waypoint.empty()
+    const SectionLadder* ladder = probe_ladder(*program_, *prepared_);
+    // First probe point past the fork (fork_waypoint counts the waypoints
+    // at or before the fork bound).
+    const std::uint32_t fork_section =
+        ladder ? ladder->section_of(fork_index) : 0;
+    std::size_t p = ladder ? fork_section + 1
+                    : snapshots_->fork_waypoint.empty()
                         ? 0
                         : snapshots_->fork_waypoint[plan_index];
-    while (p < snapshots_->waypoints.size() &&
-           failed_probes < prepared_->fork.max_probes) {
-      const auto& probe = snapshots_->waypoints[p];
-      vm.run_until(probe.index);
+    const std::size_t points =
+        ladder ? ladder->sections.size() : snapshots_->waypoints.size();
+    std::size_t failed_probes = 0;
+    std::size_t stride = 1;
+    while (p < points && failed_probes < prepared_->fork.max_probes) {
+      vm.run_until(ladder ? ladder->sections[p].begin
+                          : snapshots_->waypoints[p].index);
       if (vm.status() != vm::Vm::Status::Running) break;
       if (!vm.fault_fired()) {
         // Pre-flip probe: the state trivially equals golden; move on
@@ -293,14 +309,27 @@ Outcome TrialRunner::run(std::size_t plan_index, TrialAccounting* accounting) {
         p += 1;
         continue;
       }
-      if (vm.state_equals(probe.state)) {
+      Probe probe;
+      if (ladder) {
+        // Pages that may differ from the golden boundary: the trial's
+        // writes since its fork plus the golden writes from the fork's
+        // section up to the probe.
+        const auto k = static_cast<std::uint32_t>(p);
+        probe_pages(*ladder, vm.dirty_pages(), fork_section, k, probe_pages_);
+        probe = probe_boundary(vm, *ladder, k, probe_pages_, *golden_,
+                               *verify_, probe_mem_, probe_out_);
+      } else if (vm.state_equals(snapshots_->waypoints[p].state)) {
+        probe.kind = Probe::Kind::Converged;
+      }
+      if (probe.kind != Probe::Kind::Open) {
         if (accounting) {
           accounting->instructions = vm.instructions_retired() - fork_index;
           accounting->convergence_saved =
               prepared_->fault_free_instructions - vm.instructions_retired();
           accounting->early_exit = true;
+          accounting->dead_delta = probe.kind == Probe::Kind::DeadDelta;
         }
-        return Outcome::VerificationSuccess;
+        return probe.outcome;
       }
       failed_probes++;
       p += stride;
@@ -474,7 +503,7 @@ CampaignResult run_prepared_forked(const vm::DecodedProgram& program,
   const auto order = fork_schedule(prepared);
 
   std::atomic<std::size_t> success{0}, failed{0}, crashed{0}, early{0};
-  std::atomic<std::size_t> recovered{0}, unrecoverable{0};
+  std::atomic<std::size_t> dead{0}, recovered{0}, unrecoverable{0};
   std::atomic<std::uint64_t> instructions{0}, prefix_saved{0}, conv_saved{0};
   // Chunked dispatch in fork_schedule order: each task owns one TrialRunner,
   // so consecutive trials on a worker reuse one machine and mostly fork from
@@ -501,6 +530,7 @@ CampaignResult run_prepared_forked(const vm::DecodedProgram& program,
       prefix_saved.fetch_add(acct.prefix_saved);
       conv_saved.fetch_add(acct.convergence_saved);
       if (acct.early_exit) early.fetch_add(1);
+      if (acct.dead_delta) dead.fetch_add(1);
     }
   });
 
@@ -513,6 +543,7 @@ CampaignResult run_prepared_forked(const vm::DecodedProgram& program,
   out.prefix_instructions_saved = prefix_saved.load();
   out.convergence_instructions_saved = conv_saved.load();
   out.early_exits = early.load();
+  out.dead_delta_exits = dead.load();
   return out;
 }
 

@@ -14,19 +14,38 @@
 /// injection point, so the scheduler executes the golden prefix ONCE,
 /// snapshots it at waypoints (vm::Vm::Snapshot), and forks each trial from
 /// the nearest waypoint at or before its fork bound instead of replaying the
-/// prefix from instruction zero. A forked trial may also finish early: once
-/// its full machine state re-converges with a later golden waypoint (and the
-/// fault has fired), the remainder provably replays the golden run, so the
-/// outcome is VerificationSuccess without executing the tail. Outcome counts
-/// are bit-identical to from-scratch execution by construction — pinned by
-/// tests/snapshot_test.cpp and gated at campaign scale by
-/// bench/campaign_fork_ab.cpp via scripts/bench_smoke.sh.
+/// prefix from instruction zero.
+///
+/// A forked trial may also close early at a probe. When the campaign
+/// carries the golden section ladder (fault/ladder.h, attached by
+/// core::AnalysisSession through the site population), the trial probes at
+/// the ladder boundaries past its fork point and applies the two closure
+/// rules stated in fault/ladder.h: a state bit-equal to golden is
+/// VerificationSuccess, and a control-equal state whose memory delta no
+/// downstream section reads is classified from the golden outputs patched
+/// by its output delta. A probe compares only the pages the trial wrote
+/// since its fork plus the pages the golden run wrote between the fork and
+/// the probe; every other page is equal by construction. Without a ladder
+/// (a population served from a store with no golden trace at hand) the
+/// same probe loop runs at the campaign's own waypoints with the bit-equal
+/// rule only.
+///
+/// Why probes used to be rare: waypoints sit at the campaign's fork
+/// bounds, and every bound of a region campaign lies inside one region
+/// instance, so no probe point existed after the region and nearly every
+/// trial ran its tail to the end. Ladder boundaries span the whole run.
+///
+/// Outcome counts are bit-identical to from-scratch execution by
+/// construction — pinned by tests/snapshot_test.cpp and gated at campaign
+/// scale by bench/campaign_fork_ab.cpp via scripts/bench_smoke.sh.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
+#include "fault/ladder.h"
 #include "fault/outcome.h"
 #include "fault/sites.h"
 #include "util/scheduler.h"
@@ -49,11 +68,11 @@ struct ForkPolicy {
   /// Minimum retired-instruction gap between consecutive waypoints. The
   /// effective gap is max(min_gap, fault_free_instructions/max_snapshots).
   std::uint64_t min_gap = 2048;
-  /// Probe later waypoints for state re-convergence and classify the trial
-  /// early when the machine state equals the golden state bit for bit.
+  /// Probe later ladder boundaries (or waypoints, without a ladder) and
+  /// close the trial early when a closure rule of fault/ladder.h applies.
   bool probe_convergence = true;
   /// Failed-probe budget per trial. Probes back off geometrically from the
-  /// fork point (next waypoint, then 2, 4, ... waypoints further), so the
+  /// fork point (next probe point, then 2, 4, ... points further), so the
   /// budget spreads across time scales; once it is spent the trial has
   /// almost certainly diverged for good (a live corrupted value keeps
   /// every later probe failing too) and runs out without further compares.
@@ -133,11 +152,22 @@ struct CampaignResult {
   /// from-scratch trial would have executed them to reach the same
   /// verdict).
   std::uint64_t convergence_instructions_saved = 0;
-  /// Trials classified at a convergence probe instead of running out.
+  /// Trials classified at a probe instead of running out: bit-equal
+  /// convergences plus dead-delta closures (converged_exits() +
+  /// dead_delta_exits).
   std::uint64_t early_exits = 0;
+  /// The early exits closed by the dead-delta rule (fault/ladder.h) rather
+  /// than by bit equality. Not part of the stored campaign blob: a result
+  /// served from the artifact store reports 0 here.
+  std::uint64_t dead_delta_exits = 0;
   /// Deepest golden-prefix point the scheduler resumed to (the golden
   /// instructions it executed once, serially, to place the snapshots).
   std::uint64_t resume_depth = 0;
+
+  /// Early exits closed by bit equality with the golden state.
+  [[nodiscard]] std::uint64_t converged_exits() const noexcept {
+    return early_exits - dead_delta_exits;
+  }
 
   [[nodiscard]] double success_rate() const noexcept {
     return trials == 0 ? 0.0
@@ -187,6 +217,9 @@ struct PreparedCampaign {
   ForkPolicy fork{};
   /// Rollback recovery policy, copied from CampaignConfig::recovery.
   RecoveryPolicy recovery{};
+  /// The golden section ladder trials probe on, copied from the site
+  /// population (SiteEnumerationResult::ladder); null = probe at waypoints.
+  std::shared_ptr<const SectionLadder> ladder;
 };
 
 /// Waypoint snapshots along ONE golden execution of a prepared campaign,
@@ -222,6 +255,7 @@ struct TrialAccounting {
   std::uint64_t prefix_saved = 0;       // golden prefix skipped via the fork
   std::uint64_t convergence_saved = 0;  // tail skipped via early exit
   bool early_exit = false;
+  bool dead_delta = false;  // the early exit was a dead-delta closure
 };
 
 /// Per-worker forked-trial executor. Each run() forks the trial machine at
@@ -230,12 +264,10 @@ struct TrialAccounting {
 /// never from zero; chunk starts seed it from the nearest waypoint
 /// snapshot), and the trial machine becomes a copy of the cursor through a
 /// dirty-page union sync (vm::Vm::fork_from) instead of a full memory-image
-/// copy. The trial then runs with its plan armed, probing later waypoints
-/// for state re-convergence: a converged trial is classified
-/// VerificationSuccess without executing its tail — sound because
-/// full-state equality with the golden machine implies the remainder
-/// replays the golden run. Outcomes are bit-identical to run_trial on the
-/// same plan.
+/// copy. The trial then runs with its plan armed, probing later ladder
+/// boundaries (waypoints without a ladder) with the closure rules of
+/// fault/ladder.h, and a closed trial is classified without executing its
+/// tail. Outcomes are bit-identical to run_trial on the same plan.
 ///
 /// Run trials in fork_schedule() order (ascending fork bound) to keep the
 /// cursor monotonic; an out-of-order bound re-seeds the cursor from a
@@ -281,6 +313,11 @@ class TrialRunner {
   std::optional<vm::Vm> cursor_;  // golden prefix cursor (never faulted)
   std::optional<vm::Vm> vm_;      // reused trial machine
   bool synced_ = false;  // trial machine has fork_from'd this cursor before
+  // Probe scratch, reused across trials: the page mask a ladder probe
+  // compares and the delta it extracts.
+  std::vector<std::uint64_t> probe_pages_;
+  MemDelta probe_mem_;
+  OutDelta probe_out_;
 };
 
 /// Plan execution order that maximizes TrialRunner reuse: trial indices

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -21,6 +22,8 @@
 #include "vm/interp.h"
 
 namespace ft::fault {
+
+struct SectionLadder;  // fault/ladder.h
 
 struct InternalSite {
   std::uint64_t dyn_index = 0;
@@ -59,6 +62,13 @@ struct SiteEnumerationResult {
   /// trials (any prefix up to this index is fault-free).
   std::uint64_t region_entry_index = kNoEntry;
   bool region_found = false;
+  /// The golden section ladder of the execution the sites were enumerated
+  /// from (fault/ladder.h), when the producer holds one — set by
+  /// core::AnalysisSession, null otherwise. prepare_campaign hands it to the
+  /// campaign's trials, which probe for early closure on its boundaries.
+  /// Not serialized: a store-served population carries it only when the
+  /// serving session holds the golden trace or has built the ladder.
+  std::shared_ptr<const SectionLadder> ladder;
 };
 
 /// Enumerate the sites of one region instance with one traced fault-free

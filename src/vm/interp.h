@@ -266,6 +266,13 @@ class Vm {
   [[nodiscard]] std::span<const std::uint8_t> memory() const noexcept {
     return mem_;
   }
+  /// Pages written since construction or the last restore(),
+  /// restore_dirty(), fork_from() or rollback() (bit p % 64 of word p / 64,
+  /// 4 KiB pages); empty unless VmOptions::track_writes is on. Every other
+  /// page still holds the bytes it held then.
+  [[nodiscard]] std::span<const std::uint64_t> dirty_pages() const noexcept {
+    return dirty_;
+  }
 
   /// How many instances of region `rid` have been entered so far.
   [[nodiscard]] std::uint32_t region_instances(std::uint32_t rid) const;

@@ -7,10 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
+#include <optional>
 #include <memory>
 #include <string>
 #include <unordered_set>
@@ -183,17 +186,17 @@ TEST_P(ComposeEquivalence, BoundaryImagesAreExactAndPageShared) {
       << nsec << " sections x " << npages << " pages";
 
   std::size_t s = 0;
-  while (s + 1 < nsec && plan.sections[s].entry_hash == 0) ++s;
+  while (s + 1 < nsec && plan.entry_hashes[s] == 0) ++s;
   ASSERT_LT(s + 1, nsec) << "no plan-bearing section with a downstream exit";
   const auto& original = plan.snapshots[s];
-  EXPECT_EQ(compose::entry_hash(original), plan.sections[s].entry_hash);
+  EXPECT_EQ(compose::entry_hash(original), plan.entry_hashes[s]);
   const std::size_t p = npages / 2;
   const std::uint8_t before = original.pages[p]->at(123);
   auto flipped = original;
   flipped.own_page(p)[123] ^= 0x10;
-  EXPECT_NE(compose::entry_hash(flipped), plan.sections[s].entry_hash);
+  EXPECT_NE(compose::entry_hash(flipped), plan.entry_hashes[s]);
   EXPECT_EQ(original.pages[p]->at(123), before);
-  EXPECT_EQ(compose::entry_hash(original), plan.sections[s].entry_hash);
+  EXPECT_EQ(compose::entry_hash(original), plan.entry_hashes[s]);
   const auto& zero = *vm::Vm::Snapshot::zero_page();
   EXPECT_TRUE(std::all_of(zero.begin(), zero.end(),
                           [](std::uint8_t b) { return b == 0; }));
@@ -424,6 +427,71 @@ TEST_P(ComposeIncremental, WarmStoreRecomputesOnlyAffectedSections) {
 INSTANTIATE_TEST_SUITE_P(EditedApps, ComposeIncremental,
                          ::testing::Values("CG", "MG", "LULESH"),
                          [](const auto& info) { return info.param; });
+
+// --- store-served summaries that do not fit the ladder ---------------------
+
+/// Serves every stored summary with each Delta site rewritten to a
+/// well-framed but impossible delta, cycling through four defects: a word
+/// past the end of the memory image, a misaligned word, words out of
+/// order, and an output index past the boundary's outputs.
+class TamperingStore final : public store::ArtifactStore {
+ public:
+  using ArtifactStore::ArtifactStore;
+
+  std::optional<std::string> load_summary(std::uint64_t key) override {
+    auto blob = ArtifactStore::load_summary(key);
+    std::uint32_t nsites = 0;
+    if (!blob || blob->size() < sizeof(nsites)) return blob;
+    std::memcpy(&nsites, blob->data(), sizeof(nsites));
+    compose::SectionSummary sum;
+    if (!compose::decode_summary(*blob, nsites, sum)) return blob;
+    for (auto& site : sum.sites) {
+      if (site.kind != compose::SiteSummary::Kind::Delta) continue;
+      const std::uint64_t past_end = std::uint64_t{1} << 40;
+      switch (tampered_++ % 4) {
+        case 0: site.mem.emplace_back(past_end, 1); break;
+        case 1: site.mem.insert(site.mem.begin(), {8 * 1000 + 3, 1}); break;
+        case 2: site.mem = {{4096, 1}, {64, 2}}; break;
+        case 3: site.out.emplace_back(~std::uint32_t{0} - 1, 1); break;
+      }
+    }
+    return compose::encode_summary(sum);
+  }
+
+  [[nodiscard]] std::size_t tampered() const { return tampered_.load(); }
+
+ private:
+  std::atomic<std::size_t> tampered_{0};
+};
+
+// A summary served from the store is data, not proof: a Delta whose words
+// or output indices cannot stand at its boundary must never be patched into
+// a snapshot or into the golden outputs (out-of-range writes), and its
+// trial resolves by armed re-execution — so the counts stay exact.
+TEST(ComposeRobustness, ImpossibleStoredDeltasResolveByExecution) {
+  TempDir dir;
+  auto store = std::make_shared<TamperingStore>(dir.path + "/store");
+  auto session = std::make_shared<core::AnalysisSession>(apps::build_cg());
+  session->attach_store(store);
+  fault::CampaignConfig cfg;
+  cfg.trials = 96;
+  cfg.seed = 0xBADD17Aull;
+
+  const auto cold = session->run_compositional(cfg);
+  ASSERT_EQ(store->tampered(), 0u);
+  const auto warm = session->run_compositional(cfg);
+  EXPECT_GT(warm.summary_store_hits, 0u);
+  ASSERT_GT(store->tampered(), 0u) << "no Delta summary to tamper with";
+
+  auto scratch_cfg = cfg;
+  scratch_cfg.fork.enabled = false;
+  const auto exhaustive = session->app_campaign(scratch_cfg);
+  EXPECT_TRUE(same_counts(cold.counts, exhaustive));
+  EXPECT_TRUE(same_counts(warm.counts, exhaustive));
+  // Every tampered trial re-executed: fewer trials avoided than the
+  // summaries served would otherwise allow.
+  EXPECT_LE(warm.trials_avoided + store->tampered(), warm.counts.trials);
+}
 
 // --- summary codec ----------------------------------------------------------
 

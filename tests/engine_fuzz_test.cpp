@@ -6,7 +6,9 @@
 //   * legacy tree-walk vs decoded engine (observer traces record-by-record)
 //   * DynInstr observer substrate vs columnar direct-emit substrate
 //   * decoded straight-through vs decoded snapshot-forked (run_until +
-//     snapshot-construct, and fork_from between two tracked machines)
+//     snapshot-construct, and fork_from between two tracked machines), and
+//     forked campaigns probing the golden section ladder vs the
+//     from-scratch trial loop
 //   * JIT native execution vs decoded/legacy (clean, under a random
 //     ResultBit flip, snapshot interop in both directions, fork_from a
 //     natively-advanced cursor) — trap kind, trap pc, retired count and
@@ -550,6 +552,23 @@ bool check_seed(std::uint64_t seed, std::string* diag) {
                a.detected_recovered == b.detected_recovered &&
                a.detected_unrecoverable == b.detected_unrecoverable;
       };
+
+      // Ladder leg: forked trials probing the golden section ladder (both
+      // closure rules) must keep the from-scratch trial loop's counts.
+      auto scratch = prepared;
+      scratch.fork.enabled = false;
+      const auto oracle = fault::run_prepared_campaign(
+          *program, scratch, decoded.outputs, verify, pool);
+      auto laddered = prepared;
+      laddered.ladder = plan.ladder;
+      const auto probed = fault::run_prepared_campaign(
+          *program, laddered, decoded.outputs, verify, pool);
+      if (!same(exhaustive, oracle) || !same(probed, oracle)) {
+        return fail("ladder-probed forked/from-scratch count mismatch");
+      }
+      if (probed.dead_delta_exits > probed.early_exits) {
+        return fail("dead-delta exits exceed early exits");
+      }
       const auto offending_section = [&]() -> std::string {
         for (std::size_t s = 0; s < plan.sections.size(); ++s) {
           if (plan.section_plans[s].empty()) continue;

@@ -8,12 +8,17 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 
 #include "apps/app.h"
+#include "core/analysis.h"
 #include "fault/campaign.h"
 #include "fault/sites.h"
+#include "hl/builder.h"
 #include "trace/column.h"
+#include "trace/segment.h"
 #include "vm/decode.h"
+#include "util/scheduler.h"
 #include "vm/interp.h"
 
 namespace ft {
@@ -199,14 +204,33 @@ TEST_P(SnapshotEquivalence, ColumnarTraceSurvivesPauseAndResume) {
 // The snapshot-forked campaign scheduler must report outcome counts
 // identical to the from-scratch trial loop on every application (clean,
 // faulted and trapping trials all occur across these populations), while
-// actually reusing prefixes.
+// actually reusing prefixes. Every campaign a Fig. 5 sweep runs — each
+// analysis region x {Internal, Input} — plus the whole-program campaign,
+// with the session's golden section ladder attached so trials probe on it,
+// on 1, 2 and 4 workers sharing one ladder.
 TEST_P(SnapshotEquivalence, ForkedCampaignCountsMatchScratch) {
-  const auto app = apps::build_app(GetParam());
-  const auto prog = vm::DecodedProgram::decode(app.module);
-  const auto sites = fault::enumerate_whole_program_sites(prog, app.base);
-  ASSERT_TRUE(sites.region_found);
-  const auto golden = vm::Vm::run(prog, app.base);
-  ASSERT_TRUE(golden.completed());
+  core::AnalysisSession session(apps::build_app(GetParam()));
+  const auto& app = session.app();
+  const auto& prog = *session.program();
+  const auto golden = session.golden();
+
+  struct Campaign {
+    std::string name;
+    std::shared_ptr<const fault::SiteEnumerationResult> sites;
+    fault::TargetClass target;
+  };
+  std::vector<Campaign> campaigns{
+      {"whole program", session.whole_program_sites(),
+       fault::TargetClass::Internal}};
+  for (const auto& r : app.analysis_regions) {
+    const auto sites = session.region_sites(r.id, 0);
+    ASSERT_TRUE(sites->region_found) << r.name;
+    campaigns.push_back({r.name + " internal", sites,
+                         fault::TargetClass::Internal});
+    campaigns.push_back({r.name + " input", sites, fault::TargetClass::Input});
+  }
+  const auto ladder = session.ladder();
+  ASSERT_TRUE(ladder && !ladder->empty());
 
   fault::CampaignConfig scratch_cfg;
   scratch_cfg.trials = 16;
@@ -215,27 +239,47 @@ TEST_P(SnapshotEquivalence, ForkedCampaignCountsMatchScratch) {
   auto forked_cfg = scratch_cfg;
   forked_cfg.fork.enabled = true;
 
-  util::Scheduler pool(2);
-  const auto scratch = fault::run_prepared_campaign(
-      prog, fault::prepare_campaign(sites, fault::TargetClass::Internal,
-                                    app.base, scratch_cfg),
-      golden.outputs, app.verifier, pool);
-  const auto forked = fault::run_prepared_campaign(
-      prog, fault::prepare_campaign(sites, fault::TargetClass::Internal,
-                                    app.base, forked_cfg),
-      golden.outputs, app.verifier, pool);
-
-  EXPECT_EQ(forked.trials, scratch.trials);
-  EXPECT_EQ(forked.success, scratch.success);
-  EXPECT_EQ(forked.failed, scratch.failed);
-  EXPECT_EQ(forked.crashed, scratch.crashed);
-  // The scratch path reports no prefix reuse; the forked path must.
-  EXPECT_EQ(scratch.prefix_instructions_saved, 0u);
-  EXPECT_EQ(scratch.snapshots_taken, 0u);
-  EXPECT_GT(forked.prefix_instructions_saved, 0u);
-  EXPECT_GT(forked.snapshots_taken, 0u);
-  EXPECT_GT(forked.resume_depth, 0u);
-  EXPECT_LT(forked.instructions_retired, scratch.instructions_retired);
+  util::Scheduler oracle_pool(2);
+  std::vector<std::unique_ptr<util::Scheduler>> pools;
+  for (const std::size_t workers : {1u, 2u, 4u}) {
+    pools.push_back(std::make_unique<util::Scheduler>(workers));
+  }
+  for (const auto& c : campaigns) {
+    SCOPED_TRACE(c.name);
+    EXPECT_EQ(c.sites->ladder, ladder);
+    const auto scratch = fault::run_prepared_campaign(
+        prog, fault::prepare_campaign(*c.sites, c.target, app.base, scratch_cfg),
+        golden->outputs, app.verifier, oracle_pool);
+    const auto prepared =
+        fault::prepare_campaign(*c.sites, c.target, app.base, forked_cfg);
+    if (!prepared.plans.empty()) {
+      ASSERT_EQ(prepared.ladder, ladder);
+    }
+    EXPECT_EQ(scratch.prefix_instructions_saved, 0u);
+    EXPECT_EQ(scratch.snapshots_taken, 0u);
+    EXPECT_EQ(scratch.early_exits, 0u);
+    for (const auto& pool : pools) {
+      SCOPED_TRACE(std::to_string(pool->size()) + " workers");
+      const auto forked = fault::run_prepared_campaign(
+          prog, prepared, golden->outputs, app.verifier, *pool);
+      EXPECT_EQ(forked.trials, scratch.trials);
+      EXPECT_EQ(forked.success, scratch.success);
+      EXPECT_EQ(forked.failed, scratch.failed);
+      EXPECT_EQ(forked.crashed, scratch.crashed);
+      EXPECT_EQ(forked.detected_recovered, scratch.detected_recovered);
+      EXPECT_EQ(forked.detected_unrecoverable, scratch.detected_unrecoverable);
+      EXPECT_LE(forked.dead_delta_exits, forked.early_exits);
+      if (c.target == fault::TargetClass::Internal &&
+          c.sites == campaigns.front().sites) {
+        // The whole-program campaign reuses prefixes; region campaigns may
+        // fork too early in the run for a waypoint to exist.
+        EXPECT_GT(forked.prefix_instructions_saved, 0u);
+        EXPECT_GT(forked.snapshots_taken, 0u);
+        EXPECT_GT(forked.resume_depth, 0u);
+        EXPECT_LT(forked.instructions_retired, scratch.instructions_retired);
+      }
+    }
+  }
 }
 
 // A chained save shares exactly the pages that did not change since the
@@ -468,6 +512,197 @@ TEST(ForkedCampaign, DeterministicAcrossRunsAndPoolSizes) {
     EXPECT_EQ(results[i].prefix_instructions_saved,
               results[0].prefix_instructions_saved);
   }
+}
+
+// --- the golden section ladder ------------------------------------------------
+
+/// A built program with its golden trace, outputs and section ladder, the
+/// ladder attached to the region's sites the way core::AnalysisSession
+/// attaches it.
+struct LadderHarness {
+  std::shared_ptr<const vm::DecodedProgram> prog;
+  trace::ColumnTrace trace;
+  std::vector<vm::OutputValue> golden;
+  std::shared_ptr<const fault::SectionLadder> ladder;
+  fault::SiteEnumerationResult sites;
+
+  LadderHarness(const ir::Module& mod, std::uint32_t region_id)
+      : prog(std::make_shared<const vm::DecodedProgram>(
+            vm::DecodedProgram::decode(mod))),
+        trace(prog) {
+    vm::VmOptions opts;
+    opts.column_sink = &trace;
+    const auto run = vm::Vm::run(*prog, opts);
+    EXPECT_TRUE(run.completed());
+    golden = run.outputs;
+    ladder = std::make_shared<const fault::SectionLadder>(fault::build_ladder(
+        *prog, trace, trace::segment_regions(trace), {},
+        fault::kLadderSections));
+    sites = fault::enumerate_sites(mod, region_id, 0, {});
+    EXPECT_TRUE(sites.region_found);
+    sites.ladder = ladder;
+  }
+
+  /// Dynamic index of the first retired `op` at or after `from`.
+  [[nodiscard]] std::uint64_t first(ir::Opcode op, std::uint64_t from) const {
+    const auto cols = trace.raw();
+    for (std::uint64_t row = from; row < trace.size(); ++row) {
+      if (prog->code()[cols.pc[row]].op == op) return row;
+    }
+    ADD_FAILURE() << "opcode not retired";
+    return 0;
+  }
+};
+
+// A flip that lands only in a buffer no later code reads is dead at the
+// first ladder boundary after its region: the trial closes there by the
+// dead-delta rule, with the outcome of the from-scratch trial, and the
+// region's whole campaign keeps the from-scratch counts.
+TEST(LadderProbe, DeadBufferFlipClosesAtFirstProbe) {
+  hl::ProgramBuilder pb("dead_buffer");
+  std::vector<double> init(64);
+  for (std::size_t i = 0; i < init.size(); ++i) init[i] = 1.0 + 0.5 * i;
+  const auto src = pb.global_init_f64("src", init);
+  const auto dead = pb.global_f64("dead", 64);
+  const auto acc = pb.global_f64("acc", 1);
+  const auto produce = pb.declare_region("produce");
+  const auto work = pb.declare_region("work");
+  {
+    auto f = pb.define(pb.declare_function("main"));
+    f.region(produce, [&] {
+      f.for_("i", 0, 64, [&](hl::Value i) {
+        f.st(dead, i, f.ld(src, i) * 3.0);
+      });
+    });
+    f.for_("it", 0, 4, [&](hl::Value) {
+      f.region(work, [&] {
+        f.for_("j", 0, 64, [&](hl::Value j) {
+          f.st(acc, 0, f.ld(acc, 0) + f.ld(src, j));
+        });
+      });
+    });
+    f.emit(f.ld(acc, 0));
+    f.ret();
+  }
+  const auto mod = pb.finish();
+  const LadderHarness h(mod, produce);
+  ASSERT_GE(h.ladder->sections.size(), 3u);
+  const auto verify = fault::tolerance_verifier(1e-9);
+
+  // Flip the first iteration's product: it is stored to dead[0], and the
+  // next iteration overwrites its register, so only dead memory differs.
+  fault::CampaignConfig cfg;
+  cfg.trials = 64;
+  auto prepared = fault::prepare_campaign(
+      h.sites, fault::TargetClass::Internal, {}, cfg);
+  ASSERT_EQ(prepared.ladder, h.ladder);
+  const std::uint64_t product =
+      h.first(ir::Opcode::FMul, h.sites.region_entry_index);
+  auto one = prepared;
+  one.plans = {fault::plan_for_internal({product, 64}, 40)};
+  one.fork_bounds = {product};
+  const auto snapshots = fault::prepare_snapshots(*h.prog, one);
+  fault::TrialRunner runner(*h.prog, one, snapshots, h.golden, verify);
+  fault::TrialAccounting acct;
+  const auto outcome = runner.run(0, &acct);
+  EXPECT_EQ(outcome, fault::run_trial(*h.prog, one, one.plans[0], h.golden,
+                                      verify));
+  EXPECT_EQ(outcome, fault::Outcome::VerificationSuccess);
+  EXPECT_TRUE(acct.early_exit);
+  EXPECT_TRUE(acct.dead_delta);
+  // Closed at the first boundary after the region, not at the end.
+  const auto closed_at = product + acct.instructions;
+  EXPECT_EQ(closed_at,
+            h.ladder->sections[h.ladder->section_of(product) + 1].begin);
+  EXPECT_EQ(acct.convergence_saved, h.trace.size() - closed_at);
+
+  // The region's campaign: forked counts equal the from-scratch loop, and
+  // the dead buffer closes some trials early.
+  auto scratch_cfg = cfg;
+  scratch_cfg.fork.enabled = false;
+  util::Scheduler pool(2);
+  const auto scratch = fault::run_prepared_campaign(
+      *h.prog,
+      fault::prepare_campaign(h.sites, fault::TargetClass::Internal, {},
+                              scratch_cfg),
+      h.golden, verify, pool);
+  const auto forked =
+      fault::run_prepared_campaign(*h.prog, prepared, h.golden, verify, pool);
+  EXPECT_EQ(forked.success, scratch.success);
+  EXPECT_EQ(forked.failed, scratch.failed);
+  EXPECT_EQ(forked.crashed, scratch.crashed);
+  EXPECT_GT(forked.dead_delta_exits, 0u);
+}
+
+// A probe compares the pages the trial wrote AND the pages the golden run
+// wrote since the fork. Here a flag flip at region entry sends one store to
+// a dead spill word beside the flag instead of to x[0], which sits on a page
+// of its own. The trial restores the flag, so the pages it wrote differ from
+// golden only in the dead spill word; only the page golden wrote shows the
+// live x[0] delta that makes the output wrong. Counts must equal the
+// from-scratch loop.
+TEST(LadderProbe, GoldenWritesBetweenForkAndProbeAreCompared) {
+  hl::ProgramBuilder pb("golden_dirty");
+  const auto flag = pb.global_init_i64("flag", {1});
+  const auto spill = pb.global_f64("spill", 1);  // never read
+  (void)pb.global_f64("pad", 2048);              // x lands two pages on
+  const auto x = pb.global_f64("x", 8);
+  const auto store_flagged = pb.declare_function("store_flagged");
+  const auto body = pb.declare_region("body");
+  const auto report = pb.declare_region("report");
+  {
+    // A callee, so the loaded flag dies with its frame, and two branches of
+    // equal length, so both paths stay in step: once it returns only
+    // memory differs.
+    auto f = pb.define(store_flagged);
+    f.if_else(
+        f.ld(flag, 0).ne(std::int64_t{0}), [&] { f.st(x, 0, f.c_f64(5.0)); },
+        [&] { f.st(spill, 0, f.c_f64(5.0)); });
+    f.ret();
+  }
+  {
+    auto f = pb.define(pb.declare_function("main"));
+    f.region(body, [&] {
+      (void)f.call(store_flagged);
+      f.st(flag, 0, f.c_i64(1));
+    });
+    f.region(report, [&] { f.emit(f.ld(x, 0)); });
+    f.ret();
+  }
+  const auto mod = pb.finish();
+  ASSERT_NE(mod.global(flag.index).addr / vm::Vm::Snapshot::kPageBytes,
+            mod.global(x.index).addr / vm::Vm::Snapshot::kPageBytes);
+  const LadderHarness h(mod, body);
+  const auto verify = fault::tolerance_verifier(1e-9);
+
+  // Every bit of every input word of the region, flipped at its entry.
+  fault::CampaignConfig cfg;
+  auto prepared = fault::prepare_campaign(h.sites, fault::TargetClass::Input,
+                                          {}, cfg);
+  prepared.plans.clear();
+  prepared.fork_bounds.clear();
+  bool flag_is_input = false;
+  for (const auto& site : h.sites.sites.input) {
+    flag_is_input |= site.address == mod.global(flag.index).addr;
+    for (std::uint32_t bit = 0; bit < 8 * site.width_bytes; ++bit) {
+      prepared.plans.push_back(fault::plan_for_input(h.sites.sites, site, bit));
+      prepared.fork_bounds.push_back(h.sites.region_entry_index);
+    }
+  }
+  ASSERT_TRUE(flag_is_input);
+  auto scratch_prep = prepared;
+  scratch_prep.fork.enabled = false;
+  util::Scheduler pool(2);
+  const auto scratch = fault::run_prepared_campaign(*h.prog, scratch_prep,
+                                                    h.golden, verify, pool);
+  const auto forked =
+      fault::run_prepared_campaign(*h.prog, prepared, h.golden, verify, pool);
+  // Clearing bit 0 of the flag diverts the store: the output is wrong.
+  EXPECT_GE(scratch.failed, 1u);
+  EXPECT_EQ(forked.success, scratch.success);
+  EXPECT_EQ(forked.failed, scratch.failed);
+  EXPECT_EQ(forked.crashed, scratch.crashed);
+  EXPECT_GT(forked.early_exits, 0u);
 }
 
 }  // namespace

@@ -10,6 +10,10 @@
 // then a warm-incremental run against the same store: untouched summary
 // keys must hit, only affected sections may re-summarize, and the counts
 // must equal a from-scratch exhaustive campaign on the edited module.
+// The edited session's golden trace must also be edit-proportional: spliced
+// onto the cold run's lineage root (store/lineage.h), tracing fewer
+// instructions than the golden run and equal to a scratch trace in every
+// column — a count gate, so a silent fallback to a full trace fails.
 //
 // The gated ratio is the SUMMARIZATION phase (ComposedResult::
 // summarize_seconds): store loads plus per-site boundary measurement —
@@ -25,6 +29,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -36,6 +41,7 @@
 #include "fault/campaign.h"
 #include "fault/sites.h"
 #include "store/artifact_store.h"
+#include "trace/column.h"
 #include "util/scheduler.h"
 #include "vm/decode.h"
 #include "vm/interp.h"
@@ -225,8 +231,40 @@ int main(int argc, char** argv) {
                            inc.summaries_computed < cold.summaries_computed &&
                            inc.sections_reexecuted < inc.sections_total;
 
+  // Edit-proportional golden trace: the edited session must have spliced
+  // its trace onto the cold session's lineage root — tracing only the rows
+  // from the edit's first execution on — and the spliced trace must equal
+  // a from-scratch traced run of the edited module in every column. Gated
+  // on counts, so a silent fallback to a full traced run fails here.
+  const std::uint64_t inc_instrs = inc_session->golden()->instructions;
+  const std::uint64_t inc_traced = inc_session->traced_instructions_executed();
+  trace::ColumnTrace scratch(inc_session->program());
+  {
+    vm::VmOptions opts = mutated.base;
+    opts.column_sink = &scratch;
+    (void)vm::Vm::run(*inc_session->program(), opts);
+  }
+  const auto a = inc_session->golden_trace()->raw();
+  const auto b = scratch.raw();
+  const auto same = [](const void* x, const void* y, std::size_t n) {
+    return n == 0 || std::memcmp(x, y, n) == 0;
+  };
+  const bool columns_equal =
+      a.rows == b.rows && a.ops == b.ops && a.num_extras == b.num_extras &&
+      same(a.pc, b.pc, 4 * a.rows) &&
+      same(a.activation, b.activation, 4 * a.rows) &&
+      same(a.ops_offset, b.ops_offset, 4 * a.rows) &&
+      same(a.result_bits, b.result_bits, 8 * a.rows) &&
+      same(a.op_bits, b.op_bits, 8 * a.ops) &&
+      same(a.extras, b.extras, 24 * a.num_extras);
+  const bool spliced = inc_traced < inc_instrs && columns_equal;
+
   std::printf("edit: %s pc %u (latest-executing f64 constant)\n",
               app_name.c_str(), pc);
+  std::printf("splice: traced %llu of %llu golden instructions, columns %s\n",
+              static_cast<unsigned long long>(inc_traced),
+              static_cast<unsigned long long>(inc_instrs),
+              columns_equal ? "identical" : "DIFFER");
   std::printf("cold: summarize %8.2f ms + close %8.2f ms  "
               "(%zu summaries computed, %zu hits)\n",
               cold.summarize_seconds * 1e3, cold.close_seconds * 1e3,
@@ -251,5 +289,10 @@ int main(int argc, char** argv) {
 
   std::error_code ec;
   std::filesystem::remove_all(store_dir, ec);
-  return (all_equal && inc_equal && incremental) ? 0 : 1;
+  if (!spliced) {
+    std::printf("edit-proportional trace: VIOLATED (%s)\n",
+                columns_equal ? "the edited session traced the full run"
+                              : "spliced columns differ from a scratch trace");
+  }
+  return (all_equal && inc_equal && incremental && spliced) ? 0 : 1;
 }

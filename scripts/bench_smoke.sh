@@ -264,7 +264,10 @@ echo "== bench smoke 9/10: compositional campaigns - cold vs warm-incremental ==
 # The binary exits nonzero if the composed engine's outcome counts diverge
 # from the exhaustive scheduler on any app, if the post-edit incremental
 # counts diverge from a from-scratch exhaustive run on the edited module,
-# or if the warm run fails to serve untouched summaries from the store.
+# if the warm run fails to serve untouched summaries from the store, or if
+# the edited session's golden trace was not spliced onto the cold run's
+# lineage root (it traced the whole run, or its columns differ from a
+# scratch trace; the `splice:` line shows the counts).
 "$compose_ab" --trials="$trials" | tee "$tmp_compose"
 cat "$tmp_compose" >> "$out"
 # The compositional section is its own CI artifact, next to bench_smoke.out.

@@ -7,6 +7,7 @@
 
 #include "jit/jit_program.h"
 #include "store/artifact_store.h"
+#include "store/lineage.h"
 #include "util/stopwatch.h"
 #include "vm/interp.h"
 
@@ -60,41 +61,103 @@ const std::shared_ptr<const vm::RunResult>& AnalysisSession::golden_locked() {
 
 bool AnalysisSession::fill_trace_locked(std::uint64_t& trapped_at) {
   if (trace_) return true;
+  const std::uint64_t key =
+      store_ ? store::trace_key(module_hash(), options_hash()) : 0;
+  std::uint64_t lineage = 0;
+  std::optional<store::LineageRoot> root;
   if (store_) {
     // Store-first: mmap the persisted golden trace segments and adopt
     // them zero-copy (store/trace_io.h) — every TraceView reader runs
     // over the mapped columns; no traced execution happens at all.
-    if (auto loaded = store_->load_trace(
-            store::trace_key(module_hash(), options_hash()), program_,
-            module_hash())) {
+    if (auto loaded = store_->load_trace(key, program_, module_hash())) {
       trace_ = std::move(loaded);
       return true;
     }
+    // An edited module's trace stored as its lineage root's prefix plus
+    // its own suffix (store/lineage.h): still no traced execution.
+    if (auto loaded = store_->load_derived_trace(key, program_, module_hash())) {
+      trace_ = std::move(loaded);
+      return true;
+    }
+    lineage = store::lineage_key(app_.module, options_hash());
+    root = store_->load_lineage(lineage, program_->code_size());
   }
   // Direct-emit traced run: the decoded hot loop appends columnar
-  // records itself — no observer, no DynInstr materialization.
+  // records itself — no observer, no DynInstr materialization. With a
+  // lineage root, the root's prefix is copied and only the suffix traced.
   trace::ColumnTrace sink(program_);
-  if (golden_) sink.reserve(golden_->instructions);
-  vm::VmOptions opts = app_.base;
-  opts.observer = nullptr;  // an observer would win over the sink
-  opts.column_sink = &sink;
-  auto run = vm::Vm::run(*program_, opts);
-  traced_executed_.fetch_add(run.instructions, std::memory_order_relaxed);
-  if (!run.completed()) {
-    trapped_at = run.instructions;
+  std::uint64_t prefix_rows = 0;
+  std::optional<vm::RunResult> run;
+  if (root) run = splice_locked(*root, sink, prefix_rows);
+  const bool spliced = run.has_value();
+  if (!run) {
+    sink = trace::ColumnTrace(program_);
+    if (golden_) sink.reserve(golden_->instructions);
+    vm::VmOptions opts = app_.base;
+    opts.observer = nullptr;  // an observer would win over the sink
+    opts.column_sink = &sink;
+    run = vm::Vm::run(*program_, opts);
+  }
+  traced_executed_.fetch_add(run->instructions - prefix_rows,
+                             std::memory_order_relaxed);
+  if (!run->completed()) {
+    trapped_at = run->instructions;
     return false;
   }
   if (!golden_) {
-    golden_ = std::make_shared<const vm::RunResult>(std::move(run));
+    golden_ = std::make_shared<const vm::RunResult>(std::move(*run));
   }
   trace_ = std::make_shared<const trace::ColumnTrace>(std::move(sink));
   if (store_) {
-    store_->publish_trace(store::trace_key(module_hash(), options_hash()),
-                          *trace_, module_hash());
+    if (spliced) {
+      store_->publish_derived_trace(key, *root, prefix_rows, *trace_,
+                                    module_hash());
+    } else {
+      store_->publish_trace(key, *trace_, module_hash());
+      if (!root) {
+        // The first full trace of a lineage becomes its root.
+        const auto cols = trace_->raw();
+        store::LineageRoot fresh;
+        fresh.segment = {key, module_hash(), cols.rows, cols.ops,
+                         cols.num_extras};
+        fresh.digests = store::instruction_digests(app_.module);
+        fresh.chunk_hashes = store::trace_chunk_hashes(cols);
+        store_->publish_lineage(lineage, fresh);
+      }
+    }
     store_->publish_golden(store::golden_key(module_hash(), options_hash()),
                            *golden_);
   }
   return true;
+}
+
+std::optional<vm::RunResult> AnalysisSession::splice_locked(
+    const store::LineageRoot& root, trace::ColumnTrace& sink,
+    std::uint64_t& prefix_rows) {
+  const auto digests = store::instruction_digests(app_.module);
+  std::vector<std::uint8_t> changed(digests.size());
+  for (std::size_t pc = 0; pc < digests.size(); ++pc) {
+    changed[pc] = digests[pc] != root.digests[pc] ? 1 : 0;
+  }
+  sink.reserve(std::max<std::uint64_t>(
+      root.segment.rows, golden_ ? golden_->instructions : 0));
+  const auto prefix = store_->load_root_prefix(root, changed, sink);
+  if (!prefix) return std::nullopt;
+  // The prefix runs untraced (natively when the JIT is on) and must stop
+  // exactly where the root's row R stands; then the sink takes over.
+  vm::VmOptions opts = app_.base;
+  opts.observer = nullptr;  // column sinks attach to unobserved runs
+  vm::Vm machine(*program_, opts);
+  machine.run_until(prefix->rows);
+  if (machine.instructions_retired() != prefix->rows) return std::nullopt;
+  if (prefix->rows < root.segment.rows &&
+      (machine.status() != vm::Vm::Status::Running ||
+       machine.next_pc() != prefix->next_pc)) {
+    return std::nullopt;
+  }
+  machine.attach_column_sink(sink);
+  prefix_rows = prefix->rows;
+  return machine.run();
 }
 
 const std::shared_ptr<const trace::ColumnTrace>&

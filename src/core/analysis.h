@@ -62,6 +62,7 @@
 
 namespace ft::store {
 class ArtifactStore;
+struct LineageRoot;
 }  // namespace ft::store
 
 namespace ft::jit {
@@ -142,7 +143,11 @@ class AnalysisSession {
   /// Attach a content-addressed artifact store (store/artifact_store.h):
   /// golden runs, golden traces, site enumerations and campaign outcome
   /// counts are looked up in the store before computing and published after
-  /// computing. First attach wins (set-if-unset), and the session's stable
+  /// computing. A golden trace missing from the store is built
+  /// edit-proportionally when the store holds a lineage root for the
+  /// module's shape (store/lineage.h): the root's prefix is copied and
+  /// only the rows from the first changed instruction on are traced.
+  /// First attach wins (set-if-unset), and the session's stable
   /// content hashes are derived once on attach. A store hit is
   /// bit-identical to a compute by construction — pinned by
   /// tests/store_test.cpp — so attaching a store changes cost, never
@@ -159,9 +164,12 @@ class AnalysisSession {
     return options_hash_.load(std::memory_order_relaxed);
   }
   /// Dynamic instructions this session actually executed on traced golden
-  /// runs (trace production). Serving
-  /// those artifacts from the store does not grow it — the warm-path proof
-  /// counter behind AnalysisReport::golden_traced_instructions.
+  /// runs (trace production). Serving those artifacts from the store does
+  /// not grow it — the warm-path proof counter behind
+  /// AnalysisReport::golden_traced_instructions. A trace spliced onto a
+  /// lineage root's prefix (store/lineage.h) counts only its traced
+  /// suffix: N - R for a run of N instructions whose first R rows were
+  /// copied from the root.
   [[nodiscard]] std::uint64_t traced_instructions_executed() const noexcept {
     return traced_executed_.load(std::memory_order_relaxed);
   }
@@ -239,6 +247,16 @@ class AnalysisSession {
   /// false (trace_ stays null, `trapped_at` = the retired count) when that
   /// run traps.
   bool fill_trace_locked(std::uint64_t& trapped_at);
+  /// The edit-proportional path of fill_trace_locked (store/lineage.h):
+  /// copy `root`'s rows up to the first execution of a pc this module
+  /// changed into `sink`, run the program untraced to that point and trace
+  /// only the rest. Returns the run (`prefix_rows` = rows copied), or
+  /// nullopt when the root cannot serve (counted store miss) or the
+  /// machine does not stand where the root's row says — the caller then
+  /// runs a full trace.
+  std::optional<vm::RunResult> splice_locked(const store::LineageRoot& root,
+                                             trace::ColumnTrace& sink,
+                                             std::uint64_t& prefix_rows);
   /// trace_ after fill_trace_locked; throws when the fault-free run traps.
   const std::shared_ptr<const trace::ColumnTrace>& trace_locked();
   /// Options of a differential run under `plan`: the base options with the

@@ -80,6 +80,52 @@ std::uint64_t hash_module(const ir::Module& m) {
   return h.digest();
 }
 
+std::uint64_t lineage_key(const ir::Module& m, std::uint64_t options_hash) {
+  // hash_module's fields in hash_module's order, with every instruction's
+  // content replaced by nothing: the per-block counts keep the shape (and
+  // so every pc, branch target and function entry) fixed.
+  util::Hash64 h("ft.key.lineage.v1");
+  h.u64(m.num_functions());
+  h.u32(m.entry());
+  for (std::uint32_t f = 0; f < m.num_functions(); ++f) {
+    const auto& fn = m.function(f);
+    h.u32(static_cast<std::uint32_t>(fn.ret));
+    h.u64(fn.params.size());
+    for (const auto& p : fn.params) h.u32(static_cast<std::uint32_t>(p.type));
+    h.u32(fn.num_regs);
+    h.u64(fn.blocks.size());
+    for (const auto& b : fn.blocks) h.u64(b.instrs.size());
+  }
+  h.u64(m.num_globals());
+  for (std::uint32_t g = 0; g < m.num_globals(); ++g) {
+    const auto& gl = m.global(g);
+    h.u32(static_cast<std::uint32_t>(gl.elem));
+    h.u64(gl.count);
+    h.u64(gl.addr);
+    h.u64(gl.init_bits.size());
+    for (const auto bits : gl.init_bits) h.u64(bits);
+  }
+  h.u64(m.num_regions());
+  h.u64(m.stack_base());
+  h.u64(m.memory_size());
+  h.u64(options_hash);
+  return h.digest();
+}
+
+std::vector<std::uint64_t> instruction_digests(const ir::Module& m) {
+  std::vector<std::uint64_t> out;
+  for (std::uint32_t f = 0; f < m.num_functions(); ++f) {
+    for (const auto& b : m.function(f).blocks) {
+      for (const auto& ins : b.instrs) {
+        util::Hash64 h("ft.instr.v1");
+        hash_instruction(h, ins);
+        out.push_back(h.digest());
+      }
+    }
+  }
+  return out;
+}
+
 std::uint64_t hash_section(const ir::Module& m,
                            std::span<const InstrCoord> body) {
   // Per-instruction content hashing mirrors hash_module exactly;
@@ -301,6 +347,43 @@ std::optional<fault::CampaignResult> decode_campaign(
   return out;
 }
 
+std::string encode_lineage(const LineageRoot& root) {
+  ByteWriter w;
+  w.u64(root.segment.trace_key);
+  w.u64(root.segment.program_hash);
+  w.u64(root.segment.rows);
+  w.u64(root.segment.ops);
+  w.u64(root.segment.extras);
+  w.u64(root.digests.size());
+  for (const auto d : root.digests) w.u64(d);
+  w.u64(root.chunk_hashes.size());
+  for (const auto c : root.chunk_hashes) w.u64(c);
+  return w.bytes();
+}
+
+/// nullopt on any malformed payload, or when the digest count differs from
+/// `code_size` or the chunk count from the segment's row count.
+std::optional<LineageRoot> decode_lineage(const std::string& payload,
+                                          std::size_t code_size) {
+  ByteReader r(payload.data(), payload.size());
+  LineageRoot out;
+  out.segment.trace_key = r.u64();
+  out.segment.program_hash = r.u64();
+  out.segment.rows = r.u64();
+  out.segment.ops = r.u64();
+  out.segment.extras = r.u64();
+  const std::uint64_t nd = r.u64();
+  if (!r.ok() || nd != code_size) return std::nullopt;
+  out.digests.resize(nd);
+  for (auto& d : out.digests) d = r.u64();
+  const std::uint64_t nc = r.u64();
+  if (!r.ok() || nc != lineage_chunks(out.segment.rows)) return std::nullopt;
+  out.chunk_hashes.resize(nc);
+  for (auto& c : out.chunk_hashes) c = r.u64();
+  if (!r.done()) return std::nullopt;
+  return out;
+}
+
 std::string hex16(std::uint64_t key) {
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx",
@@ -314,6 +397,7 @@ const char* kind_ext(BlobKind kind) {
     case BlobKind::Sites: return "sites";
     case BlobKind::Campaign: return "campaign";
     case BlobKind::Summary: return "summary";
+    case BlobKind::Lineage: return "lineage";
   }
   return "blob";
 }
@@ -383,6 +467,10 @@ std::string ArtifactStore::trace_path(std::uint64_t key) const {
   return root_ + "/traces/" + hex16(key) + ".fttrace";
 }
 
+std::string ArtifactStore::derived_path(std::uint64_t key) const {
+  return root_ + "/traces/" + hex16(key) + ".ftderived";
+}
+
 std::string ArtifactStore::blob_path(std::uint64_t key, BlobKind kind) const {
   return root_ + "/blobs/" + hex16(key) + "." + kind_ext(kind);
 }
@@ -425,6 +513,93 @@ bool ArtifactStore::publish_trace(std::uint64_t key,
       std::memory_order_relaxed);
   publishes_.fetch_add(1, std::memory_order_relaxed);
   return true;
+}
+
+std::optional<LineageRoot> ArtifactStore::load_lineage(std::uint64_t key,
+                                                       std::size_t code_size) {
+  auto payload = load_blob(key, BlobKind::Lineage);
+  if (!payload) return std::nullopt;
+  auto decoded = decode_lineage(*payload, code_size);
+  if (!decoded) corrupt_.fetch_add(1, std::memory_order_relaxed);
+  return decoded;
+}
+
+bool ArtifactStore::publish_lineage(std::uint64_t key,
+                                    const LineageRoot& root) {
+  const std::string payload = encode_lineage(root);
+  BlobHeader h;
+  h.kind = static_cast<std::uint32_t>(BlobKind::Lineage);
+  h.payload_bytes = payload.size();
+  h.payload_hash = util::hash_bytes(payload.data(), payload.size());
+  std::string bytes(reinterpret_cast<const char*>(&h), sizeof(h));
+  bytes += payload;
+  const std::string tmp = tmp_path();
+  if (!write_file(tmp, bytes.data(), bytes.size())) return false;
+  // link(2) fails when the name exists: of concurrent publishers exactly
+  // one creates the record, and it is complete the moment it is visible.
+  const bool created =
+      ::link(tmp.c_str(), blob_path(key, BlobKind::Lineage).c_str()) == 0;
+  std::remove(tmp.c_str());
+  if (!created) return false;
+  bytes_written_.fetch_add(bytes.size(), std::memory_order_relaxed);
+  publishes_.fetch_add(1, std::memory_order_relaxed);
+  lineage_roots_.fetch_add(1, std::memory_order_relaxed);
+  return true;
+}
+
+std::optional<RootPrefix> ArtifactStore::load_root_prefix(
+    const LineageRoot& root, std::span<const std::uint8_t> changed,
+    trace::ColumnTrace& out) {
+  const std::string path = trace_path(root.segment.trace_key);
+  std::uint64_t read = 0;
+  auto prefix = read_root_prefix(path, root.segment, root.chunk_hashes,
+                                 changed, root.segment.rows, out, &read,
+                                 nullptr);
+  if (!prefix) {
+    misses_.fetch_add(1, std::memory_order_relaxed);
+    std::error_code ec;
+    if (fs::exists(path, ec)) corrupt_.fetch_add(1, std::memory_order_relaxed);
+    return std::nullopt;
+  }
+  hits_.fetch_add(1, std::memory_order_relaxed);
+  bytes_read_.fetch_add(read, std::memory_order_relaxed);
+  return prefix;
+}
+
+bool ArtifactStore::publish_derived_trace(std::uint64_t key,
+                                          const LineageRoot& root,
+                                          std::uint64_t prefix_rows,
+                                          const trace::ColumnTrace& t,
+                                          std::uint64_t program_hash) {
+  const std::string tmp = tmp_path();
+  std::uint64_t written = 0;
+  if (!save_derived_trace_file(tmp, root, prefix_rows, t, program_hash,
+                               &written)) {
+    return false;
+  }
+  if (std::rename(tmp.c_str(), derived_path(key).c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return false;
+  }
+  bytes_written_.fetch_add(written, std::memory_order_relaxed);
+  publishes_.fetch_add(1, std::memory_order_relaxed);
+  return true;
+}
+
+std::shared_ptr<const trace::ColumnTrace> ArtifactStore::load_derived_trace(
+    std::uint64_t key, std::shared_ptr<const vm::DecodedProgram> program,
+    std::uint64_t program_hash) {
+  auto loaded = load_derived_trace_file(
+      derived_path(key), [this](std::uint64_t k) { return trace_path(k); },
+      std::move(program), program_hash);
+  if (!loaded.trace) {
+    misses_.fetch_add(1, std::memory_order_relaxed);
+    if (loaded.found) corrupt_.fetch_add(1, std::memory_order_relaxed);
+    return nullptr;
+  }
+  hits_.fetch_add(1, std::memory_order_relaxed);
+  bytes_read_.fetch_add(loaded.bytes_read, std::memory_order_relaxed);
+  return std::move(loaded.trace);
 }
 
 bool ArtifactStore::publish_blob(std::uint64_t key, BlobKind kind,
@@ -543,6 +718,7 @@ ArtifactStore::Counters ArtifactStore::counters() const noexcept {
   c.bytes_read = bytes_read_.load(std::memory_order_relaxed);
   c.bytes_written = bytes_written_.load(std::memory_order_relaxed);
   c.stale_tmp_swept = tmp_swept_.load(std::memory_order_relaxed);
+  c.lineage_roots = lineage_roots_.load(std::memory_order_relaxed);
   return c;
 }
 

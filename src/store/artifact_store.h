@@ -15,7 +15,10 @@
 /// Layout under the store root:
 ///
 ///     traces/<key>.fttrace   mmap-able ColumnTrace segments (trace_io.h)
-///     blobs/<key>.<kind>     golden / sites / campaign result blobs
+///     traces/<key>.ftderived an edited module's trace as a lineage root's
+///                            prefix plus its own suffix (lineage.h)
+///     blobs/<key>.<kind>     golden / sites / campaign / summary /
+///                            lineage blobs
 ///     tmp/                   uncommitted writer scratch (invisible)
 ///
 /// Durability contract: writers serialize into tmp/ under a unique name
@@ -37,10 +40,12 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "fault/campaign.h"
 #include "fault/sites.h"
 #include "store/format.h"
+#include "store/lineage.h"
 #include "trace/column.h"
 #include "vm/interp.h"
 
@@ -56,6 +61,21 @@ namespace ft::store {
 /// bits), regions, entry point and memory geometry. Two modules with equal
 /// hashes execute identically, so artifacts keyed by it are shareable.
 [[nodiscard]] std::uint64_t hash_module(const ir::Module& m);
+
+/// Key of a golden-trace lineage (store/lineage.h): every field
+/// hash_module hashes except instruction contents — function signatures,
+/// register counts, block and instruction counts, globals with their
+/// layout and init bits, regions, entry point, memory geometry — mixed
+/// with `options_hash`. A constant edit keeps a module in its lineage.
+[[nodiscard]] std::uint64_t lineage_key(const ir::Module& m,
+                                        std::uint64_t options_hash);
+
+/// Per-instruction content digests in flat-pc order (the order
+/// vm::DecodedProgram numbers instructions in): the instruction contents
+/// hash_module covers, one digest per instruction. Together with
+/// lineage_key they carry exactly what hash_module carries.
+[[nodiscard]] std::vector<std::uint64_t> instruction_digests(
+    const ir::Module& m);
 
 /// Content hash of the execution inputs of a golden run (seed, budgets,
 /// call-depth limit). Observer/fault/pool fields do not affect the golden
@@ -150,6 +170,34 @@ class ArtifactStore {
   virtual bool publish_trace(std::uint64_t key, const trace::ColumnTrace& t,
                              std::uint64_t program_hash);
 
+  // --- golden-trace lineage (store/lineage.h) -------------------------------
+  // Not virtual: these are the store's own file formats, driven only by
+  // core::AnalysisSession::fill_trace_locked. Every lookup counts a hit or
+  // a miss like the other kinds; a file that exists but is rejected also
+  // counts as corrupt.
+  /// The lineage record under `key`; nullopt when absent or rejected
+  /// (including a digest count other than `code_size`).
+  [[nodiscard]] std::optional<LineageRoot> load_lineage(std::uint64_t key,
+                                                        std::size_t code_size);
+  /// Create the lineage record under `key` unless one exists (first
+  /// publisher wins). Returns true only for the publisher that created it.
+  bool publish_lineage(std::uint64_t key, const LineageRoot& root);
+  /// read_root_prefix over `root`'s segment in this store (see there).
+  [[nodiscard]] std::optional<RootPrefix> load_root_prefix(
+      const LineageRoot& root, std::span<const std::uint8_t> changed,
+      trace::ColumnTrace& out);
+  /// Publish `t` under `key` as a derived trace of `root` sharing its
+  /// first `prefix_rows` rows: only the suffix is written.
+  bool publish_derived_trace(std::uint64_t key, const LineageRoot& root,
+                             std::uint64_t prefix_rows,
+                             const trace::ColumnTrace& t,
+                             std::uint64_t program_hash);
+  /// The derived trace under `key` as one owned trace (root prefix copied,
+  /// suffix appended); nullptr when absent or rejected.
+  [[nodiscard]] std::shared_ptr<const trace::ColumnTrace> load_derived_trace(
+      std::uint64_t key, std::shared_ptr<const vm::DecodedProgram> program,
+      std::uint64_t program_hash);
+
   // --- golden run results ---------------------------------------------------
   [[nodiscard]] virtual std::optional<vm::RunResult> load_golden(
       std::uint64_t key);
@@ -187,6 +235,8 @@ class ArtifactStore {
     std::uint64_t bytes_written = 0;
     /// Orphaned tmp/ files from dead pids removed when this store opened.
     std::uint64_t stale_tmp_swept = 0;
+    /// Lineage records this store object created (publish_lineage wins).
+    std::uint64_t lineage_roots = 0;
   };
   [[nodiscard]] virtual Counters counters() const noexcept;
 
@@ -200,6 +250,7 @@ class ArtifactStore {
 
  private:
   [[nodiscard]] std::string trace_path(std::uint64_t key) const;
+  [[nodiscard]] std::string derived_path(std::uint64_t key) const;
   [[nodiscard]] std::string blob_path(std::uint64_t key, BlobKind kind) const;
   [[nodiscard]] std::string tmp_path();
   /// Serialize-and-commit of one result blob (header + payload, tmp +
@@ -224,6 +275,7 @@ class ArtifactStore {
   mutable std::atomic<std::uint64_t> bytes_read_{0};
   mutable std::atomic<std::uint64_t> bytes_written_{0};
   std::atomic<std::uint64_t> tmp_swept_{0};
+  std::atomic<std::uint64_t> lineage_roots_{0};
 };
 
 }  // namespace ft::store

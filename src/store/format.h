@@ -1,15 +1,19 @@
 /// @file
 /// On-disk format of the persistent artifact store (spec: docs/architecture.md).
 ///
-/// Two file kinds share the conventions below:
+/// Three file kinds share the conventions below:
 ///
 ///   * trace segment files (`traces/<key>.fttrace`) — a 64-byte header
 ///     followed by the ColumnTrace structure-of-arrays columns, written
 ///     verbatim so a loader can mmap the file and adopt the column arrays
 ///     zero-copy (trace::ColumnTrace::adopt);
+///   * derived trace files (`traces/<key>.ftderived`) — a 144-byte header
+///     naming a lineage root's segment and the prefix of it the trace
+///     shares, then only the trace's own suffix columns (store/lineage.h);
 ///   * result blobs (`blobs/<key>.<kind>`) — a 40-byte header followed by a
 ///     little-endian field stream (store/serial.h) holding a serialized
-///     golden run, site enumeration, or campaign outcome counts.
+///     golden run, site enumeration, campaign outcome counts, section
+///     summary or lineage record.
 ///
 /// Shared rules:
 ///   * every file is little-endian and says so (`kEndianMark`, written
@@ -22,17 +26,21 @@
 ///     recomputed and republished — the store is a cache, not a database);
 ///   * writers commit atomically: write to `tmp/`, then rename(2) into
 ///     place, so a crashed or concurrent writer can leave only invisible
-///     garbage in tmp/, never a torn visible entry.
+///     garbage in tmp/, never a torn visible entry. A lineage record is
+///     the one write-once entry: it commits with link(2), which fails when
+///     the name exists, so the first publisher of a lineage wins.
 #pragma once
 
 #include <cstdint>
 
 namespace ft::store {
 
-/// "FTCTRC01" / "FTBLOB01" read as little-endian u64s.
+/// "FTCTRC01" / "FTBLOB01" / "FTDTRC01" read as little-endian u64s.
 inline constexpr std::uint64_t kTraceMagic = 0x3130435254435446ull;
 inline constexpr std::uint64_t kBlobMagic = 0x3130424F4C425446ull;
+inline constexpr std::uint64_t kDerivedMagic = 0x3130435254445446ull;
 inline constexpr std::uint32_t kTraceVersion = 1;
+inline constexpr std::uint32_t kDerivedVersion = 1;
 /// v2: campaign blobs grew the detected_recovered / detected_unrecoverable
 /// outcome counts (hardening + checkpoint/rollback recovery). Old-version
 /// blobs are a counted miss — never reinterpreted under the new layout.
@@ -47,6 +55,7 @@ enum class BlobKind : std::uint32_t {
   Sites = 2,       // serialized fault::SiteEnumerationResult
   Campaign = 3,    // serialized fault::CampaignResult outcome counts
   Summary = 4,     // serialized compose::SectionSummary (per-section sites)
+  Lineage = 5,     // serialized store::LineageRoot (store/lineage.h)
 };
 
 /// Header of a trace segment file. 64 bytes, no padding; `header_hash` is
@@ -66,6 +75,42 @@ struct TraceFileHeader {
   std::uint64_t header_hash = 0;
 };
 static_assert(sizeof(TraceFileHeader) == 64);
+
+/// Header of a derived trace file (`traces/<key>.ftderived`, store/lineage.h):
+/// an edited module's golden trace stored as a reference to the first
+/// `prefix_rows` rows of its lineage root's trace segment plus its own
+/// suffix columns. 144 bytes, no padding; `header_hash` is FNV-1a over the
+/// 136 bytes preceding it. The header is followed by `prefix_chunks` u64
+/// content hashes of the root chunks the prefix spans, then the suffix
+/// columns laid out by `trace_layout(rows, ops, extras, base)` with `base`
+/// the offset right after those hashes.
+/// Suffix `ops_offset` and escape rows keep their values in the whole
+/// trace, so appended after the prefix they need no rebasing.
+struct DerivedTraceHeader {
+  std::uint64_t magic = kDerivedMagic;
+  std::uint32_t version = kDerivedVersion;
+  std::uint32_t endian = kEndianMark;
+  std::uint64_t program_hash = 0;  // module the whole trace belongs to
+  /// The root segment the prefix comes from (`traces/<root_key>.fttrace`)
+  /// and its header counts, checked before a byte of it is used.
+  std::uint64_t root_key = 0;
+  std::uint64_t root_program_hash = 0;
+  std::uint64_t root_rows = 0;
+  std::uint64_t root_ops = 0;
+  std::uint64_t root_extras = 0;
+  std::uint64_t prefix_rows = 0;
+  std::uint64_t prefix_ops = 0;
+  std::uint64_t prefix_extras = 0;
+  std::uint64_t rows = 0;    // suffix records
+  std::uint64_t ops = 0;     // suffix operand-pool entries
+  std::uint64_t extras = 0;  // suffix escape entries
+  std::uint64_t prefix_chunks = 0;
+  /// util::hash_words digest over the chunk hashes and the suffix columns.
+  std::uint64_t body_hash = 0;
+  std::uint64_t file_bytes = 0;
+  std::uint64_t header_hash = 0;
+};
+static_assert(sizeof(DerivedTraceHeader) == 144);
 
 /// Header of a result blob. 40 bytes, no padding; `payload_hash` is FNV-1a
 /// over the `payload_bytes` bytes that follow the header.
@@ -98,11 +143,13 @@ struct TraceLayout {
   return (v + 7) & ~std::uint64_t{7};
 }
 
-[[nodiscard]] constexpr TraceLayout trace_layout(std::uint64_t rows,
-                                                 std::uint64_t ops,
-                                                 std::uint64_t extras) noexcept {
+/// `base` is where the columns start: right after the header in a trace
+/// segment, after the header and chunk hashes in a derived trace file.
+[[nodiscard]] constexpr TraceLayout trace_layout(
+    std::uint64_t rows, std::uint64_t ops, std::uint64_t extras,
+    std::uint64_t base = sizeof(TraceFileHeader)) noexcept {
   TraceLayout l;
-  l.pc = sizeof(TraceFileHeader);
+  l.pc = align8(base);
   l.activation = align8(l.pc + 4 * rows);
   l.ops_offset = align8(l.activation + 4 * rows);
   l.result_bits = align8(l.ops_offset + 4 * rows);

@@ -42,6 +42,35 @@ struct MappedTraceHolder {
 
 }  // namespace
 
+std::string check_columns(const trace::ColumnTrace::RawColumns& cols,
+                          std::size_t code_size) {
+  std::uint32_t prev_off = 0;
+  for (std::uint64_t i = 0; i < cols.rows; ++i) {
+    if (cols.pc[i] >= code_size) {
+      return "pc out of range at row " + std::to_string(i);
+    }
+    if (cols.ops_offset[i] < prev_off || cols.ops_offset[i] > cols.ops) {
+      return "operand offsets not monotonic at row " + std::to_string(i);
+    }
+    prev_off = cols.ops_offset[i];
+  }
+  std::uint64_t prev_row = 0;
+  for (std::uint64_t e = 0; e < cols.num_extras; ++e) {
+    const auto& x = cols.extras[e];
+    if (x.row >= cols.rows || x.row < prev_row) {
+      return "escape list unsorted or out of range at entry " +
+             std::to_string(e);
+    }
+    if (x.slot >= vm::kMaxTracedOps &&
+        x.slot != trace::ColumnTrace::kResultSlot &&
+        x.slot != trace::ColumnTrace::kLoadValueSlot) {
+      return "invalid escape slot at entry " + std::to_string(e);
+    }
+    prev_row = x.row;
+  }
+  return {};
+}
+
 bool save_trace_file(const std::string& path, const trace::ColumnTrace& t,
                      std::uint64_t program_hash, std::string* error) {
   const auto cols = t.raw();
@@ -153,31 +182,8 @@ LoadedTrace load_trace_file(const std::string& path,
   // can still front internally inconsistent columns (bit rot, a foreign
   // file renamed into place). Everything a reader would index with is
   // range-checked once here, so readers stay check-free.
-  const auto code_size = static_cast<std::uint64_t>(program->code_size());
-  std::uint32_t prev_off = 0;
-  for (std::uint64_t i = 0; i < cols.rows; ++i) {
-    if (cols.pc[i] >= code_size) {
-      return reject("pc out of range at row " + std::to_string(i));
-    }
-    if (cols.ops_offset[i] < prev_off || cols.ops_offset[i] > cols.ops) {
-      return reject("operand offsets not monotonic at row " +
-                    std::to_string(i));
-    }
-    prev_off = cols.ops_offset[i];
-  }
-  std::uint64_t prev_row = 0;
-  for (std::uint64_t e = 0; e < cols.num_extras; ++e) {
-    const auto& x = cols.extras[e];
-    if (x.row >= cols.rows || x.row < prev_row) {
-      return reject("escape list unsorted or out of range at entry " +
-                    std::to_string(e));
-    }
-    if (x.slot >= vm::kMaxTracedOps &&
-        x.slot != trace::ColumnTrace::kResultSlot &&
-        x.slot != trace::ColumnTrace::kLoadValueSlot) {
-      return reject("invalid escape slot at entry " + std::to_string(e));
-    }
-    prev_row = x.row;
+  if (auto why = check_columns(cols, program->code_size()); !why.empty()) {
+    return reject(std::move(why));
   }
 
   holder->trace = trace::ColumnTrace::adopt(std::move(program), cols);

@@ -36,6 +36,13 @@ namespace ft::store {
 bool save_trace_file(const std::string& path, const trace::ColumnTrace& t,
                      std::uint64_t program_hash, std::string* error = nullptr);
 
+/// Structural check of `cols` against a program of `code_size` pcs: pcs in
+/// range, operand offsets non-decreasing and inside the pool, escapes
+/// sorted, in range and with valid slots. Empty when sound, else why not.
+/// Columns that pass are safe to serve to every trace reader.
+[[nodiscard]] std::string check_columns(
+    const trace::ColumnTrace::RawColumns& cols, std::size_t code_size);
+
 /// A zero-copy loaded trace: `trace` aliases a shared holder that owns the
 /// mapping, so the mapping lives exactly as long as the last reference to
 /// the trace. `trace == nullptr` means the file was rejected (missing,

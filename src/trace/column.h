@@ -188,6 +188,40 @@ class ColumnTrace {
     op_bits_.reserve(records * 2);
   }
 
+  /// Writable tails of the owned columns, handed out by extend().
+  struct ColumnTail {
+    std::uint32_t* pc = nullptr;
+    std::uint32_t* activation = nullptr;
+    std::uint32_t* ops_offset = nullptr;
+    std::uint64_t* result_bits = nullptr;
+    std::uint64_t* op_bits = nullptr;
+    Extra* extras = nullptr;
+  };
+  /// Grow the owned columns by `rows` records, `ops` operand-pool entries
+  /// and `extras` escapes (zero-filled) and return the new tails, to be
+  /// filled in place with columns copied from a stored trace: a lineage
+  /// root's prefix, then a derived trace's suffix (store/lineage.h reads
+  /// both straight into them). The filler leaves the columns as the
+  /// appending path would: `ops_offset` indexes this trace's pool and
+  /// `Extra::row` this trace's rows, both non-decreasing. A Vm that
+  /// retired exactly size() instructions of the same execution can then
+  /// continue appending (Vm::attach_column_sink).
+  ColumnTail extend(std::size_t rows, std::size_t ops, std::size_t extras) {
+    assert(!borrowed_ && "mmap-adopted traces are read-only");
+    const std::size_t r0 = pc_.size();
+    const std::size_t o0 = op_bits_.size();
+    const std::size_t e0 = extras_.size();
+    pc_.resize(r0 + rows);
+    activation_.resize(r0 + rows);
+    ops_offset_.resize(r0 + rows);
+    result_bits_.resize(r0 + rows);
+    op_bits_.resize(o0 + ops);
+    extras_.resize(e0 + extras);
+    return ColumnTail{pc_.data() + r0,          activation_.data() + r0,
+                      ops_offset_.data() + r0,  result_bits_.data() + r0,
+                      op_bits_.data() + o0,     extras_.data() + e0};
+  }
+
   /// Append one already-materialized record (the lockstep diff path, which
   /// steps two VMs and records the faulty side). `pc` is the record's flat
   /// pc (Vm::next_pc() before the step). Reconstructs to a record

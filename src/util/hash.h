@@ -80,4 +80,14 @@ class Hash64 {
 /// One-shot FNV-1a over a byte buffer (e.g. a serialized payload checksum).
 [[nodiscard]] std::uint64_t hash_bytes(const void* data, std::size_t n) noexcept;
 
+/// Fast checksum of a bulk buffer (trace columns, megabytes at a time):
+/// four independent multiply-rotate lanes over little-endian 64-bit words,
+/// the trailing bytes zero-padded into one last word, then a final
+/// avalanche mixing in the length. Several times the throughput
+/// of byte-serial FNV-1a; stable across processes like Hash64, but its
+/// words are read in host byte order, so it checks files that carry an
+/// endianness mark (store/format.h). A corruption check, not a key.
+[[nodiscard]] std::uint64_t hash_words(const void* data,
+                                       std::size_t n) noexcept;
+
 }  // namespace ft::util

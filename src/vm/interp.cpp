@@ -250,6 +250,14 @@ Vm::Snapshot Vm::snapshot() const {
   return s;
 }
 
+void Vm::attach_column_sink(trace::ColumnTrace& sink) {
+  assert(prog_ && !opts_.observer &&
+         "column sinks attach to the decoded engine's unobserved runs");
+  assert(&sink.program() == prog_ && sink.size() == n_retired_ &&
+         "an attached sink holds exactly the records retired so far");
+  opts_.column_sink = &sink;
+}
+
 void Vm::sync_sink_to(std::uint64_t target_retired) {
   trace::ColumnTrace* const sink = opts_.column_sink;
   if (!sink || sink->empty()) return;

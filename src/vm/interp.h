@@ -173,6 +173,16 @@ class Vm {
   /// column sink; incompatible with an observer.
   void run_until(std::uint64_t target);
 
+  /// Start recording into `sink` mid-run (decoded engine, no observer).
+  /// `sink` must be built over this program and already hold exactly the
+  /// records of the instructions retired so far (size() ==
+  /// instructions_retired()), e.g. a golden prefix copied from the stored
+  /// trace of an identical execution (trace::ColumnTrace::extend). Later
+  /// run()/run_until() calls append the following records after it, so the
+  /// finished sink equals a trace recorded from instruction 0 — while the
+  /// prefix itself ran untraced (natively, when VmOptions::jit is set).
+  void attach_column_sink(trace::ColumnTrace& sink);
+
   /// Capture the full machine state (memory image, frame stack, live
   /// register/argument slots, stack pointer, RNG, outputs, region counts,
   /// retired count) into `out`, reusing its buffers. Everything execution

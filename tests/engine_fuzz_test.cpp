@@ -9,6 +9,8 @@
 //     snapshot-construct, and fork_from between two tracked machines), and
 //     forked campaigns probing the golden section ladder vs the
 //     from-scratch trial loop
+//   * edit-proportional golden traces: random constant edits spliced onto
+//     the unedited program's lineage root vs from-scratch traced runs
 //   * JIT native execution vs decoded/legacy (clean, under a random
 //     ResultBit flip, snapshot interop in both directions, fork_from a
 //     natively-advanced cursor) — trap kind, trap pc, retired count and
@@ -22,12 +24,15 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "apps/app.h"
 #include "compose/compose.h"
+#include "core/analysis.h"
 #include "fault/campaign.h"
 #include "fault/outcome.h"
 #include "fault/sites.h"
@@ -313,6 +318,103 @@ class ProgramGen {
 
 /// Runs every engine/substrate combination on one generated program and
 /// returns false (with a diagnostic) on the first divergence.
+/// Lineage leg: a store whose lineage root is the unedited program's full
+/// trace; random constant edits must splice onto the root's prefix —
+/// tracing exactly the rows from the edited pc's first execution on —
+/// and equal a from-scratch traced run of the edited program in every
+/// column and in the golden run. Empty on success, else what went wrong.
+std::string check_lineage(const ir::Module& m, std::uint64_t seed,
+                          std::uint64_t instructions) {
+  std::string tmpl =
+      (std::filesystem::temp_directory_path() / "ft-fuzz-lineage-XXXXXX");
+  std::vector<char> buf(tmpl.begin(), tmpl.end());
+  buf.push_back('\0');
+  const std::string dir = mkdtemp(buf.data());
+  auto st = std::make_shared<store::ArtifactStore>(dir);
+  apps::AppSpec spec;
+  spec.name = "fuzz";
+  spec.module = m;
+  // Edited loop bounds may run longer: a runaway edit hangs quickly.
+  spec.base.max_instructions = 4 * instructions + 1000;
+  const auto session = [&](const apps::AppSpec& s) {
+    auto out = std::make_shared<core::AnalysisSession>(s);
+    out->attach_store(st);
+    return out;
+  };
+  const auto root = session(spec)->golden_trace();
+  const auto cols = root->raw();
+  std::vector<std::uint64_t> first(root->program().code_size(), cols.rows);
+  for (std::uint64_t r = cols.rows; r-- > 0;) first[cols.pc[r]] = r;
+
+  std::vector<std::uint32_t> editable;
+  for (std::uint32_t pc = 0; pc < first.size(); ++pc) {
+    const auto& d = root->program().code()[pc];
+    for (const auto& o : m.function(d.func).blocks[d.block].instrs[d.instr].ops) {
+      if (o.kind == ir::OperandKind::ImmF || o.kind == ir::OperandKind::ImmI) {
+        editable.push_back(pc);
+        break;
+      }
+    }
+  }
+  std::string why;
+  util::Rng rng(seed * 0x2545F4914F6CDD1Dull + 7);
+  for (int e = 0; e < 3 && !editable.empty() && why.empty(); ++e) {
+    // Distinct pcs: a repeated edit would load the first one's derived
+    // trace instead of splicing.
+    const auto pick = rng.below(editable.size());
+    const auto pc = editable[pick];
+    editable.erase(editable.begin() + static_cast<std::ptrdiff_t>(pick));
+    const auto& d = root->program().code()[pc];
+    auto edited = spec;
+    for (auto& o :
+         edited.module.function(d.func).blocks[d.block].instrs[d.instr].ops) {
+      if (o.kind == ir::OperandKind::ImmF) o.imm_f = o.imm_f * 1.0009765625 + 0.0009765625;
+      if (o.kind == ir::OperandKind::ImmI) o.imm_i += 1;
+    }
+    const auto program = std::make_shared<const vm::DecodedProgram>(
+        vm::DecodedProgram::decode(edited.module));
+    trace::ColumnTrace scratch(program);
+    vm::VmOptions opts = edited.base;
+    opts.column_sink = &scratch;
+    const auto run = vm::Vm::run(*program, opts);
+    const auto s = session(edited);
+    const std::string at = "edit of pc " + std::to_string(pc) + ": ";
+    if (!run.completed()) {
+      try {
+        (void)s->golden_trace();
+        why = at + "spliced run completed where the scratch run trapped";
+      } catch (const std::runtime_error&) {
+      }
+      continue;
+    }
+    const auto spliced = s->golden_trace();
+    const auto a = spliced->raw();
+    const auto b = scratch.raw();
+    const auto same = [](const void* x, const void* y, std::size_t n) {
+      return n == 0 || std::memcmp(x, y, n) == 0;
+    };
+    if (a.rows != b.rows || a.ops != b.ops || a.num_extras != b.num_extras ||
+        !same(a.pc, b.pc, 4 * a.rows) ||
+        !same(a.activation, b.activation, 4 * a.rows) ||
+        !same(a.ops_offset, b.ops_offset, 4 * a.rows) ||
+        !same(a.result_bits, b.result_bits, 8 * a.rows) ||
+        !same(a.op_bits, b.op_bits, 8 * a.ops) ||
+        !same(a.extras, b.extras, 24 * a.num_extras)) {
+      why = at + "spliced trace differs from the scratch trace";
+    } else if (s->golden()->outputs != run.outputs ||
+               s->golden()->instructions != run.instructions) {
+      why = at + "spliced golden run differs from the scratch run";
+    } else if (s->traced_instructions_executed() !=
+               run.instructions - std::min(first[pc], run.instructions)) {
+      why = at + "traced " + std::to_string(s->traced_instructions_executed()) +
+            " instructions, expected " +
+            std::to_string(run.instructions - first[pc]);
+    }
+  }
+  std::filesystem::remove_all(dir);
+  return why;
+}
+
 bool check_seed(std::uint64_t seed, std::string* diag) {
   std::ostringstream why;
   const ir::Module m = ProgramGen(seed).generate();
@@ -370,6 +472,13 @@ bool check_seed(std::uint64_t seed, std::string* diag) {
     std::string field;
     if (!same_record(decoded_tc.trace().records[i], sink.record(i), &field)) {
       return fail("observer/columnar record ", i, " differs in ", field);
+    }
+  }
+
+  if (decoded.completed()) {
+    if (const auto why = check_lineage(m, seed, decoded.instructions);
+        !why.empty()) {
+      return fail("lineage splice: ", why);
     }
   }
 

@@ -14,6 +14,8 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -21,6 +23,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/app.h"
@@ -28,6 +31,7 @@
 #include "fault/campaign.h"
 #include "store/artifact_store.h"
 #include "store/format.h"
+#include "store/lineage.h"
 #include "store/trace_io.h"
 #include "trace/column.h"
 #include "util/hash.h"
@@ -638,6 +642,361 @@ TEST(ArtifactStore, SweepsDeadPidTmpFilesOnOpen) {
   EXPECT_TRUE(fs::exists(live)) << "live writer's scratch must survive";
   EXPECT_TRUE(fs::exists(odd)) << "non-pid names are left alone";
   EXPECT_EQ(st.counters().stale_tmp_swept, 2u);
+}
+
+// --- edit-proportional golden traces (store/lineage.h) ----------------------
+
+/// Row of the first execution of every pc in `t` (rows() when never).
+std::vector<std::uint64_t> first_rows(const trace::ColumnTrace& t) {
+  const auto cols = t.raw();
+  std::vector<std::uint64_t> first(t.program().code_size(), cols.rows);
+  for (std::uint64_t r = cols.rows; r-- > 0;) first[cols.pc[r]] = r;
+  return first;
+}
+
+/// The constant edit bench/compose_ab.cpp makes, applied to flat pc `pc`.
+apps::AppSpec edit_constant(const apps::AppSpec& spec,
+                            const vm::DecodedProgram& prog, std::uint32_t pc) {
+  auto out = spec;
+  const auto& d = prog.code()[pc];
+  for (auto& op :
+       out.module.function(d.func).blocks[d.block].instrs[d.instr].ops) {
+    if (op.kind == ir::OperandKind::ImmF) {
+      op.imm_f = op.imm_f * 1.0009765625 + 0.0009765625;
+    } else if (op.kind == ir::OperandKind::ImmI) {
+      op.imm_i += 1;
+    }
+  }
+  return out;
+}
+
+bool has_imm(const apps::AppSpec& spec, const vm::DecodedInstr& d,
+             ir::OperandKind kind) {
+  const auto& ins = spec.module.function(d.func).blocks[d.block].instrs[d.instr];
+  return std::any_of(ins.ops.begin(), ins.ops.end(),
+                     [&](const ir::Operand& o) { return o.kind == kind; });
+}
+
+/// A from-scratch traced run of `spec`: its trace and its result.
+struct Scratch {
+  std::shared_ptr<const vm::DecodedProgram> program;
+  trace::ColumnTrace trace;
+  vm::RunResult run;
+};
+
+Scratch scratch_trace(const apps::AppSpec& spec) {
+  Scratch s;
+  s.program = std::make_shared<const vm::DecodedProgram>(
+      vm::DecodedProgram::decode(spec.module));
+  s.trace = trace::ColumnTrace(s.program);
+  vm::VmOptions opts = spec.base;
+  opts.observer = nullptr;
+  opts.column_sink = &s.trace;
+  s.run = vm::Vm::run(*s.program, opts);
+  return s;
+}
+
+std::shared_ptr<core::AnalysisSession> store_session(
+    apps::AppSpec spec, const std::shared_ptr<store::ArtifactStore>& st) {
+  auto session = std::make_shared<core::AnalysisSession>(std::move(spec));
+  session->attach_store(st);
+  return session;
+}
+
+/// Golden trace and run of `session` equal the from-scratch ones.
+void expect_scratch_identity(core::AnalysisSession& session,
+                             const Scratch& scratch, const std::string& what) {
+  const auto t = session.golden_trace();
+  EXPECT_TRUE(same_columns(*t, scratch.trace)) << what;
+  const auto g = session.golden();
+  EXPECT_EQ(g->trap, scratch.run.trap) << what;
+  EXPECT_EQ(g->instructions, scratch.run.instructions) << what;
+  EXPECT_EQ(g->outputs, scratch.run.outputs) << what;
+}
+
+TEST(StoreLineage, SplicedTracesEqualScratchRunsAllApps) {
+  // Per app: the pristine module's full trace becomes the lineage root;
+  // then the four latest-first-executing f64 constants and the earliest
+  // one are edited. Each edited session must splice (trace only rows
+  // [R, N)), match a from-scratch traced run in every column and in its
+  // golden run, and publish a derived trace a second session loads with
+  // no traced execution at all.
+  std::size_t edits = 0;
+  for (const auto& name : apps::all_app_names()) {
+    TempDir dir;
+    auto st = std::make_shared<store::ArtifactStore>(dir.path + "/store");
+    const auto spec = apps::build_app(name);
+    const auto pristine = store_session(spec, st);
+    const auto root = pristine->golden_trace();
+    ASSERT_EQ(st->counters().lineage_roots, 1u) << name;
+    const auto first = first_rows(*root);
+
+    std::vector<std::uint32_t> cands;
+    for (std::uint32_t pc = 0; pc < first.size(); ++pc) {
+      const auto& d = pristine->program()->code()[pc];
+      if (first[pc] < root->size() && has_imm(spec, d, ir::OperandKind::ImmF)) {
+        cands.push_back(pc);
+      }
+    }
+    ASSERT_FALSE(cands.empty()) << name;
+    std::stable_sort(cands.begin(), cands.end(), [&](auto a, auto b) {
+      return first[a] > first[b];
+    });
+    std::vector<std::uint32_t> picked(
+        cands.begin(), cands.begin() + std::min<std::size_t>(4, cands.size()));
+    if (std::find(picked.begin(), picked.end(), cands.back()) == picked.end()) {
+      picked.push_back(cands.back());  // the earliest-executing constant
+    }
+
+    for (const auto pc : picked) {
+      const std::string what = name + " pc " + std::to_string(pc) +
+                               " first row " + std::to_string(first[pc]) +
+                               " of " + std::to_string(root->size());
+      const auto edited = edit_constant(spec, *pristine->program(), pc);
+      const auto scratch = scratch_trace(edited);
+      const auto session = store_session(edited, st);
+      if (!scratch.run.completed()) {
+        EXPECT_THROW((void)session->golden_trace(), std::runtime_error) << what;
+        continue;
+      }
+      expect_scratch_identity(*session, scratch, what);
+      EXPECT_EQ(session->traced_instructions_executed(),
+                scratch.run.instructions - first[pc])
+          << what;
+      // The derived trace: a second session traces nothing.
+      const auto warm = store_session(edited, st);
+      expect_scratch_identity(*warm, scratch, what + " (derived load)");
+      EXPECT_EQ(warm->traced_instructions_executed(), 0u) << what;
+      ++edits;
+    }
+    EXPECT_EQ(st->counters().lineage_roots, 1u) << name;
+    EXPECT_EQ(st->counters().corrupt, 0u) << name;
+  }
+  EXPECT_GE(edits, 40u);
+}
+
+/// A root, one spliced edit of it, and the derived trace that edit
+/// published — the fixture of the robustness cases.
+struct DerivedFixture {
+  TempDir dir;
+  std::shared_ptr<store::ArtifactStore> st;
+  apps::AppSpec edited;
+  std::string root_path;
+  std::uint64_t prefix_rows = 0;
+};
+
+void make_derived(DerivedFixture& f, const std::string& app) {
+  f.st = std::make_shared<store::ArtifactStore>(f.dir.path + "/store");
+  const auto spec = apps::build_app(app);
+  const auto pristine = store_session(spec, f.st);
+  const auto root = pristine->golden_trace();
+  const auto first = first_rows(*root);
+  // The latest-first-executing f64 constant.
+  std::uint32_t pc = 0;
+  std::uint64_t latest = 0;
+  for (std::uint32_t p = 0; p < first.size(); ++p) {
+    if (first[p] < root->size() && first[p] >= latest &&
+        has_imm(spec, pristine->program()->code()[p], ir::OperandKind::ImmF)) {
+      pc = p;
+      latest = first[p];
+    }
+  }
+  f.edited = edit_constant(spec, *pristine->program(), pc);
+  f.prefix_rows = first[pc];
+  ASSERT_GT(f.prefix_rows, 0u);
+  const auto session = store_session(f.edited, f.st);
+  (void)session->golden_trace();
+  ASSERT_EQ(session->traced_instructions_executed(),
+            session->golden()->instructions - f.prefix_rows);
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(store::trace_key(
+                    store::hash_module(spec.module),
+                    store::hash_options(spec.base))));
+  f.root_path = f.dir.path + "/store/traces/" + hex + ".fttrace";
+  ASSERT_TRUE(fs::exists(f.root_path));
+}
+
+TEST(StoreLineage, DamagedRootIsACountedMissAndAFullTrace) {
+  // The derived trace's root segment removed, truncated or byte-flipped
+  // inside the shared prefix: loading the derived trace and splicing anew
+  // both miss, and the session falls back to a full traced run whose
+  // columns equal a from-scratch trace.
+  for (const char* damage : {"removed", "truncated", "byte-flipped"}) {
+    DerivedFixture f;
+    make_derived(f, "MG");
+    if (std::string(damage) == "removed") {
+      fs::remove(f.root_path);
+    } else if (std::string(damage) == "truncated") {
+      truncate_file(f.root_path, fs::file_size(f.root_path) - 8);
+    } else {
+      // The activation column's first row: structurally still valid, so
+      // only the content check can catch it.
+      store::TraceFileHeader h;
+      std::uint32_t act = 0;
+      {
+        std::ifstream in(f.root_path, std::ios::binary);
+        in.read(reinterpret_cast<char*>(&h), sizeof h);
+        in.seekg(static_cast<std::streamoff>(
+            store::trace_layout(h.rows, h.ops, h.extras).activation));
+        in.read(reinterpret_cast<char*>(&act), sizeof act);
+      }
+      act ^= 0x40;
+      stomp_bytes(f.root_path,
+                  store::trace_layout(h.rows, h.ops, h.extras).activation,
+                  &act, sizeof act);
+    }
+    const auto before = f.st->counters();
+    const auto scratch = scratch_trace(f.edited);
+    const auto session = store_session(f.edited, f.st);
+    expect_scratch_identity(*session, scratch, damage);
+    EXPECT_EQ(session->traced_instructions_executed(),
+              scratch.run.instructions)
+        << damage;
+    const auto after = f.st->counters();
+    // Misses: the full segment, the derived trace, the root prefix.
+    EXPECT_EQ(after.misses - before.misses, 3u) << damage;
+    EXPECT_EQ(after.corrupt - before.corrupt,
+              std::string(damage) == "removed" ? 1u : 2u)
+        << damage;
+  }
+}
+
+TEST(StoreLineage, LineageRecordWithWrongDigestCountIsNotUsed) {
+  TempDir dir;
+  auto st = std::make_shared<store::ArtifactStore>(dir.path + "/store");
+  const auto spec = apps::build_app("MG");
+  const auto program = vm::DecodedProgram::decode(spec.module);
+  const auto key = store::lineage_key(spec.module, store::hash_options(spec.base));
+  store::LineageRoot bogus;
+  bogus.digests.assign(program.code_size() + 1, 0);
+  ASSERT_TRUE(st->publish_lineage(key, bogus));
+  EXPECT_FALSE(st->load_lineage(key, program.code_size()).has_value());
+  EXPECT_EQ(st->counters().corrupt, 1u);
+
+  const auto scratch = scratch_trace(spec);
+  const auto session = store_session(spec, st);
+  expect_scratch_identity(*session, scratch, "wrong digest count");
+  EXPECT_EQ(session->traced_instructions_executed(), scratch.run.instructions);
+  EXPECT_EQ(st->counters().corrupt, 2u);
+  // The bad record is not replaced: first publisher wins.
+  EXPECT_EQ(st->counters().lineage_roots, 1u);
+}
+
+TEST(StoreLineage, InsertedInstructionChangesTheLineage) {
+  // Inserting an instruction moves every later pc: the lineage key differs,
+  // no root is consulted, and the edited module roots a lineage of its own.
+  TempDir dir;
+  auto st = std::make_shared<store::ArtifactStore>(dir.path + "/store");
+  const auto spec = apps::build_app("MG");
+  (void)store_session(spec, st)->golden_trace();
+  ASSERT_EQ(st->counters().lineage_roots, 1u);
+
+  auto edited = spec;
+  bool inserted = false;
+  for (std::uint32_t f = 0; f < edited.module.num_functions(); ++f) {
+    for (auto& b : edited.module.function(f).blocks) {
+      for (std::size_t i = 0; i < b.instrs.size() && !inserted; ++i) {
+        const auto ins = b.instrs[i];
+        if (ins.op != ir::Opcode::FAdd || ins.result == ir::kNoReg) continue;
+        const bool self_read =
+            std::any_of(ins.ops.begin(), ins.ops.end(), [&](const auto& o) {
+              return o.kind == ir::OperandKind::Reg && o.id == ins.result;
+            });
+        if (self_read) continue;
+        // Recomputing the same value right after: same semantics, one
+        // more instruction.
+        b.instrs.insert(b.instrs.begin() + static_cast<std::ptrdiff_t>(i) + 1,
+                        ins);
+        inserted = true;
+      }
+    }
+  }
+  ASSERT_TRUE(inserted);
+  EXPECT_NE(store::lineage_key(edited.module, store::hash_options(edited.base)),
+            store::lineage_key(spec.module, store::hash_options(spec.base)));
+  const auto scratch = scratch_trace(edited);
+  ASSERT_TRUE(scratch.run.completed());
+  const auto session = store_session(edited, st);
+  expect_scratch_identity(*session, scratch, "inserted instruction");
+  EXPECT_EQ(session->traced_instructions_executed(), scratch.run.instructions);
+  EXPECT_EQ(st->counters().lineage_roots, 2u);
+}
+
+TEST(StoreLineage, EditThatNeverExecutesCopiesTheWholeRoot) {
+  // R == N: the changed pc never runs, the whole trace is the root's, the
+  // suffix is empty and the session traces nothing.
+  std::size_t tested = 0;
+  for (const auto& name : apps::all_app_names()) {
+    TempDir dir;
+    auto st = std::make_shared<store::ArtifactStore>(dir.path + "/store");
+    const auto spec = apps::build_app(name);
+    const auto pristine = store_session(spec, st);
+    const auto first = first_rows(*pristine->golden_trace());
+    const auto n = pristine->golden_trace()->size();
+    std::uint32_t pc = 0;
+    while (pc < first.size() &&
+           !(first[pc] == n &&
+             (has_imm(spec, pristine->program()->code()[pc],
+                      ir::OperandKind::ImmF) ||
+              has_imm(spec, pristine->program()->code()[pc],
+                      ir::OperandKind::ImmI)))) {
+      ++pc;
+    }
+    if (pc == first.size()) continue;  // every constant executes
+    const auto edited = edit_constant(spec, *pristine->program(), pc);
+    const auto scratch = scratch_trace(edited);
+    const auto session = store_session(edited, st);
+    expect_scratch_identity(*session, scratch, name);
+    EXPECT_EQ(session->traced_instructions_executed(), 0u) << name;
+    const auto warm = store_session(edited, st);
+    expect_scratch_identity(*warm, scratch, name + " (derived load)");
+    ++tested;
+  }
+  EXPECT_GT(tested, 0u);
+}
+
+TEST(StoreLineage, ConcurrentEditsCreateExactlyOneRoot) {
+  // Four threads, four edits of one app, one fresh store: exactly one
+  // lineage root is created, and every trace — full, spliced or loaded,
+  // whichever the race hands it — equals its from-scratch run.
+  TempDir dir;
+  auto st = std::make_shared<store::ArtifactStore>(dir.path + "/store");
+  const auto spec = apps::build_app("CG");
+  const auto program = vm::DecodedProgram::decode(spec.module);
+  std::vector<apps::AppSpec> edits;
+  for (std::uint32_t pc = program.code_size(); pc-- > 0 && edits.size() < 4;) {
+    if (has_imm(spec, program.code()[pc], ir::OperandKind::ImmF)) {
+      auto e = edit_constant(spec, program, pc);
+      if (scratch_trace(e).run.completed()) edits.push_back(std::move(e));
+    }
+  }
+  ASSERT_EQ(edits.size(), 4u);
+  std::vector<Scratch> scratch;
+  for (const auto& e : edits) scratch.push_back(scratch_trace(e));
+
+  std::vector<std::shared_ptr<core::AnalysisSession>> sessions(edits.size());
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < edits.size(); ++i) {
+    threads.emplace_back([&, i] {
+      sessions[i] = store_session(edits[i], st);
+      ready.fetch_add(1);
+      while (ready.load() < static_cast<int>(edits.size())) {
+      }
+      (void)sessions[i]->golden_trace();
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (std::size_t i = 0; i < edits.size(); ++i) {
+    expect_scratch_identity(*sessions[i], scratch[i], "thread " + std::to_string(i));
+  }
+  EXPECT_EQ(st->counters().lineage_roots, 1u);
+  std::size_t records = 0;
+  for (const auto& entry : fs::directory_iterator(dir.path + "/store/blobs")) {
+    records += entry.path().extension() == ".lineage" ? 1 : 0;
+  }
+  EXPECT_EQ(records, 1u);
 }
 
 }  // namespace

@@ -124,6 +124,29 @@ TEST(Hash64, CountPrefixSeparatesAdjacentLists) {
 
 // --- rng ----------------------------------------------------------------------
 
+TEST(HashWords, EveryByteAndTheLengthCount) {
+  // The store's column checksum: a flip of any single bit of a buffer
+  // whose length is not a multiple of the 32-byte stride (so the 8-byte
+  // and zero-padded tail paths run too) changes the digest, and so does
+  // the length alone (a trailing zero byte).
+  std::vector<std::uint8_t> buf(45);
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<std::uint8_t>(i * 37 + 11);
+  }
+  const auto base = util::hash_words(buf.data(), buf.size());
+  EXPECT_EQ(base, util::hash_words(buf.data(), buf.size()));
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      buf[i] ^= static_cast<std::uint8_t>(1u << bit);
+      EXPECT_NE(util::hash_words(buf.data(), buf.size()), base) << i << ":" << bit;
+      buf[i] ^= static_cast<std::uint8_t>(1u << bit);
+    }
+  }
+  buf.push_back(0);
+  EXPECT_NE(util::hash_words(buf.data(), buf.size()), base);
+  EXPECT_NE(util::hash_words(nullptr, 0), base);
+}
+
 TEST(Rng, DeterministicFromSeed) {
   Rng a(42), b(42);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a(), b());

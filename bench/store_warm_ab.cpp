@@ -12,9 +12,18 @@
 // nonzero if the warm run executed any work or any count diverges;
 // scripts/bench_smoke.sh section 6 gates on warm wall-clock >= 5x faster.
 //
+// A second leg re-runs an edited module warm. One store holds the edit as
+// a derived trace spliced onto the pristine module's lineage root
+// (store/lineage.h: the root's prefix is copied and the suffix appended on
+// every load); the other holds the same edit as its own full segment
+// (mmap, no copy), the only form a store had before lineage roots. The
+// binary exits nonzero if either warm re-run executed work or their counts
+// differ; the two times are printed, not gated.
+//
 //   store_warm_ab [--trials=N] [--seed=N] [--app=NAME] [--reps=N]
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
@@ -22,6 +31,80 @@
 
 #include "bench_common.h"
 #include "store/artifact_store.h"
+
+namespace {
+
+using namespace ft;
+
+/// `spec` with its latest-first-executing f64 constant edited the way
+/// bench/compose_ab.cpp edits it.
+apps::AppSpec edit_latest_constant(const apps::AppSpec& spec) {
+  core::AnalysisSession session(spec);
+  const auto trace = session.golden_trace();
+  const auto cols = trace->raw();
+  const auto* code = session.program()->code();
+  const std::uint32_t n = session.program()->code_size();
+  std::vector<std::uint64_t> first(n, cols.rows);
+  for (std::uint64_t r = cols.rows; r-- > 0;) first[cols.pc[r]] = r;
+  std::uint32_t pc = 0;
+  std::uint64_t latest = 0;
+  for (std::uint32_t p = 0; p < n; ++p) {
+    const auto& ins = spec.module.function(code[p].func)
+                          .blocks[code[p].block]
+                          .instrs[code[p].instr];
+    const bool immf = std::any_of(ins.ops.begin(), ins.ops.end(), [](auto& o) {
+      return o.kind == ir::OperandKind::ImmF;
+    });
+    if (immf && first[p] < cols.rows && first[p] >= latest) {
+      pc = p;
+      latest = first[p];
+    }
+  }
+  auto out = spec;
+  for (auto& op : out.module.function(code[pc].func)
+                      .blocks[code[pc].block]
+                      .instrs[code[pc].instr]
+                      .ops) {
+    if (op.kind == ir::OperandKind::ImmF) {
+      op.imm_f = op.imm_f * 1.0009765625 + 0.0009765625;
+    }
+  }
+  return out;
+}
+
+/// Best-of-`reps` warm whole-app request and golden-trace fetch of `spec`
+/// against the store at `dir`.
+struct WarmRerun {
+  double request_ms = 1e30;
+  double trace_ms = 1e30;
+  core::AnalysisReport report;
+  std::uint64_t fetch_traced = 0;  // instructions traced by the fetches
+};
+
+WarmRerun warm_rerun(const apps::AppSpec& spec, const std::string& dir,
+                     const fault::CampaignConfig& cfg, int reps) {
+  WarmRerun out;
+  for (int r = 0; r < reps; ++r) {
+    util::Stopwatch sw;
+    auto rep = core::run_analysis(
+        core::AnalysisRequest().app(spec).app_campaign(cfg).store_dir(dir));
+    const double ms = sw.seconds() * 1e3;
+    if (ms < out.request_ms) {
+      out.request_ms = ms;
+      out.report = std::move(rep);
+    }
+    auto st = std::make_shared<store::ArtifactStore>(dir);
+    core::AnalysisSession session(spec);
+    session.attach_store(st);
+    sw.reset();
+    (void)session.golden_trace();
+    out.trace_ms = std::min(out.trace_ms, sw.seconds() * 1e3);
+    out.fetch_traced += session.traced_instructions_executed();
+  }
+  return out;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace ft;
@@ -129,7 +212,44 @@ int main(int argc, char** argv) {
                   : 100.0 * static_cast<double>(warm.store_hits) /
                         static_cast<double>(hit_total));
 
+  // --- leg 2: warm re-run of an edited module, derived vs full segment ----
+  const auto edited = edit_latest_constant(spec);
+  const auto campaign = cfg.campaign(40);
+  const std::string derived_dir = store_dir + "/derived";
+  const std::string full_dir = store_dir + "/full";
+  const auto cold_request = [&](const apps::AppSpec& s, const std::string& d) {
+    return core::run_analysis(
+        core::AnalysisRequest().app(s).app_campaign(campaign).store_dir(d));
+  };
+  (void)cold_request(spec, derived_dir);  // the lineage root
+  const auto spliced = cold_request(edited, derived_dir);
+  const auto full = cold_request(edited, full_dir);
+  const auto via_derived = warm_rerun(edited, derived_dir, campaign, reps);
+  const auto via_full = warm_rerun(edited, full_dir, campaign, reps);
+  const auto& a = *via_derived.report.apps.at(0).whole_app;
+  const auto& b = *via_full.report.apps.at(0).whole_app;
+  const bool edit_identical = a.trials == b.trials && a.success == b.success &&
+                              a.failed == b.failed && a.crashed == b.crashed;
+  const bool edit_idle = via_derived.report.trials_executed == 0 &&
+                         via_derived.report.golden_traced_instructions == 0 &&
+                         via_derived.fetch_traced == 0 &&
+                         via_full.report.trials_executed == 0 &&
+                         via_full.report.golden_traced_instructions == 0 &&
+                         via_full.fetch_traced == 0;
+  std::printf("edited re-run: cold traced %llu (spliced) vs %llu (full) "
+              "instr\n",
+              static_cast<unsigned long long>(
+                  spliced.golden_traced_instructions),
+              static_cast<unsigned long long>(full.golden_traced_instructions));
+  std::printf("edited re-run warm: request %.2f ms (derived) vs %.2f ms "
+              "(full segment); golden trace fetch %.2f ms vs %.2f ms\n",
+              via_derived.request_ms, via_full.request_ms,
+              via_derived.trace_ms, via_full.trace_ms);
+  std::printf("edited re-run: identity: %s; warm executed nothing: %s\n",
+              edit_identical ? "OK" : "MISMATCH",
+              edit_idle ? "OK" : "VIOLATED");
+
   std::error_code ec;
   std::filesystem::remove_all(store_dir, ec);
-  return identical && warm_idle ? 0 : 1;
+  return identical && warm_idle && edit_identical && edit_idle ? 0 : 1;
 }

@@ -65,6 +65,7 @@ bool AnalysisSession::fill_trace_locked(std::uint64_t& trapped_at) {
       store_ ? store::trace_key(module_hash(), options_hash()) : 0;
   std::uint64_t lineage = 0;
   std::optional<store::LineageRoot> root;
+  bool record_found = false;  // a lineage record exists, usable or not
   if (store_) {
     // Store-first: mmap the persisted golden trace segments and adopt
     // them zero-copy (store/trace_io.h) — every TraceView reader runs
@@ -80,7 +81,7 @@ bool AnalysisSession::fill_trace_locked(std::uint64_t& trapped_at) {
       return true;
     }
     lineage = store::lineage_key(app_.module, options_hash());
-    root = store_->load_lineage(lineage, program_->code_size());
+    root = store_->load_lineage(lineage, program_->code_size(), record_found);
   }
   // Direct-emit traced run: the decoded hot loop appends columnar
   // records itself — no observer, no DynInstr materialization. With a
@@ -112,18 +113,17 @@ bool AnalysisSession::fill_trace_locked(std::uint64_t& trapped_at) {
     if (spliced) {
       store_->publish_derived_trace(key, *root, prefix_rows, *trace_,
                                     module_hash());
-    } else {
-      store_->publish_trace(key, *trace_, module_hash());
-      if (!root) {
-        // The first full trace of a lineage becomes its root.
-        const auto cols = trace_->raw();
-        store::LineageRoot fresh;
-        fresh.segment = {key, module_hash(), cols.rows, cols.ops,
-                         cols.num_extras};
-        fresh.digests = store::instruction_digests(app_.module);
-        fresh.chunk_hashes = store::trace_chunk_hashes(cols);
-        store_->publish_lineage(lineage, fresh);
-      }
+    } else if (store_->publish_trace(key, *trace_, module_hash())) {
+      // The first full trace of a lineage becomes its root. A record that
+      // exists but could not serve — rejected, or naming a missing or
+      // damaged segment — is replaced by this trace, so splicing heals.
+      const auto cols = trace_->raw();
+      store::LineageRoot fresh;
+      fresh.segment = {key, module_hash(), cols.rows, cols.ops,
+                       cols.num_extras};
+      fresh.digests = store::instruction_digests(app_.module);
+      fresh.chunk_hashes = store::trace_chunk_hashes(cols);
+      store_->publish_lineage(lineage, fresh, /*replace=*/record_found);
     }
     store_->publish_golden(store::golden_key(module_hash(), options_hash()),
                            *golden_);

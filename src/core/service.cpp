@@ -131,6 +131,32 @@ class SingleFlightStore final : public store::ArtifactStore {
                      std::uint64_t program_hash) override {
     return inner_->publish_trace(key, t, program_hash);
   }
+  std::optional<store::LineageRoot> load_lineage(std::uint64_t key,
+                                                 std::size_t code_size,
+                                                 bool& found) override {
+    return inner_->load_lineage(key, code_size, found);
+  }
+  bool publish_lineage(std::uint64_t key, const store::LineageRoot& root,
+                       bool replace) override {
+    return inner_->publish_lineage(key, root, replace);
+  }
+  std::optional<store::RootPrefix> load_root_prefix(
+      const store::LineageRoot& root, std::span<const std::uint8_t> changed,
+      trace::ColumnTrace& out) override {
+    return inner_->load_root_prefix(root, changed, out);
+  }
+  bool publish_derived_trace(std::uint64_t key, const store::LineageRoot& root,
+                             std::uint64_t prefix_rows,
+                             const trace::ColumnTrace& t,
+                             std::uint64_t program_hash) override {
+    return inner_->publish_derived_trace(key, root, prefix_rows, t,
+                                         program_hash);
+  }
+  std::shared_ptr<const trace::ColumnTrace> load_derived_trace(
+      std::uint64_t key, std::shared_ptr<const vm::DecodedProgram> program,
+      std::uint64_t program_hash) override {
+    return inner_->load_derived_trace(key, std::move(program), program_hash);
+  }
   std::optional<vm::RunResult> load_golden(std::uint64_t key) override {
     return inner_->load_golden(key);
   }

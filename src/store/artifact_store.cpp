@@ -475,8 +475,9 @@ std::string ArtifactStore::blob_path(std::uint64_t key, BlobKind kind) const {
   return root_ + "/blobs/" + hex16(key) + "." + kind_ext(kind);
 }
 
-std::string ArtifactStore::tmp_path() {
-  const auto n = seq_.fetch_add(1, std::memory_order_relaxed);
+std::string ArtifactStore::tmp_path() const {
+  static std::atomic<std::uint64_t> seq{0};
+  const auto n = seq.fetch_add(1, std::memory_order_relaxed);
   return root_ + "/tmp/" + std::to_string(::getpid()) + "." +
          std::to_string(n);
 }
@@ -516,16 +517,22 @@ bool ArtifactStore::publish_trace(std::uint64_t key,
 }
 
 std::optional<LineageRoot> ArtifactStore::load_lineage(std::uint64_t key,
-                                                       std::size_t code_size) {
+                                                       std::size_t code_size,
+                                                       bool& found) {
   auto payload = load_blob(key, BlobKind::Lineage);
-  if (!payload) return std::nullopt;
+  if (!payload) {
+    std::error_code ec;
+    found = fs::exists(blob_path(key, BlobKind::Lineage), ec);
+    return std::nullopt;
+  }
+  found = true;
   auto decoded = decode_lineage(*payload, code_size);
   if (!decoded) corrupt_.fetch_add(1, std::memory_order_relaxed);
   return decoded;
 }
 
-bool ArtifactStore::publish_lineage(std::uint64_t key,
-                                    const LineageRoot& root) {
+bool ArtifactStore::publish_lineage(std::uint64_t key, const LineageRoot& root,
+                                    bool replace) {
   const std::string payload = encode_lineage(root);
   BlobHeader h;
   h.kind = static_cast<std::uint32_t>(BlobKind::Lineage);
@@ -537,8 +544,11 @@ bool ArtifactStore::publish_lineage(std::uint64_t key,
   if (!write_file(tmp, bytes.data(), bytes.size())) return false;
   // link(2) fails when the name exists: of concurrent publishers exactly
   // one creates the record, and it is complete the moment it is visible.
-  const bool created =
-      ::link(tmp.c_str(), blob_path(key, BlobKind::Lineage).c_str()) == 0;
+  // A replacer unlinks the unusable record first; a reader in between sees
+  // no record and at worst runs (and offers) a full trace of its own.
+  const std::string path = blob_path(key, BlobKind::Lineage);
+  if (replace) ::unlink(path.c_str());
+  const bool created = ::link(tmp.c_str(), path.c_str()) == 0;
   std::remove(tmp.c_str());
   if (!created) return false;
   bytes_written_.fetch_add(bytes.size(), std::memory_order_relaxed);

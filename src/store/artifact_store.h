@@ -171,32 +171,38 @@ class ArtifactStore {
                              std::uint64_t program_hash);
 
   // --- golden-trace lineage (store/lineage.h) -------------------------------
-  // Not virtual: these are the store's own file formats, driven only by
-  // core::AnalysisSession::fill_trace_locked. Every lookup counts a hit or
-  // a miss like the other kinds; a file that exists but is rejected also
-  // counts as corrupt.
+  // Driven by core::AnalysisSession::fill_trace_locked. Every lookup counts
+  // a hit or a miss like the other kinds; a file that exists but is
+  // rejected also counts as corrupt.
   /// The lineage record under `key`; nullopt when absent or rejected
-  /// (including a digest count other than `code_size`).
-  [[nodiscard]] std::optional<LineageRoot> load_lineage(std::uint64_t key,
-                                                        std::size_t code_size);
-  /// Create the lineage record under `key` unless one exists (first
-  /// publisher wins). Returns true only for the publisher that created it.
-  bool publish_lineage(std::uint64_t key, const LineageRoot& root);
+  /// (including a digest count other than `code_size`). `found` is set
+  /// when a record exists, usable or not.
+  [[nodiscard]] virtual std::optional<LineageRoot> load_lineage(
+      std::uint64_t key, std::size_t code_size, bool& found);
+  /// Commit `root` as the lineage record under `key`. With `replace` false
+  /// the record is created only when none exists (first publisher wins);
+  /// with `replace` true an existing record — one that could not serve —
+  /// is removed first, and of concurrent replacers each commit is whole.
+  /// Returns true only for a publisher whose record was committed.
+  virtual bool publish_lineage(std::uint64_t key, const LineageRoot& root,
+                               bool replace);
   /// read_root_prefix over `root`'s segment in this store (see there).
-  [[nodiscard]] std::optional<RootPrefix> load_root_prefix(
+  [[nodiscard]] virtual std::optional<RootPrefix> load_root_prefix(
       const LineageRoot& root, std::span<const std::uint8_t> changed,
       trace::ColumnTrace& out);
   /// Publish `t` under `key` as a derived trace of `root` sharing its
   /// first `prefix_rows` rows: only the suffix is written.
-  bool publish_derived_trace(std::uint64_t key, const LineageRoot& root,
-                             std::uint64_t prefix_rows,
-                             const trace::ColumnTrace& t,
-                             std::uint64_t program_hash);
+  virtual bool publish_derived_trace(std::uint64_t key,
+                                     const LineageRoot& root,
+                                     std::uint64_t prefix_rows,
+                                     const trace::ColumnTrace& t,
+                                     std::uint64_t program_hash);
   /// The derived trace under `key` as one owned trace (root prefix copied,
   /// suffix appended); nullptr when absent or rejected.
-  [[nodiscard]] std::shared_ptr<const trace::ColumnTrace> load_derived_trace(
-      std::uint64_t key, std::shared_ptr<const vm::DecodedProgram> program,
-      std::uint64_t program_hash);
+  [[nodiscard]] virtual std::shared_ptr<const trace::ColumnTrace>
+  load_derived_trace(std::uint64_t key,
+                     std::shared_ptr<const vm::DecodedProgram> program,
+                     std::uint64_t program_hash);
 
   // --- golden run results ---------------------------------------------------
   [[nodiscard]] virtual std::optional<vm::RunResult> load_golden(
@@ -235,7 +241,7 @@ class ArtifactStore {
     std::uint64_t bytes_written = 0;
     /// Orphaned tmp/ files from dead pids removed when this store opened.
     std::uint64_t stale_tmp_swept = 0;
-    /// Lineage records this store object created (publish_lineage wins).
+    /// Lineage records this store object committed (publish_lineage wins).
     std::uint64_t lineage_roots = 0;
   };
   [[nodiscard]] virtual Counters counters() const noexcept;
@@ -252,7 +258,10 @@ class ArtifactStore {
   [[nodiscard]] std::string trace_path(std::uint64_t key) const;
   [[nodiscard]] std::string derived_path(std::uint64_t key) const;
   [[nodiscard]] std::string blob_path(std::uint64_t key, BlobKind kind) const;
-  [[nodiscard]] std::string tmp_path();
+  /// A fresh tmp/ name, "<pid>.<n>" with `n` drawn from one process-wide
+  /// sequence: two store objects on one root (a delegating view and the
+  /// store it wraps) can never write the same scratch file.
+  [[nodiscard]] std::string tmp_path() const;
   /// Serialize-and-commit of one result blob (header + payload, tmp +
   /// rename). Returns false on I/O failure (the store stays consistent).
   bool publish_blob(std::uint64_t key, BlobKind kind,
@@ -267,7 +276,6 @@ class ArtifactStore {
   std::size_t sweep_stale_tmp();
 
   std::string root_;
-  std::atomic<std::uint64_t> seq_{0};  // unique tmp names within the process
   mutable std::atomic<std::uint64_t> hits_{0};
   mutable std::atomic<std::uint64_t> misses_{0};
   mutable std::atomic<std::uint64_t> corrupt_{0};

@@ -13,9 +13,12 @@
 ///     execution options), it names the first full trace segment published
 ///     under that key and holds one store::instruction_digests entry per pc
 ///     of that module, plus a content hash per kLineageChunkRows-row chunk
-///     of the segment. Write-once: the first publisher wins (link(2)
-///     create), and only a full traced run publishes one, so a root is
-///     always a plain trace segment;
+///     of the segment. The first publisher wins (link(2) create), and
+///     only a full traced run publishes one, so a root is always a plain
+///     trace segment. A record that could not serve (rejected, or its
+///     segment missing or damaged) is replaced by the full traced run
+///     that follows, so a damaged root costs one full trace, not the
+///     lineage;
 ///   * the **derived trace** (`traces/<key>.ftderived`, DerivedTraceHeader
 ///     in store/format.h): an edited module's trace stored as "the root
 ///     segment's rows [0, R)" plus its own suffix columns. It never becomes

@@ -14,11 +14,14 @@
 #include <string>
 #include <vector>
 
+#include "apps/app.h"
 #include "core/analysis.h"
 #include "core/service.h"
 #include "fault/campaign.h"
 #include "store/artifact_store.h"
 #include "util/scheduler.h"
+#include "vm/decode.h"
+#include "vm/interp.h"
 
 namespace ft {
 namespace {
@@ -191,6 +194,83 @@ TEST(CampaignService, StreamsMonotoneProgressEndingInFinalCounts) {
   EXPECT_EQ(last.unit.success, want.success);
   EXPECT_EQ(last.unit.failed, want.failed);
   EXPECT_EQ(last.unit.crashed, want.crashed);
+}
+
+// Requests that name a module by its spec run against a per-request view of
+// the shared store, and the golden-trace lineage calls (store/lineage.h)
+// must reach the shared store through it like every other store call. Four
+// concurrent requests for four constant edits of one app, against a store
+// holding the pristine module's lineage root, all splice onto that root —
+// the root is created once, on the shared store — and their counts match
+// storeless runs of the same edits.
+TEST(CampaignService, ConcurrentEditedSpecRequestsSpliceOnTheSharedStore) {
+  TempDir dir;
+  auto shared = std::make_shared<store::ArtifactStore>(dir.path + "/store");
+  util::Scheduler sched(4);
+  core::ServiceOptions opts;
+  opts.scheduler = &sched;
+  opts.store = shared;
+  core::CampaignService service(opts);
+  const auto request = [](const apps::AppSpec& spec) {
+    return core::AnalysisRequest().app(spec).app_campaign(small_campaign());
+  };
+
+  const auto spec = apps::build_app("CG");
+  const auto pristine = service.run(request(spec));
+  const auto n = pristine.golden_traced_instructions;
+  ASSERT_GT(n, 0u);
+  ASSERT_EQ(shared->counters().lineage_roots, 1u);
+
+  // The four last f64 constants in module order whose edited runs complete.
+  std::vector<apps::AppSpec> edits;
+  for (std::uint32_t f = spec.module.num_functions(); f-- > 0;) {
+    const auto& blocks = spec.module.function(f).blocks;
+    for (std::size_t b = blocks.size(); b-- > 0;) {
+      for (std::size_t i = blocks[b].instrs.size(); i-- > 0;) {
+        if (edits.size() == 4) break;
+        auto e = spec;
+        bool changed = false;
+        for (auto& op : e.module.function(f).blocks[b].instrs[i].ops) {
+          if (op.kind != ir::OperandKind::ImmF) continue;
+          op.imm_f = op.imm_f * 1.0009765625 + 0.0009765625;
+          changed = true;
+        }
+        if (!changed) continue;
+        const auto program = vm::DecodedProgram::decode(e.module);
+        if (vm::Vm::run(program, e.base).completed()) {
+          edits.push_back(std::move(e));
+        }
+      }
+    }
+  }
+  ASSERT_EQ(edits.size(), 4u);
+
+  const auto before = shared->counters();
+  std::vector<std::future<core::AnalysisReport>> futures;
+  for (const auto& e : edits) futures.push_back(service.submit(request(e)));
+  for (std::size_t i = 0; i < edits.size(); ++i) {
+    const auto report = futures[i].get();
+    const auto baseline = core::run_analysis(request(edits[i]));
+    const auto* got = report.find_app(spec.name);
+    const auto* want = baseline.find_app(spec.name);
+    ASSERT_TRUE(got != nullptr && got->whole_app.has_value());
+    ASSERT_TRUE(want != nullptr && want->whole_app.has_value());
+    expect_same_counts(*got->whole_app, *want->whole_app);
+    EXPECT_LT(report.golden_traced_instructions, n) << "edit " << i;
+  }
+  const auto after = shared->counters();
+  EXPECT_EQ(after.lineage_roots, 1u);
+  EXPECT_EQ(after.corrupt, 0u);
+  // Each edit read its lineage record and its root prefix on the shared
+  // store, and published one derived trace there.
+  EXPECT_GE(after.hits - before.hits, 2 * edits.size());
+  std::size_t derived = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(dir.path + "/store/traces")) {
+    derived += entry.path().extension() == ".ftderived" ? 1 : 0;
+  }
+  EXPECT_EQ(derived, edits.size());
+  EXPECT_TRUE(std::filesystem::is_empty(dir.path + "/store/tmp"));
 }
 
 // A failing request resolves its future with the thrown exception and does

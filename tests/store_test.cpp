@@ -780,29 +780,43 @@ TEST(StoreLineage, SplicedTracesEqualScratchRunsAllApps) {
 struct DerivedFixture {
   TempDir dir;
   std::shared_ptr<store::ArtifactStore> st;
+  apps::AppSpec spec;
+  std::shared_ptr<const vm::DecodedProgram> program;
+  std::vector<std::uint64_t> first;  // first_rows of the root trace
+  std::uint64_t rows = 0;            // the root trace's length
   apps::AppSpec edited;
+  std::uint32_t pc = 0;  // the pc `edited` changed
   std::string root_path;
   std::uint64_t prefix_rows = 0;
 };
 
-void make_derived(DerivedFixture& f, const std::string& app) {
-  f.st = std::make_shared<store::ArtifactStore>(f.dir.path + "/store");
-  const auto spec = apps::build_app(app);
-  const auto pristine = store_session(spec, f.st);
-  const auto root = pristine->golden_trace();
-  const auto first = first_rows(*root);
-  // The latest-first-executing f64 constant.
+/// The latest-first-executing f64 constant of the fixture's root trace
+/// other than `skip`.
+std::uint32_t latest_constant(const DerivedFixture& f,
+                              std::uint32_t skip = ~std::uint32_t{0}) {
   std::uint32_t pc = 0;
   std::uint64_t latest = 0;
-  for (std::uint32_t p = 0; p < first.size(); ++p) {
-    if (first[p] < root->size() && first[p] >= latest &&
-        has_imm(spec, pristine->program()->code()[p], ir::OperandKind::ImmF)) {
+  for (std::uint32_t p = 0; p < f.first.size(); ++p) {
+    if (p != skip && f.first[p] >= latest && f.first[p] < f.rows &&
+        has_imm(f.spec, f.program->code()[p], ir::OperandKind::ImmF)) {
       pc = p;
-      latest = first[p];
+      latest = f.first[p];
     }
   }
-  f.edited = edit_constant(spec, *pristine->program(), pc);
-  f.prefix_rows = first[pc];
+  return pc;
+}
+
+void make_derived(DerivedFixture& f, const std::string& app) {
+  f.st = std::make_shared<store::ArtifactStore>(f.dir.path + "/store");
+  f.spec = apps::build_app(app);
+  const auto& spec = f.spec;
+  const auto pristine = store_session(spec, f.st);
+  f.program = pristine->program();
+  f.first = first_rows(*pristine->golden_trace());
+  f.rows = pristine->golden_trace()->size();
+  f.pc = latest_constant(f);
+  f.edited = edit_constant(spec, *f.program, f.pc);
+  f.prefix_rows = f.first[f.pc];
   ASSERT_GT(f.prefix_rows, 0u);
   const auto session = store_session(f.edited, f.st);
   (void)session->golden_trace();
@@ -859,10 +873,24 @@ TEST(StoreLineage, DamagedRootIsACountedMissAndAFullTrace) {
     EXPECT_EQ(after.corrupt - before.corrupt,
               std::string(damage) == "removed" ? 1u : 2u)
         << damage;
+    // The full trace replaced the record: the next edit splices onto it.
+    EXPECT_EQ(after.lineage_roots - before.lineage_roots, 1u) << damage;
+    const auto pc2 = latest_constant(f, f.pc);
+    ASSERT_LT(f.first[pc2], f.first[f.pc]) << damage;
+    const auto edited2 = edit_constant(f.spec, *f.program, pc2);
+    const auto scratch2 = scratch_trace(edited2);
+    ASSERT_TRUE(scratch2.run.completed()) << damage;
+    const auto healed = store_session(edited2, f.st);
+    expect_scratch_identity(*healed, scratch2,
+                            std::string(damage) + " (healed)");
+    EXPECT_EQ(healed->traced_instructions_executed(),
+              scratch2.run.instructions - f.first[pc2])
+        << damage;
+    EXPECT_EQ(f.st->counters().corrupt, after.corrupt) << damage;
   }
 }
 
-TEST(StoreLineage, LineageRecordWithWrongDigestCountIsNotUsed) {
+TEST(StoreLineage, LineageRecordWithWrongDigestCountIsReplaced) {
   TempDir dir;
   auto st = std::make_shared<store::ArtifactStore>(dir.path + "/store");
   const auto spec = apps::build_app("MG");
@@ -870,8 +898,10 @@ TEST(StoreLineage, LineageRecordWithWrongDigestCountIsNotUsed) {
   const auto key = store::lineage_key(spec.module, store::hash_options(spec.base));
   store::LineageRoot bogus;
   bogus.digests.assign(program.code_size() + 1, 0);
-  ASSERT_TRUE(st->publish_lineage(key, bogus));
-  EXPECT_FALSE(st->load_lineage(key, program.code_size()).has_value());
+  ASSERT_TRUE(st->publish_lineage(key, bogus, /*replace=*/false));
+  bool found = false;
+  EXPECT_FALSE(st->load_lineage(key, program.code_size(), found).has_value());
+  EXPECT_TRUE(found);
   EXPECT_EQ(st->counters().corrupt, 1u);
 
   const auto scratch = scratch_trace(spec);
@@ -879,8 +909,26 @@ TEST(StoreLineage, LineageRecordWithWrongDigestCountIsNotUsed) {
   expect_scratch_identity(*session, scratch, "wrong digest count");
   EXPECT_EQ(session->traced_instructions_executed(), scratch.run.instructions);
   EXPECT_EQ(st->counters().corrupt, 2u);
-  // The bad record is not replaced: first publisher wins.
-  EXPECT_EQ(st->counters().lineage_roots, 1u);
+  // The full trace replaced the bad record, so an edit splices again.
+  EXPECT_EQ(st->counters().lineage_roots, 2u);
+  ASSERT_TRUE(st->load_lineage(key, program.code_size(), found).has_value());
+  const auto first = first_rows(scratch.trace);
+  std::uint32_t pc = 0;
+  std::uint64_t latest = 0;
+  for (std::uint32_t p = 0; p < first.size(); ++p) {
+    if (first[p] < scratch.trace.size() && first[p] >= latest &&
+        has_imm(spec, program.code()[p], ir::OperandKind::ImmF)) {
+      pc = p;
+      latest = first[p];
+    }
+  }
+  const auto edited = edit_constant(spec, program, pc);
+  const auto scratch2 = scratch_trace(edited);
+  const auto spliced = store_session(edited, st);
+  expect_scratch_identity(*spliced, scratch2, "after replacement");
+  EXPECT_EQ(spliced->traced_instructions_executed(),
+            scratch2.run.instructions - latest);
+  EXPECT_EQ(st->counters().corrupt, 2u);
 }
 
 TEST(StoreLineage, InsertedInstructionChangesTheLineage) {

@@ -234,28 +234,15 @@ void BM_LocationEventsQueries(benchmark::State& state) {
 }
 BENCHMARK(BM_LocationEventsQueries);
 
-void BM_DiffRun(benchmark::State& state) {
-  const auto mod = make_kernel();
-  // Both diff BMs thread the same reserve hint (the record count a session
-  // would pass), so the legacy/columnar substrate A/B times appending, not
-  // reallocation churn.
-  acl::DiffOptions opts;
-  opts.fault = vm::FaultPlan::result_bit(5000, 33);
-  opts.reserve_records = acl::diff_run(mod, opts).usable_records();
-  for (auto _ : state) {
-    auto diff = acl::diff_run(mod, opts);
-    benchmark::DoNotOptimize(diff.differs.size());
-  }
-}
-BENCHMARK(BM_DiffRun);
-
 void BM_DiffRunColumnar(benchmark::State& state) {
   const auto mod = make_kernel();
   const auto prog = std::make_shared<const vm::DecodedProgram>(
       vm::DecodedProgram::decode(mod));
   acl::DiffOptions opts;
   opts.fault = vm::FaultPlan::result_bit(5000, 33);
-  opts.reserve_records = acl::diff_run(*prog, opts).usable_records();
+  // Reserve from the record count, as AnalysisSession does, so the BM
+  // times appending rather than reallocation churn.
+  opts.reserve_records = acl::diff_run_columnar(prog, opts).usable_records();
   for (auto _ : state) {
     auto diff = acl::diff_run_columnar(prog, opts);
     benchmark::DoNotOptimize(diff.differs.size());
@@ -265,12 +252,12 @@ BENCHMARK(BM_DiffRunColumnar);
 
 void BM_AclSweep(benchmark::State& state) {
   const auto mod = make_kernel();
+  const auto prog = std::make_shared<const vm::DecodedProgram>(
+      vm::DecodedProgram::decode(mod));
   acl::DiffOptions opts;
   opts.fault = vm::FaultPlan::result_bit(5000, 33);
-  const auto diff = acl::diff_run(mod, opts);
-  const auto events = trace::LocationEvents::build(
-      std::span<const vm::DynInstr>(diff.faulty.records.data(),
-                                    diff.usable_records()));
+  const auto diff = acl::diff_run_columnar(prog, opts);
+  const auto events = trace::LocationEvents::build(diff.records());
   for (auto _ : state) {
     auto acl_series = acl::build_acl(diff, events);
     benchmark::DoNotOptimize(acl_series.count.data());

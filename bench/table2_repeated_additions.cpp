@@ -6,6 +6,8 @@
 // Paper shape: original vs corrupted values per mg3P invocation, with
 // monotonically decreasing error magnitude (their Table II: 6.2e-10 ->
 // 1.3e-10 -> 6.5e-11 over invocations 2-4).
+#include <optional>
+
 #include "bench_common.h"
 #include "util/bits.h"
 #include "util/cli.h"
@@ -32,16 +34,14 @@ int main(int argc, char** argv) {
 
   const auto plan =
       vm::FaultPlan::region_input_bit(app.main_region, instance, addr, 8, bit);
-  const auto diff = session.diff_with(plan);
+  const auto diff = session.column_diff_with(plan);
   if (diff.diverged()) {
     std::printf("unexpected control-flow divergence at %llu\n",
                 static_cast<unsigned long long>(diff.divergence_index));
   }
 
   // Last write to the element within each main-loop instance.
-  const auto span = std::span<const vm::DynInstr>(
-      diff.faulty.records.data(), diff.usable_records());
-  const auto instances = trace::segment_regions(span);
+  const auto instances = trace::segment_regions(diff.faulty);
   const auto mains = trace::instances_of(instances, app.main_region);
 
   util::Table table(
@@ -50,14 +50,13 @@ int main(int argc, char** argv) {
   bool monotone = true;
   bool corruption_seen = false;
   for (const auto& inst : mains) {
-    const vm::DynInstr* last_write = nullptr;
+    std::optional<vm::DynInstr> last_write;
     std::uint64_t clean_bits = 0;
-    for (std::uint64_t i = inst.body_begin();
-         i < inst.body_end() && i < diff.usable_records(); ++i) {
-      const auto& r = diff.faulty.records[i];
+    for (const vm::DynInstr& r :
+         diff.records().slice(inst.body_begin(), inst.body_end())) {
       if (r.op == ir::Opcode::Store && r.mem_addr == addr) {
-        last_write = &r;
-        clean_bits = diff.clean_bits[i];
+        last_write = r;
+        clean_bits = diff.clean_bits[r.index];
       }
     }
     if (!last_write) continue;

@@ -3,17 +3,17 @@
 // (TraceCollector behind the virtual ExecObserver hook), on repeated full
 // traced runs of the CG golden workload.
 //
-// Reports instructions/sec for both substrates, the resident bytes/record
-// of each, and verifies end-to-end analysis equivalence: identical ACL
-// series/events and pattern counts for one injection analyzed on both
-// substrates. scripts/bench_smoke.sh gates on the columnar path staying
+// Reports instructions/sec for both substrates and the resident
+// bytes/record of each, then checks the lockstep differential run against
+// plain runs: for one injection, the columnar diff's faulty rows must equal
+// the observer-collected faulted run and its clean columns the observer
+// golden run. scripts/bench_smoke.sh gates on the columnar path staying
 // >= 2x the observer baseline and >= 3x smaller per record; the binary
-// exits nonzero if the equivalence check fails.
+// exits nonzero if the diff check fails.
 //
 //   trace_substrate_ab [--reps=N] [--app=NAME]
-#include "acl/table.h"
+#include "acl/diff.h"
 #include "bench_common.h"
-#include "patterns/detect.h"
 #include "trace/collector.h"
 #include "trace/column.h"
 #include "vm/decode.h"
@@ -91,49 +91,62 @@ int main(int argc, char** argv) {
   std::printf("bytes/record ratio: %.2fx smaller\n",
               observer.bytes_per_record / columnar.bytes_per_record);
 
-  // --- end-to-end equivalence: same injection, both substrates -------------
+  // --- the lockstep diff against two plain observer runs -------------------
   acl::DiffOptions dopts;
   dopts.base = app.base;
   dopts.fault = vm::FaultPlan::result_bit(20000, 33);
-  // Apples-to-apples timing: both substrates get the same reserve hint
-  // (the golden record count, what AnalysisSession passes), so neither
-  // side pays reallocation churn the other avoided.
+  // Reserve from the golden record count, as AnalysisSession does.
   dopts.reserve_records = columnar.records;
-  const util::Stopwatch legacy_sw;
-  const auto legacy_diff = acl::diff_run(*prog, dopts);
-  const double legacy_diff_ms = legacy_sw.millis();
-  const util::Stopwatch col_sw;
-  const auto col_diff = acl::diff_run_columnar(prog, dopts);
-  const double col_diff_ms = col_sw.millis();
-  std::printf("diff wall (reserved %zu records): legacy %.1f ms, "
-              "columnar %.1f ms\n",
-              dopts.reserve_records, legacy_diff_ms, col_diff_ms);
+  const util::Stopwatch diff_sw;
+  const auto diff = acl::diff_run_columnar(prog, dopts);
+  std::printf("diff wall (reserved %zu records): %.1f ms\n",
+              dopts.reserve_records, diff_sw.millis());
 
-  const auto legacy_events = trace::LocationEvents::build(
-      std::span<const vm::DynInstr>(legacy_diff.faulty.records.data(),
-                                    legacy_diff.usable_records()));
-  const auto col_events = trace::LocationEvents::build(col_diff.records());
-  const auto legacy_acl = acl::build_acl(legacy_diff, legacy_events);
-  const auto col_acl = acl::build_acl(col_diff, col_events);
-  const auto legacy_patterns =
-      patterns::detect_patterns(legacy_diff, legacy_events);
-  const auto col_patterns = patterns::detect_patterns(col_diff, col_events);
+  const auto observed = [&](const vm::FaultPlan& plan) {
+    trace::TraceCollector sink;
+    vm::VmOptions opts = app.base;
+    opts.program = prog.get();
+    opts.observer = &sink;
+    opts.fault = plan;
+    (void)vm::Vm::run(app.module, opts);
+    return sink.take();
+  };
+  const auto golden = observed(vm::FaultPlan::none());
+  const auto faulted = observed(dopts.fault);
 
-  bool events_equal = legacy_acl.events.size() == col_acl.events.size();
-  for (std::size_t i = 0; events_equal && i < legacy_acl.events.size(); ++i) {
-    const auto& a = legacy_acl.events[i];
-    const auto& b = col_acl.events[i];
-    events_equal = a.index == b.index && a.loc == b.loc && a.kind == b.kind &&
-                   a.faulty_bits == b.faulty_bits &&
-                   a.clean_bits == b.clean_bits;
+  // The diff covers exactly the rows where both runs are at the same site.
+  std::size_t lockstep = 0;
+  while (lockstep < golden.size() && lockstep < faulted.size()) {
+    const auto& g = golden.records[lockstep];
+    const auto& f = faulted.records[lockstep];
+    if (g.func != f.func || g.block != f.block || g.instr != f.instr) break;
+    ++lockstep;
   }
-  const bool identical = events_equal && legacy_acl.count == col_acl.count &&
-                         legacy_patterns.counts == col_patterns.counts;
-  std::printf("acl equivalence: %s (%zu events, %zu series points, "
-              "pattern counts %s)\n",
-              identical ? "identical" : "MISMATCH", col_acl.events.size(),
-              col_acl.count.size(),
-              legacy_patterns.counts == col_patterns.counts ? "equal"
-                                                            : "DIFFER");
+  std::size_t row = 0;
+  if (diff.usable_records() == lockstep) {
+    for (const vm::DynInstr& r : diff.records()) {
+      const auto& f = faulted.records[row];
+      const auto& g = golden.records[row];
+      const bool comparable = f.result_loc != vm::kNoLoc ||
+                              f.op == ir::Opcode::Emit ||
+                              f.op == ir::Opcode::EmitTrunc;
+      if (r != f || diff.clean_bits[row] != g.result_bits ||
+          diff.clean_op_bits[row] != g.op_bits ||
+          diff.differs[row] != (comparable && f.result_bits != g.result_bits)) {
+        break;
+      }
+      ++row;
+    }
+  }
+  const bool identical = lockstep > 0 && row == lockstep;
+  if (identical) {
+    std::printf("diff oracle: identical (%zu lockstep rows vs observer "
+                "faulted and golden runs)\n",
+                lockstep);
+  } else {
+    std::printf("diff oracle: MISMATCH at row %zu (%zu diff rows, %zu "
+                "lockstep rows)\n",
+                row, diff.usable_records(), lockstep);
+  }
   return identical ? 0 : 1;
 }

@@ -67,7 +67,7 @@ int main() {
 
   // 4. Differential run: faulty vs fault-free, in lockstep.
   const auto plan = vm::FaultPlan::result_bit(target, 50);
-  const auto diff = session.diff_with(plan);
+  const auto diff = session.column_diff_with(plan);
   std::printf("faulty sum = %.3f (clean %.3f)\n",
               diff.faulty_result.outputs[0].as_f64(),
               diff.clean_result.outputs[0].as_f64());

@@ -10,9 +10,9 @@
 #  2. Trace substrate A/B (trace_substrate_ab): columnar direct-emit traced
 #     execution vs the DynInstr-observer baseline on the CG traced run.
 #     Columnar must stay >= 2x in instructions/sec and >= 3x smaller in
-#     resident bytes/record, with bit-identical ACL series/events and
-#     pattern counts on both substrates (the binary exits nonzero on an
-#     equivalence failure).
+#     resident bytes/record. The lockstep diff of one injection must match
+#     two plain observer runs: faulty rows equal the faulted run's records,
+#     clean columns the golden run's (the binary exits nonzero otherwise).
 #
 #  3. Batched analysis (fig5 on CG): the Fig. 5 request on one app through
 #     the batched work queue. The section fails when the binary exits
@@ -135,8 +135,8 @@ awk -v s="$engine_speedup" 'BEGIN {
 
 echo
 echo "== bench smoke 2/10: columnar vs DynInstr-observer traced run on CG =="
-# The binary exits nonzero when the ACL series/events or pattern counts
-# differ between substrates, failing the smoke under pipefail.
+# The binary exits nonzero when the lockstep diff disagrees with the plain
+# faulted and golden observer runs, failing the smoke under pipefail.
 "$trace_ab" | tee "$tmp_trace"
 cat "$tmp_trace" >> "$out"
 

@@ -1,55 +1,34 @@
 #include "acl/diff.h"
 
+#include <algorithm>
+
 namespace ft::acl {
 
 namespace {
 
-/// Per-record faulty-stream recorder for the array-of-structs substrate.
-struct TraceRecorder {
-  DiffResult& out;
-  void reserve(std::size_t n) { out.faulty.records.reserve(n); }
-  void append(const vm::DynInstr& frec, std::uint32_t /*pc*/) {
-    out.faulty.records.push_back(frec);
-  }
-  [[nodiscard]] std::size_t size() const { return out.faulty.records.size(); }
-};
-
-/// Columnar recorder: appends straight into the ColumnTrace.
-struct ColumnRecorder {
-  ColumnDiff& out;
-  void reserve(std::size_t n) { out.faulty.reserve(n); }
-  void append(const vm::DynInstr& frec, std::uint32_t pc) {
-    out.faulty.append(frec, pc);
-  }
-  [[nodiscard]] std::size_t size() const { return out.faulty.size(); }
-};
-
-/// The engine- and substrate-agnostic lockstep core: both VMs are already
-/// constructed (same program, clean vs faulty fault plan) and are stepped
-/// side by side; `rec` owns the faulty-stream representation.
-template <typename Result, typename Recorder>
+/// The lockstep core: both VMs are already constructed on the same decoded
+/// program (clean vs faulty fault plan) and are stepped side by side; the
+/// faulty stream is appended straight into `out.faulty`.
 void diff_between(vm::Vm& clean, vm::Vm& faulty, const DiffOptions& opts,
-                  Result& out, Recorder rec) {
+                  ColumnDiff& out) {
   if (opts.reserve_records != 0) {
     const auto n = opts.max_records != 0
                        ? std::min(opts.reserve_records, opts.max_records)
                        : opts.reserve_records;
-    rec.reserve(n);
+    out.faulty.reserve(n);
     out.clean_bits.reserve(n);
     out.clean_op_bits.reserve(n);
     out.differs.reserve(n);
   }
 
-  // Lockstep same-site check: with one shared decoded program the flat pc
-  // identifies the static site; the legacy engine compares coordinates.
-  const bool decoded = opts.base.program != nullptr;
-
   vm::DynInstr crec, frec;
   bool recording = true;
   while (clean.status() == vm::Vm::Status::Running &&
          faulty.status() == vm::Vm::Status::Running) {
-    const std::uint32_t fpc = decoded ? faulty.next_pc() : 0;
-    const std::uint32_t cpc = decoded ? clean.next_pc() : 0;
+    // With one shared decoded program the flat pc identifies the static
+    // site, so "same site" is a pc compare.
+    const std::uint32_t fpc = faulty.next_pc();
+    const std::uint32_t cpc = clean.next_pc();
     const auto cs = clean.step(&crec);
     const auto fs = faulty.step(&frec);
     const bool clean_retired = cs != vm::Vm::Status::Trapped;
@@ -62,17 +41,13 @@ void diff_between(vm::Vm& clean, vm::Vm& faulty, const DiffOptions& opts,
       break;
     }
 
-    const bool same_site =
-        decoded ? cpc == fpc
-                : crec.func == frec.func && crec.block == frec.block &&
-                      crec.instr == frec.instr && crec.op == frec.op;
-    if (!same_site) {
+    if (cpc != fpc) {
       out.divergence_index = frec.index;
       break;
     }
 
     if (recording) {
-      rec.append(frec, fpc);
+      out.faulty.append(frec, fpc);
       out.clean_bits.push_back(crec.result_bits);
       out.clean_op_bits.push_back(crec.op_bits);
       // Register defs, memory stores, and emitted output values are
@@ -83,7 +58,7 @@ void diff_between(vm::Vm& clean, vm::Vm& faulty, const DiffOptions& opts,
                               frec.op == ir::Opcode::EmitTrunc;
       out.differs.push_back(comparable &&
                             frec.result_bits != crec.result_bits);
-      if (opts.max_records != 0 && rec.size() >= opts.max_records) {
+      if (opts.max_records != 0 && out.faulty.size() >= opts.max_records) {
         recording = false;
         out.truncated = true;
       }
@@ -108,53 +83,23 @@ void diff_between(vm::Vm& clean, vm::Vm& faulty, const DiffOptions& opts,
   out.faulty_result = faulty.take_result();
 }
 
-std::pair<vm::VmOptions, vm::VmOptions> split_options(
+}  // namespace
+
+ColumnDiff diff_run_columnar(
+    std::shared_ptr<const vm::DecodedProgram> program,
     const DiffOptions& opts) {
   vm::VmOptions clean_opts = opts.base;
+  clean_opts.program = program.get();
   clean_opts.observer = nullptr;
   clean_opts.column_sink = nullptr;
   clean_opts.fault = vm::FaultPlan::none();
   vm::VmOptions faulty_opts = clean_opts;
   faulty_opts.fault = opts.fault;
-  return {clean_opts, faulty_opts};
-}
-
-}  // namespace
-
-DiffResult diff_run(const ir::Module& m, const DiffOptions& opts) {
-  DiffOptions local = opts;
-  local.base.program = nullptr;  // module overload stays on the legacy engine
-  auto [clean_opts, faulty_opts] = split_options(local);
-  vm::Vm clean(m, clean_opts);
-  vm::Vm faulty(m, faulty_opts);
-  DiffResult out;
-  diff_between(clean, faulty, local, out, TraceRecorder{out});
-  return out;
-}
-
-DiffResult diff_run(const vm::DecodedProgram& program,
-                    const DiffOptions& opts) {
-  DiffOptions local = opts;
-  local.base.program = &program;
-  auto [clean_opts, faulty_opts] = split_options(local);
-  vm::Vm clean(program, clean_opts);
-  vm::Vm faulty(program, faulty_opts);
-  DiffResult out;
-  diff_between(clean, faulty, local, out, TraceRecorder{out});
-  return out;
-}
-
-ColumnDiff diff_run_columnar(
-    std::shared_ptr<const vm::DecodedProgram> program,
-    const DiffOptions& opts) {
-  DiffOptions local = opts;
-  local.base.program = program.get();
-  auto [clean_opts, faulty_opts] = split_options(local);
   vm::Vm clean(*program, clean_opts);
   vm::Vm faulty(*program, faulty_opts);
   ColumnDiff out;
   out.faulty = trace::ColumnTrace(std::move(program));
-  diff_between(clean, faulty, local, out, ColumnRecorder{out});
+  diff_between(clean, faulty, opts, out);
   return out;
 }
 

@@ -5,19 +5,13 @@
 // between faulty and fault-free runs"). Because the VM is deterministic, the
 // two instruction streams are identical record-by-record until either the
 // fault alters control flow (a corrupted branch) or the faulty run traps.
-// diff_run() steps both VMs in lockstep, records the faulty stream, the
-// matching clean result values, and the first divergence point if any.
-//
-// Two result substrates:
-//  * DiffResult      — array-of-structs trace::Trace faulty stream; produced
-//                      by both diff_run overloads. The module overload (the
-//                      legacy-engine A/B reference) only produces this form.
-//  * ColumnDiff      — columnar trace::ColumnTrace faulty stream, produced
-//                      by diff_run_columnar on the decoded engine. Same
-//                      clean-side columns and divergence semantics; the ACL
-//                      sweep and the pattern detectors consume it through
-//                      TraceView without materializing records. This is
-//                      what core::AnalysisSession::patterns_for runs on.
+// diff_run_columnar() steps two decoded-engine VMs over one shared program
+// in lockstep and records the faulty stream into a columnar
+// trace::ColumnTrace, the matching clean result and operand values per
+// record, and the first divergence point if any. The ACL sweep, the pattern
+// detectors and the region tolerance classifier read the result through
+// ColumnDiff::records() without materializing the stream; this is what
+// core::AnalysisSession::column_diff_with and patterns_for run on.
 #pragma once
 
 #include <array>
@@ -25,8 +19,6 @@
 #include <memory>
 #include <vector>
 
-#include "ir/module.h"
-#include "trace/collector.h"
 #include "trace/column.h"
 #include "util/bitset.h"
 #include "vm/fault_plan.h"
@@ -46,8 +38,10 @@ struct DiffOptions {
 
 inline constexpr std::uint64_t kNoIndex = ~std::uint64_t{0};
 
-struct DiffResult {
-  trace::Trace faulty;                     // faulty-run record stream
+/// Differential result: the faulty stream on the columnar substrate plus the
+/// per-record clean-side columns.
+struct ColumnDiff {
+  trace::ColumnTrace faulty;               // faulty-run record stream
   std::vector<std::uint64_t> clean_bits;   // clean result bits per record
   // Clean operand bits per record (aligned with DynInstr::op_bits); lets
   // region-boundary analyses compare input values between the two runs.
@@ -65,45 +59,20 @@ struct DiffResult {
   [[nodiscard]] std::size_t usable_records() const noexcept {
     return clean_bits.size();
   }
-};
-
-/// Columnar differential result: identical semantics to DiffResult with the
-/// faulty stream on the columnar substrate (~4x smaller resident).
-struct ColumnDiff {
-  trace::ColumnTrace faulty;
-  std::vector<std::uint64_t> clean_bits;
-  std::vector<std::array<std::uint64_t, vm::kMaxTracedOps>> clean_op_bits;
-  util::Bitset differs;
-  std::uint64_t divergence_index = kNoIndex;
-  bool truncated = false;
-  vm::RunResult faulty_result;
-  vm::RunResult clean_result;
-
-  [[nodiscard]] bool diverged() const noexcept {
-    return divergence_index != kNoIndex;
-  }
-  [[nodiscard]] std::size_t usable_records() const noexcept {
-    return clean_bits.size();
-  }
   /// The usable lockstep prefix as a zero-copy view.
   [[nodiscard]] trace::TraceView records() const noexcept {
     return faulty.view().prefix(usable_records());
   }
 };
 
-[[nodiscard]] DiffResult diff_run(const ir::Module& m, const DiffOptions& opts);
-
-/// Same lockstep diff on the decoded engine: both VMs execute the shared
-/// pre-decoded program, so callers that diff many plans against one module
-/// (core::AnalysisSession) pay the decode cost once, not per diff. Results
-/// are bit-identical to the module overload.
-[[nodiscard]] DiffResult diff_run(const vm::DecodedProgram& program,
-                                  const DiffOptions& opts);
-
-/// Columnar lockstep diff on the decoded engine. The faulty stream lands in
-/// a ColumnTrace that shares `program` (the shared_ptr keeps the decoded
-/// form alive past the call); records materialize bit-identically to the
-/// diff_run overloads (pinned by tests/column_trace_test.cpp).
+/// Lockstep diff on the decoded engine. Both VMs execute the shared
+/// pre-decoded program, so callers that diff many plans against one program
+/// (core::AnalysisSession) pay the decode cost once, not per diff. The
+/// faulty stream lands in a ColumnTrace that shares `program` (the
+/// shared_ptr keeps the decoded form alive past the call). Its rows
+/// materialize bit-identically to a plain traced run under the same fault
+/// plan, and its clean columns to the fault-free traced run (pinned by
+/// tests/acl_test.cpp against those two runs).
 [[nodiscard]] ColumnDiff diff_run_columnar(
     std::shared_ptr<const vm::DecodedProgram> program,
     const DiffOptions& opts);

@@ -163,18 +163,18 @@ AclSeries sweep(const Range& records,
   return out;
 }
 
-/// Value-diff build over either diff substrate.
-template <typename Diff, typename Range>
-AclSeries build_acl_impl(const Diff& diff, const Range& records,
-                         const trace::LocationEvents& events,
-                         vm::Location seed_loc, std::uint64_t seed_index,
-                         SweepInspector* inspector) {
+}  // namespace
+
+AclSeries build_acl(const ColumnDiff& diff,
+                    const trace::LocationEvents& events,
+                    vm::Location seed_loc, std::uint64_t seed_index,
+                    SweepInspector* inspector) {
   std::unordered_map<vm::Location, CorruptInfo> init;
   if (seed_loc != vm::kNoLoc) {
     init.emplace(seed_loc, CorruptInfo{seed_index, 0, 0, ir::Type::Void});
   }
   auto out = sweep(
-      records, events,
+      diff.records(), events,
       [&](std::size_t i, const vm::DynInstr&) { return bool(diff.differs[i]); },
       [&](std::size_t i) { return diff.clean_bits[i]; }, std::move(init),
       inspector);
@@ -183,26 +183,6 @@ AclSeries build_acl_impl(const Diff& diff, const Range& records,
         std::min(out.first_corruption_index, seed_index);
   }
   return out;
-}
-
-}  // namespace
-
-AclSeries build_acl(const DiffResult& diff,
-                    const trace::LocationEvents& events,
-                    vm::Location seed_loc, std::uint64_t seed_index,
-                    SweepInspector* inspector) {
-  return build_acl_impl(diff,
-                        std::span<const vm::DynInstr>(
-                            diff.faulty.records.data(), diff.usable_records()),
-                        events, seed_loc, seed_index, inspector);
-}
-
-AclSeries build_acl(const ColumnDiff& diff,
-                    const trace::LocationEvents& events,
-                    vm::Location seed_loc, std::uint64_t seed_index,
-                    SweepInspector* inspector) {
-  return build_acl_impl(diff, diff.records(), events, seed_loc, seed_index,
-                        inspector);
 }
 
 AclSeries build_acl_taint(std::span<const vm::DynInstr> records,

@@ -15,7 +15,7 @@
 //    the final instruction, as in Fig. 3's instruction 6).
 //
 // Two corruption predicates are supported:
-//  * value-diff (preferred; needs a DiffResult): corrupted = bits differ
+//  * value-diff (preferred; needs a ColumnDiff): corrupted = bits differ
 //    from the matching fault-free record — this is what lets shifts,
 //    truncations and conditionals *mask* corruption;
 //  * taint (fallback past control-flow divergence): classic dataflow taint
@@ -81,21 +81,13 @@ class SweepInspector {
                          const std::function<bool(vm::Location)>& corrupted) = 0;
 };
 
-/// Value-diff ACL over the lockstep prefix of a differential run.
-/// `events` must be built over the same record span (diff.faulty.span()).
-/// For region-input injections pass the flipped memory word as `seed_loc`
-/// (with `seed_index` = the RegionEnter index) so the corrupted input cell
-/// itself is tracked; pass vm::kNoLoc for result-bit injections, whose
-/// corruption enters the stream through a differing write.
-[[nodiscard]] AclSeries build_acl(const DiffResult& diff,
-                                  const trace::LocationEvents& events,
-                                  vm::Location seed_loc = vm::kNoLoc,
-                                  std::uint64_t seed_index = 0,
-                                  SweepInspector* inspector = nullptr);
-
-/// Columnar form: the sweep walks the faulty ColumnTrace through a
-/// TraceView cursor (`events` must be built over diff.records()). Event
-/// streams and series are bit-identical to the DiffResult form.
+/// Value-diff ACL over the lockstep prefix of a differential run: the
+/// sweep walks the faulty ColumnTrace through a TraceView cursor. `events`
+/// must be built over the same records (diff.records()). For region-input
+/// injections pass the flipped memory word as `seed_loc` (with `seed_index`
+/// = the RegionEnter index) so the corrupted input cell itself is tracked;
+/// pass vm::kNoLoc for result-bit injections, whose corruption enters the
+/// stream through a differing write.
 [[nodiscard]] AclSeries build_acl(const ColumnDiff& diff,
                                   const trace::LocationEvents& events,
                                   vm::Location seed_loc = vm::kNoLoc,

@@ -457,11 +457,6 @@ acl::DiffOptions AnalysisSession::diff_options(const vm::FaultPlan& plan,
   return opts;
 }
 
-acl::DiffResult AnalysisSession::diff_with(const vm::FaultPlan& plan,
-                                           std::size_t max_records) const {
-  return acl::diff_run(*program_, diff_options(plan, max_records));
-}
-
 acl::ColumnDiff AnalysisSession::column_diff_with(
     const vm::FaultPlan& plan, std::size_t max_records) const {
   return acl::diff_run_columnar(program_, diff_options(plan, max_records));

@@ -227,16 +227,14 @@ class AnalysisSession {
   // The faulty side runs under the campaign hang budget (see diff_options),
   // so a fault that loops forever classifies as a hang within
   // budget_factor x the golden run, exactly as its campaign trial does.
-  /// Differential run under one fault plan (array-of-structs faulty
-  /// stream; prefer column_diff_with for bulk analyses).
-  [[nodiscard]] acl::DiffResult diff_with(const vm::FaultPlan& plan,
-                                          std::size_t max_records = 0) const;
-  /// Differential run on the columnar substrate (~4x smaller faulty
-  /// stream, direct column appends instead of 128-byte record pushes).
+  /// Differential run under one fault plan: the lockstep faulty stream
+  /// (columnar; read it through ColumnDiff::records()) with the matching
+  /// clean values and both runs' outcomes. At most `max_records` rows are
+  /// recorded (0 = no cap); the outcomes always cover the full runs.
   [[nodiscard]] acl::ColumnDiff column_diff_with(
       const vm::FaultPlan& plan, std::size_t max_records = 0) const;
-  /// ACL series + pattern detection for one fault plan. Runs on the
-  /// columnar differential pipeline.
+  /// ACL series + pattern detection for one fault plan, over
+  /// column_diff_with(plan, max_records).
   [[nodiscard]] patterns::PatternReport patterns_for(
       const vm::FaultPlan& plan, std::size_t max_records = 0) const;
 

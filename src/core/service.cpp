@@ -53,7 +53,7 @@ class SingleFlightStore final : public store::ArtifactStore {
  public:
   SingleFlightStore(std::shared_ptr<store::ArtifactStore> inner,
                     std::shared_ptr<CampaignService::FlightTable> table)
-      : store::ArtifactStore(inner->root()),
+      : store::ArtifactStore(DelegatingView{}, inner->root()),
         inner_(std::move(inner)),
         table_(std::move(table)) {}
 

@@ -59,14 +59,6 @@ SiteEnumerationResult enumerate_from_trace_impl(
 }  // namespace
 
 SiteEnumerationResult enumerate_sites_from_trace(
-    const trace::Trace& tr, std::span<const trace::RegionInstance> instances,
-    const trace::LocationEvents& events, std::uint32_t region_id,
-    std::uint32_t instance) {
-  return enumerate_from_trace_impl(tr, instances, events, region_id,
-                                   instance);
-}
-
-SiteEnumerationResult enumerate_sites_from_trace(
     trace::TraceView tr, std::span<const trace::RegionInstance> instances,
     const trace::LocationEvents& events, std::uint32_t region_id,
     std::uint32_t instance) {
@@ -94,8 +86,8 @@ SiteEnumerationResult enumerate_sites(const ir::Module& m,
   const auto& tr = collector.trace();
   const auto instances = trace::segment_regions(tr.span());
   const auto events = trace::LocationEvents::build(tr.span());
-  auto out = enumerate_sites_from_trace(tr, instances, events, region_id,
-                                        instance);
+  auto out = enumerate_from_trace_impl(tr, instances, events, region_id,
+                                       instance);
   out.fault_free_instructions = run.instructions;
   return out;
 }

@@ -79,17 +79,11 @@ struct SiteEnumerationResult {
                                                     const vm::VmOptions& base);
 
 /// Enumerate the sites of one region instance from golden artifacts that
-/// were already collected (trace + its segmentation + its event index).
-/// Produces bit-identical results to enumerate_sites without re-running the
-/// program — the per-region fast path used by core::AnalysisSession when
-/// many regions of one application are analyzed.
-[[nodiscard]] SiteEnumerationResult enumerate_sites_from_trace(
-    const trace::Trace& tr,
-    std::span<const trace::RegionInstance> instances,
-    const trace::LocationEvents& events, std::uint32_t region_id,
-    std::uint32_t instance);
-
-/// Columnar form: `tr` is the full-trace view of the golden ColumnTrace.
+/// were already collected: `tr` is the full-trace view of the golden
+/// ColumnTrace, with its segmentation and event index. Produces
+/// bit-identical results to enumerate_sites without re-running the program
+/// — the per-region fast path used by core::AnalysisSession when many
+/// regions of one application are analyzed.
 [[nodiscard]] SiteEnumerationResult enumerate_sites_from_trace(
     trace::TraceView tr, std::span<const trace::RegionInstance> instances,
     const trace::LocationEvents& events, std::uint32_t region_id,

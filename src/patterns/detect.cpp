@@ -109,12 +109,11 @@ class Detector final : public acl::SweepInspector {
   std::unordered_map<vm::Location, RaHistory> ra_history_;
 };
 
-/// Substrate-agnostic core: `diff` is DiffResult or ColumnDiff; build_acl
-/// resolves to the matching sweep.
-template <typename Diff>
-PatternReport detect_patterns_impl(const Diff& diff,
-                                   const trace::LocationEvents& events,
-                                   const DetectOptions& opts) {
+}  // namespace
+
+PatternReport detect_patterns(const acl::ColumnDiff& diff,
+                              const trace::LocationEvents& events,
+                              const DetectOptions& opts) {
   PatternReport report;
   Detector detector(diff.clean_bits, opts, report);
   report.acl =
@@ -139,20 +138,6 @@ PatternReport detect_patterns_impl(const Diff& diff,
     }
   }
   return report;
-}
-
-}  // namespace
-
-PatternReport detect_patterns(const acl::DiffResult& diff,
-                              const trace::LocationEvents& events,
-                              const DetectOptions& opts) {
-  return detect_patterns_impl(diff, events, opts);
-}
-
-PatternReport detect_patterns(const acl::ColumnDiff& diff,
-                              const trace::LocationEvents& events,
-                              const DetectOptions& opts) {
-  return detect_patterns_impl(diff, events, opts);
 }
 
 }  // namespace ft::patterns

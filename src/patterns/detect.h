@@ -64,13 +64,7 @@ struct DetectOptions {
 };
 
 /// Detect patterns over the lockstep prefix of a differential run.
-/// `events` must be built over diff.faulty records.
-[[nodiscard]] PatternReport detect_patterns(const acl::DiffResult& diff,
-                                            const trace::LocationEvents& events,
-                                            const DetectOptions& opts = {});
-
-/// Columnar form (`events` built over diff.records()); counts, instances
-/// and the underlying ACL series are bit-identical to the DiffResult form.
+/// `events` must be built over diff.records().
 [[nodiscard]] PatternReport detect_patterns(const acl::ColumnDiff& diff,
                                             const trace::LocationEvents& events,
                                             const DetectOptions& opts = {});

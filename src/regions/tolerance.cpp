@@ -17,7 +17,7 @@ std::string_view tolerance_name(ToleranceCase c) noexcept {
   return "?";
 }
 
-ToleranceReport classify_tolerance(const acl::DiffResult& diff,
+ToleranceReport classify_tolerance(const acl::ColumnDiff& diff,
                                    const trace::RegionInstance& inst,
                                    const RegionIo& io,
                                    std::uint64_t fault_index) {

@@ -42,10 +42,11 @@ struct ToleranceReport {
 };
 
 /// Classify one region instance of a differential run. `io` must have been
-/// classified over the same faulty trace; `fault_index` is the dynamic index
-/// at which the injection fired (see fault::fired_index), or acl::kNoIndex.
+/// classified over the same faulty records (diff.records()); `fault_index`
+/// is the dynamic index at which the injection fired (see
+/// fault::fired_index), or acl::kNoIndex.
 [[nodiscard]] ToleranceReport classify_tolerance(
-    const acl::DiffResult& diff, const trace::RegionInstance& inst,
+    const acl::ColumnDiff& diff, const trace::RegionInstance& inst,
     const RegionIo& io, std::uint64_t fault_index);
 
 }  // namespace ft::regions

@@ -254,6 +254,14 @@ class ArtifactStore {
   };
   [[nodiscard]] DiskStats disk_stats() const;
 
+ protected:
+  /// For delegating views over a store already open on `dir` (a wrapper
+  /// that forwards every call, like core::CampaignService's per-request
+  /// view): records the root only. The wrapped store created the layout
+  /// and swept tmp/ when it opened, so nothing is created or swept again.
+  struct DelegatingView {};
+  ArtifactStore(DelegatingView, std::string dir) : root_(std::move(dir)) {}
+
  private:
   [[nodiscard]] std::string trace_path(std::uint64_t key) const;
   [[nodiscard]] std::string derived_path(std::uint64_t key) const;

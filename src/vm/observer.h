@@ -42,6 +42,8 @@ struct DynInstr {
   std::uint64_t mem_addr = 0;  // effective address for load/store
   std::uint32_t mem_size = 0;
   bool branch_taken = false;  // for condbr
+
+  bool operator==(const DynInstr&) const = default;
 };
 
 class ExecObserver {

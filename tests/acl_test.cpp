@@ -1,15 +1,22 @@
 // ACL table tests, including the paper's Fig. 3 worked example, the
-// differential engine, and liveness/kill invariants.
+// differential engine (checked against plain traced runs), and
+// liveness/kill invariants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include "acl/diff.h"
 #include "acl/table.h"
+#include "apps/app.h"
+#include "fault/campaign.h"
 #include "hl/builder.h"
 #include "trace/collector.h"
+#include "trace/column.h"
 #include "trace/events.h"
 #include "util/bits.h"
+#include "vm/decode.h"
 #include "vm/interp.h"
 
 namespace ft {
@@ -37,6 +44,13 @@ vm::DynInstr rec(std::uint64_t index, ir::Opcode op, vm::Location result,
   }
   d.nops = k;
   return d;
+}
+
+/// The lockstep diff of `m` on a fresh decoding of it.
+acl::ColumnDiff diff_of(const ir::Module& m, const acl::DiffOptions& opts) {
+  return acl::diff_run_columnar(std::make_shared<const vm::DecodedProgram>(
+                                    vm::DecodedProgram::decode(m)),
+                                opts);
 }
 
 TEST(AclTable, Figure3WorkedExample) {
@@ -101,7 +115,7 @@ TEST(DiffRun, NoFaultMeansNoDifference) {
   auto mod = pb.finish();
   acl::DiffOptions opts;
   opts.fault = vm::FaultPlan::none();
-  const auto diff = acl::diff_run(mod, opts);
+  const auto diff = diff_of(mod, opts);
   EXPECT_FALSE(diff.diverged());
   for (std::size_t i = 0; i < diff.usable_records(); ++i) {
     EXPECT_FALSE(diff.differs[i]);
@@ -109,11 +123,10 @@ TEST(DiffRun, NoFaultMeansNoDifference) {
   EXPECT_EQ(diff.faulty_result.outputs, diff.clean_result.outputs);
 }
 
-TEST(DiffRun, ReserveRecordsIsHonoredOnTheLegacyPath) {
-  // The legacy (non-columnar) diff path must pre-reserve its outputs from
-  // DiffOptions::reserve_records exactly as the columnar path does, so
-  // substrate A/B timings compare appending, not reallocation churn. A
-  // hint far above what organic doubling would reach proves reserve ran.
+TEST(DiffRun, ReserveRecordsIsHonored) {
+  // The clean-side columns are pre-reserved from
+  // DiffOptions::reserve_records. A hint far above what organic doubling
+  // would reach proves reserve ran.
   hl::ProgramBuilder pb("t");
   const auto fid = pb.declare_function("main");
   {
@@ -126,25 +139,48 @@ TEST(DiffRun, ReserveRecordsIsHonoredOnTheLegacyPath) {
   auto mod = pb.finish();
   acl::DiffOptions opts;
   opts.fault = vm::FaultPlan::result_bit(30, 1);
-  const auto records = acl::diff_run(mod, opts).usable_records();
+  const auto records = diff_of(mod, opts).usable_records();
   ASSERT_GT(records, 0u);
 
   opts.reserve_records = records * 4;
-  const auto reserved = acl::diff_run(mod, opts);
+  const auto reserved = diff_of(mod, opts);
   EXPECT_EQ(reserved.usable_records(), records);
-  EXPECT_GE(reserved.faulty.records.capacity(), records * 4);
   EXPECT_GE(reserved.clean_bits.capacity(), records * 4);
   EXPECT_GE(reserved.clean_op_bits.capacity(), records * 4);
   EXPECT_GE(reserved.differs.words().capacity(), (records * 4 + 63) / 64);
 
   // The cap still clamps the reserve (no over-allocation past max_records).
   opts.max_records = records / 2;
-  const auto capped = acl::diff_run(mod, opts);
+  const auto capped = diff_of(mod, opts);
   EXPECT_TRUE(capped.truncated);
-  EXPECT_LT(capped.faulty.records.capacity(), records * 4);
+  EXPECT_LT(capped.clean_bits.capacity(), records * 4);
 }
 
-TEST(DiffRun, FaultShowsUpExactlyAtInjection) {
+/// A program plus the fault plan the diff tests inject into it.
+struct Kernel {
+  ir::Module mod;
+  vm::FaultPlan plan;
+};
+
+/// Index of the first record of a fault-free legacy run that `pred` accepts
+/// (the last one when `last` is set).
+template <typename Pred>
+std::uint64_t find_record(const ir::Module& m, Pred pred, bool last = false) {
+  trace::TraceCollector c;
+  vm::VmOptions vopts;
+  vopts.observer = &c;
+  (void)vm::Vm::run(m, vopts);
+  std::uint64_t found = 0;
+  for (const auto& r : c.trace().records) {
+    if (!pred(r)) continue;
+    found = r.index;
+    if (!last) break;
+  }
+  return found;
+}
+
+/// sum(arr) emitted: a flip of the load of 3.0 corrupts the emitted sum.
+Kernel summing_kernel() {
   hl::ProgramBuilder pb("t");
   auto arr = pb.global_init_f64("arr", {1.0, 2.0, 3.0, 4.0});
   const auto fid = pb.declare_function("main");
@@ -155,25 +191,20 @@ TEST(DiffRun, FaultShowsUpExactlyAtInjection) {
     f.emit(s.get());
     f.ret();
   }
-  auto mod = pb.finish();
+  Kernel k{pb.finish(), {}};
+  const auto load_index = find_record(k.mod, [](const vm::DynInstr& r) {
+    return r.op == ir::Opcode::Load &&
+           r.result_bits == util::f64_to_bits(3.0);
+  });
+  k.plan = vm::FaultPlan::result_bit(load_index, 51);
+  return k;
+}
 
-  // Find a load to corrupt.
-  trace::TraceCollector c;
-  vm::VmOptions vopts;
-  vopts.observer = &c;
-  (void)vm::Vm::run(mod, vopts);
-  std::uint64_t load_index = 0;
-  for (const auto& r : c.trace().records) {
-    if (r.op == ir::Opcode::Load &&
-        r.result_bits == util::f64_to_bits(3.0)) {
-      load_index = r.index;
-    }
-  }
+TEST(DiffRun, FaultShowsUpExactlyAtInjection) {
+  const auto k = summing_kernel();
+  const auto load_index = k.plan.dyn_index;
   ASSERT_NE(load_index, 0u);
-
-  acl::DiffOptions opts;
-  opts.fault = vm::FaultPlan::result_bit(load_index, 51);
-  const auto diff = acl::diff_run(mod, opts);
+  const auto diff = diff_of(k.mod, acl::DiffOptions{{}, k.plan});
   ASSERT_FALSE(diff.diverged());
   // Nothing differs before the injection; the injected record differs.
   for (std::uint64_t i = 0; i < load_index; ++i) {
@@ -183,35 +214,27 @@ TEST(DiffRun, FaultShowsUpExactlyAtInjection) {
   EXPECT_NE(diff.faulty_result.outputs, diff.clean_result.outputs);
 }
 
-TEST(DiffRun, ControlFlowDivergenceIsDetected) {
+/// Branch on x: flipping the comparison's i1 flips control flow.
+Kernel diverging_kernel() {
   hl::ProgramBuilder pb("t");
   const auto fid = pb.declare_function("main");
   {
     auto f = pb.define(fid);
     auto x = f.var_i64("x", 4);
-    // Branch on x: corrupting the comparison flips control flow.
     f.if_else(x.get().gt(2), [&] { f.emit(f.c_i64(111)); },
               [&] { f.emit(f.c_i64(222)); });
     f.ret();
   }
-  auto mod = pb.finish();
-  trace::TraceCollector c;
-  vm::VmOptions vopts;
-  vopts.observer = &c;
-  (void)vm::Vm::run(mod, vopts);
-  std::uint64_t cmp_index = 0;
-  for (const auto& r : c.trace().records) {
-    if (r.op == ir::Opcode::ICmp) cmp_index = r.index;
-  }
-  acl::DiffOptions opts;
-  opts.fault = vm::FaultPlan::result_bit(cmp_index, 0);  // flip the i1
-  const auto diff = acl::diff_run(mod, opts);
-  EXPECT_TRUE(diff.diverged());
-  EXPECT_GT(diff.divergence_index, cmp_index);
-  EXPECT_NE(diff.faulty_result.outputs, diff.clean_result.outputs);
+  Kernel k{pb.finish(), {}};
+  const auto cmp_index = find_record(
+      k.mod, [](const vm::DynInstr& r) { return r.op == ir::Opcode::ICmp; },
+      /*last=*/true);
+  k.plan = vm::FaultPlan::result_bit(cmp_index, 0);  // flip the i1
+  return k;
 }
 
-TEST(DiffRun, CrashingFaultStillReportsOutcome) {
+/// data[idx]: a high-bit flip of the loaded index reads out of bounds.
+Kernel trapping_kernel() {
   hl::ProgramBuilder pb("t");
   auto arr = pb.global_init_i64("idx", {1});
   auto data = pb.global_f64("data", 4);
@@ -221,24 +244,150 @@ TEST(DiffRun, CrashingFaultStillReportsOutcome) {
     f.emit(f.ld(data, f.ld(arr, 0)));
     f.ret();
   }
-  auto mod = pb.finish();
-  trace::TraceCollector c;
-  vm::VmOptions vopts;
-  vopts.observer = &c;
-  (void)vm::Vm::run(mod, vopts);
-  std::uint64_t idx_load = 0;
-  for (const auto& r : c.trace().records) {
-    if (r.op == ir::Opcode::Load && r.type == ir::Type::I64) {
-      idx_load = r.index;
-      break;
-    }
-  }
-  acl::DiffOptions opts;
-  opts.fault = vm::FaultPlan::result_bit(idx_load, 40);  // huge index
-  const auto diff = acl::diff_run(mod, opts);
+  Kernel k{pb.finish(), {}};
+  const auto idx_load = find_record(k.mod, [](const vm::DynInstr& r) {
+    return r.op == ir::Opcode::Load && r.type == ir::Type::I64;
+  });
+  k.plan = vm::FaultPlan::result_bit(idx_load, 40);  // huge index
+  return k;
+}
+
+TEST(DiffRun, ControlFlowDivergenceIsDetected) {
+  const auto k = diverging_kernel();
+  const auto diff = diff_of(k.mod, acl::DiffOptions{{}, k.plan});
+  EXPECT_TRUE(diff.diverged());
+  EXPECT_GT(diff.divergence_index, k.plan.dyn_index);
+  EXPECT_NE(diff.faulty_result.outputs, diff.clean_result.outputs);
+}
+
+TEST(DiffRun, CrashingFaultStillReportsOutcome) {
+  const auto k = trapping_kernel();
+  const auto diff = diff_of(k.mod, acl::DiffOptions{{}, k.plan});
   EXPECT_EQ(diff.faulty_result.trap, vm::TrapKind::OutOfBounds);
   EXPECT_TRUE(diff.clean_result.completed());
 }
+
+// --- the diff against two plain traced runs ----------------------------------
+//
+// Independent oracle for diff_run_columnar: a fault-free and a faulted
+// traced run of the same program, under the same options and hang budget,
+// determine every field of the lockstep diff.
+
+void expect_same_result(const vm::RunResult& a, const vm::RunResult& b) {
+  EXPECT_EQ(a.trap, b.trap);
+  EXPECT_EQ(a.instructions, b.instructions);
+  EXPECT_EQ(a.fault_fired, b.fault_fired);
+  EXPECT_TRUE(a.outputs == b.outputs);
+}
+
+struct TracedRun {
+  trace::ColumnTrace trace;
+  vm::RunResult result;
+};
+
+TracedRun traced_run(const std::shared_ptr<const vm::DecodedProgram>& prog,
+                     vm::VmOptions opts, const vm::FaultPlan& plan) {
+  TracedRun out{trace::ColumnTrace(prog), {}};
+  opts.program = prog.get();
+  opts.column_sink = &out.trace;
+  opts.fault = plan;
+  out.result = vm::Vm::run(*prog, opts);
+  return out;
+}
+
+/// Diff `m` under `plan` and check it against the two plain runs. Returns
+/// the number of lockstep rows (the common pc prefix of the runs).
+std::size_t expect_diff_matches_plain_runs(const ir::Module& m,
+                                           vm::VmOptions base,
+                                           const vm::FaultPlan& plan,
+                                           std::size_t max_records) {
+  const auto prog = std::make_shared<const vm::DecodedProgram>(
+      vm::DecodedProgram::decode(m));
+  const auto golden = traced_run(prog, base, vm::FaultPlan::none());
+  EXPECT_TRUE(golden.result.completed());
+  base.max_instructions = fault::hang_budget(
+      fault::CampaignConfig{}.budget_factor, golden.result.instructions);
+  const auto faulted = traced_run(prog, base, plan);
+
+  acl::DiffOptions opts;
+  opts.base = base;
+  opts.fault = plan;
+  opts.max_records = max_records;
+  const auto diff = acl::diff_run_columnar(prog, opts);
+
+  const auto g = golden.trace.raw();
+  const auto f = faulted.trace.raw();
+  const std::size_t both = std::min(g.rows, f.rows);
+  std::size_t lockstep = 0;
+  while (lockstep < both && g.pc[lockstep] == f.pc[lockstep]) ++lockstep;
+  std::uint64_t divergence = acl::kNoIndex;
+  if (lockstep < both) {
+    divergence = lockstep;  // the first row whose pcs differ
+  } else if (!faulted.result.completed()) {
+    divergence = f.rows;  // the row that trapped
+  }
+  const bool truncated = max_records != 0 && lockstep >= max_records;
+  const std::size_t usable = truncated ? max_records : lockstep;
+
+  EXPECT_EQ(diff.divergence_index, divergence);
+  EXPECT_EQ(diff.truncated, truncated);
+  EXPECT_EQ(diff.usable_records(), usable);
+  EXPECT_EQ(diff.faulty.size(), usable);
+  EXPECT_EQ(diff.clean_op_bits.size(), usable);
+  EXPECT_EQ(diff.differs.size(), usable);
+  for (std::size_t i = 0; i < std::min(usable, diff.usable_records()); ++i) {
+    const auto fr = faulted.trace.record(i);
+    const auto gr = golden.trace.record(i);
+    EXPECT_TRUE(diff.faulty.record(i) == fr) << "row " << i;
+    EXPECT_EQ(diff.clean_bits[i], gr.result_bits) << "row " << i;
+    EXPECT_EQ(diff.clean_op_bits[i], gr.op_bits) << "row " << i;
+    const bool comparable = fr.result_loc != vm::kNoLoc ||
+                            fr.op == ir::Opcode::Emit ||
+                            fr.op == ir::Opcode::EmitTrunc;
+    EXPECT_EQ(bool(diff.differs[i]),
+              comparable && fr.result_bits != gr.result_bits)
+        << "row " << i;
+    if (::testing::Test::HasFailure()) break;  // one row's report is enough
+  }
+  expect_same_result(diff.clean_result, golden.result);
+  expect_same_result(diff.faulty_result, faulted.result);
+  return lockstep;
+}
+
+TEST(DiffOracle, CorruptedOutputKernel) {
+  // The corrupted sum reaches the emit: exercises the Emit rule of differs.
+  const auto k = summing_kernel();
+  expect_diff_matches_plain_runs(k.mod, {}, k.plan, 0);
+}
+
+TEST(DiffOracle, DivergingKernel) {
+  const auto k = diverging_kernel();
+  const auto lockstep = expect_diff_matches_plain_runs(k.mod, {}, k.plan, 0);
+  EXPECT_GT(lockstep, k.plan.dyn_index);
+  // The record cap at and just past the lockstep length.
+  expect_diff_matches_plain_runs(k.mod, {}, k.plan, lockstep);
+  expect_diff_matches_plain_runs(k.mod, {}, k.plan, lockstep + 1);
+  expect_diff_matches_plain_runs(k.mod, {}, k.plan, 1);
+}
+
+TEST(DiffOracle, TrappingKernel) {
+  const auto k = trapping_kernel();
+  const auto lockstep = expect_diff_matches_plain_runs(k.mod, {}, k.plan, 0);
+  expect_diff_matches_plain_runs(k.mod, {}, k.plan, lockstep);
+}
+
+class DiffOracleApps : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(DiffOracleApps, MatchesPlainRuns) {
+  const auto app = apps::build_app(GetParam());
+  expect_diff_matches_plain_runs(app.module, app.base,
+                                 vm::FaultPlan::result_bit(20000, 33),
+                                 /*max_records=*/150000);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllApps, DiffOracleApps,
+                         ::testing::ValuesIn(apps::all_app_names()),
+                         [](const auto& info) { return info.param; });
 
 // --- value-diff ACL over a real program ------------------------------------------
 
@@ -271,10 +420,9 @@ TEST(AclValueDiff, OverwriteKillsCorruption) {
 
   acl::DiffOptions opts;
   opts.fault = vm::FaultPlan::result_bit(load_idx, 50);
-  const auto diff = acl::diff_run(mod, opts);
+  const auto diff = diff_of(mod, opts);
   ASSERT_FALSE(diff.diverged());
-  const auto events = trace::LocationEvents::build(
-      std::span<const vm::DynInstr>(diff.faulty.records));
+  const auto events = trace::LocationEvents::build(diff.records());
   const auto acl_series = acl::build_acl(diff, events);
 
   // Corruption was born, propagated, and fully eliminated by the overwrite
@@ -301,10 +449,9 @@ TEST(AclValueDiff, CountNeverNegativeAndEndsAtZeroWhenMasked) {
   for (const std::uint64_t idx : {2ull, 5ull, 8ull, 11ull}) {
     acl::DiffOptions opts;
     opts.fault = vm::FaultPlan::result_bit(idx, 13);
-    const auto diff = acl::diff_run(mod, opts);
+    const auto diff = diff_of(mod, opts);
     if (diff.diverged()) continue;
-    const auto events = trace::LocationEvents::build(
-        std::span<const vm::DynInstr>(diff.faulty.records));
+    const auto events = trace::LocationEvents::build(diff.records());
     const auto acl_series = acl::build_acl(diff, events);
     for (std::size_t i = 1; i < acl_series.count.size(); ++i) {
       // Counts move by bounded steps and stay non-negative (unsigned).

@@ -1,14 +1,13 @@
 // Columnar-substrate equivalence coverage.
 //
-// Three pins, each against the array-of-structs reference:
+// Two pins, each against the array-of-structs reference:
 //  * ColumnTrace/TraceView vs the legacy observer-collected Trace —
 //    record-by-record bit-identical for all ten workloads, clean, faulted
 //    and trapping (the direct-emit hot loop must roll back the partial
 //    record of an instruction that traps mid-flight);
 //  * the CSR LocationEvents vs the legacy map-of-vectors builder —
-//    query-by-query identical over every touched location;
-//  * diff_run_columnar vs diff_run — identical faulty streams, clean
-//    columns, differs bits, and downstream ACL series / pattern counts.
+//    query-by-query identical over every touched location.
+// The lockstep diff is pinned against plain traced runs in acl_test.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -27,17 +26,6 @@
 
 namespace ft {
 namespace {
-
-bool same_record(const vm::DynInstr& a, const vm::DynInstr& b) {
-  return a.index == b.index && a.func == b.func && a.block == b.block &&
-         a.instr == b.instr && a.op == b.op && a.pred == b.pred &&
-         a.type == b.type && a.nops == b.nops && a.line == b.line &&
-         a.aux == b.aux && a.result_loc == b.result_loc &&
-         a.result_bits == b.result_bits && a.op_loc == b.op_loc &&
-         a.op_bits == b.op_bits && a.op_type == b.op_type &&
-         a.mem_addr == b.mem_addr && a.mem_size == b.mem_size &&
-         a.branch_taken == b.branch_taken;
-}
 
 std::string describe(const vm::DynInstr& d) {
   std::ostringstream os;
@@ -78,7 +66,7 @@ void expect_traces_identical(const apps::AppSpec& app,
   std::uint64_t mismatches = 0;
   std::size_t i = 0;
   for (const vm::DynInstr& r : columnar.view()) {
-    if (!same_record(records[i], r) && mismatches++ < 5) {
+    if (records[i] != r && mismatches++ < 5) {
       ADD_FAILURE() << "record mismatch at " << i
                     << ":\n  legacy  : " << describe(records[i])
                     << "\n  columnar: " << describe(r);
@@ -151,7 +139,7 @@ TEST(TraceView, SlicesMatchLegacySlices) {
     ASSERT_EQ(legacy.size(), view.size());
     std::size_t i = 0;
     for (const vm::DynInstr& r : view) {
-      ASSERT_TRUE(same_record(legacy[i], r)) << "slice record " << i;
+      ASSERT_TRUE(legacy[i] == r) << "slice record " << i;
       ++i;
     }
   }
@@ -208,73 +196,6 @@ TEST(LocationEventsCsr, QueryByQueryMatchesLegacyMap) {
   EXPECT_EQ(csr.next_read_after(ghost, 0), trace::LocationEvents::kNoIndex);
   EXPECT_FALSE(csr.touched_after(ghost, 0));
 }
-
-// --- columnar diff vs legacy diff ----------------------------------------------
-
-class ColumnDiffEquivalence : public ::testing::TestWithParam<std::string> {};
-
-TEST_P(ColumnDiffEquivalence, DiffAclAndPatternsMatch) {
-  const auto app = apps::build_app(GetParam());
-  const auto prog = std::make_shared<const vm::DecodedProgram>(
-      vm::DecodedProgram::decode(app.module));
-
-  acl::DiffOptions opts;
-  opts.base = app.base;
-  opts.fault = vm::FaultPlan::result_bit(20000, 33);
-  opts.max_records = 150000;
-
-  const auto legacy = acl::diff_run(*prog, opts);
-  const auto columnar = acl::diff_run_columnar(prog, opts);
-
-  EXPECT_EQ(legacy.divergence_index, columnar.divergence_index);
-  EXPECT_EQ(legacy.truncated, columnar.truncated);
-  EXPECT_EQ(legacy.clean_result.trap, columnar.clean_result.trap);
-  EXPECT_EQ(legacy.faulty_result.trap, columnar.faulty_result.trap);
-  EXPECT_TRUE(legacy.clean_result.outputs == columnar.clean_result.outputs);
-  EXPECT_TRUE(legacy.faulty_result.outputs == columnar.faulty_result.outputs);
-  ASSERT_EQ(legacy.usable_records(), columnar.usable_records());
-  EXPECT_TRUE(legacy.clean_bits == columnar.clean_bits);
-  EXPECT_TRUE(legacy.clean_op_bits == columnar.clean_op_bits);
-  EXPECT_TRUE(legacy.differs == columnar.differs);
-  ASSERT_EQ(legacy.faulty.records.size(), columnar.faulty.size());
-  std::size_t i = 0;
-  for (const vm::DynInstr& r : columnar.faulty.view()) {
-    ASSERT_TRUE(same_record(legacy.faulty.records[i], r)) << "record " << i;
-    ++i;
-  }
-
-  // Downstream: ACL series/events and pattern counts must be identical on
-  // both substrates.
-  const auto legacy_events = trace::LocationEvents::build(
-      std::span<const vm::DynInstr>(legacy.faulty.records.data(),
-                                    legacy.usable_records()));
-  const auto col_events = trace::LocationEvents::build(columnar.records());
-  const auto legacy_acl = acl::build_acl(legacy, legacy_events);
-  const auto col_acl = acl::build_acl(columnar, col_events);
-  EXPECT_TRUE(legacy_acl.count == col_acl.count);
-  EXPECT_EQ(legacy_acl.max_count, col_acl.max_count);
-  EXPECT_EQ(legacy_acl.first_corruption_index, col_acl.first_corruption_index);
-  ASSERT_EQ(legacy_acl.events.size(), col_acl.events.size());
-  for (std::size_t e = 0; e < legacy_acl.events.size(); ++e) {
-    const auto& a = legacy_acl.events[e];
-    const auto& b = col_acl.events[e];
-    EXPECT_EQ(a.index, b.index);
-    EXPECT_EQ(a.loc, b.loc);
-    EXPECT_EQ(a.kind, b.kind);
-    EXPECT_EQ(a.op, b.op);
-    EXPECT_EQ(a.faulty_bits, b.faulty_bits);
-    EXPECT_EQ(a.clean_bits, b.clean_bits);
-  }
-
-  const auto legacy_patterns =
-      patterns::detect_patterns(legacy, legacy_events);
-  const auto col_patterns = patterns::detect_patterns(columnar, col_events);
-  EXPECT_TRUE(legacy_patterns.counts == col_patterns.counts);
-}
-
-INSTANTIATE_TEST_SUITE_P(AllApps, ColumnDiffEquivalence,
-                         ::testing::ValuesIn(apps::all_app_names()),
-                         [](const auto& info) { return info.param; });
 
 // --- session integration -------------------------------------------------------
 

@@ -8,7 +8,6 @@
 
 #include <sstream>
 
-#include "acl/diff.h"
 #include "apps/app.h"
 #include "hl/builder.h"
 #include "trace/collector.h"
@@ -17,17 +16,6 @@
 
 namespace ft {
 namespace {
-
-bool same_record(const vm::DynInstr& a, const vm::DynInstr& b) {
-  return a.index == b.index && a.func == b.func && a.block == b.block &&
-         a.instr == b.instr && a.op == b.op && a.pred == b.pred &&
-         a.type == b.type && a.nops == b.nops && a.line == b.line &&
-         a.aux == b.aux && a.result_loc == b.result_loc &&
-         a.result_bits == b.result_bits && a.op_loc == b.op_loc &&
-         a.op_bits == b.op_bits && a.op_type == b.op_type &&
-         a.mem_addr == b.mem_addr && a.mem_size == b.mem_size &&
-         a.branch_taken == b.branch_taken;
-}
 
 std::string describe(const vm::DynInstr& d) {
   std::ostringstream os;
@@ -52,7 +40,7 @@ void expect_lockstep_identical(const ir::Module& m,
     ASSERT_EQ(sl, sd) << "engine status diverged at instruction "
                       << legacy.instructions_retired();
     if (sl != vm::Vm::Status::Running) break;
-    if (!same_record(rl, rd) && mismatches++ < 5) {
+    if (rl != rd && mismatches++ < 5) {
       ADD_FAILURE() << "record mismatch:\n  legacy : " << describe(rl)
                     << "\n  decoded: " << describe(rd);
     }
@@ -119,35 +107,6 @@ INSTANTIATE_TEST_SUITE_P(AllApps, DecodeEquivalence,
                          ::testing::ValuesIn(apps::all_app_names()),
                          [](const auto& info) { return info.param; });
 
-// --- lockstep diff equivalence -------------------------------------------------
-
-TEST(DecodeDiff, DiffRunMatchesLegacyOverload) {
-  const auto app = apps::build_cg();
-  const auto prog = vm::DecodedProgram::decode(app.module);
-  acl::DiffOptions opts;
-  opts.base = app.base;
-  opts.fault = vm::FaultPlan::result_bit(20000, 33);
-  opts.max_records = 50000;
-
-  const auto dl = acl::diff_run(app.module, opts);
-  const auto dd = acl::diff_run(prog, opts);
-  EXPECT_EQ(dl.divergence_index, dd.divergence_index);
-  EXPECT_EQ(dl.truncated, dd.truncated);
-  EXPECT_EQ(dl.clean_result.trap, dd.clean_result.trap);
-  EXPECT_EQ(dl.faulty_result.trap, dd.faulty_result.trap);
-  EXPECT_EQ(dl.faulty_result.instructions, dd.faulty_result.instructions);
-  EXPECT_TRUE(dl.clean_result.outputs == dd.clean_result.outputs);
-  EXPECT_TRUE(dl.faulty_result.outputs == dd.faulty_result.outputs);
-  ASSERT_EQ(dl.usable_records(), dd.usable_records());
-  EXPECT_TRUE(dl.clean_bits == dd.clean_bits);
-  EXPECT_TRUE(dl.differs == dd.differs);
-  ASSERT_EQ(dl.faulty.records.size(), dd.faulty.records.size());
-  for (std::size_t i = 0; i < dl.faulty.records.size(); ++i) {
-    ASSERT_TRUE(same_record(dl.faulty.records[i], dd.faulty.records[i]))
-        << "at record " << i;
-  }
-}
-
 // --- traced-run / observer-gating equivalence ----------------------------------
 
 TEST(DecodeTrace, GatedObserverSeesIdenticalWindow) {
@@ -167,7 +126,7 @@ TEST(DecodeTrace, GatedObserverSeesIdenticalWindow) {
   ASSERT_EQ(tl.size(), td.size());
   ASSERT_FALSE(tl.empty());
   for (std::size_t i = 0; i < tl.size(); ++i) {
-    ASSERT_TRUE(same_record(tl.records[i], td.records[i])) << "at " << i;
+    ASSERT_TRUE(tl.records[i] == td.records[i]) << "at " << i;
   }
 }
 

@@ -3,6 +3,8 @@
 // counters of Table IV.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "acl/diff.h"
 #include "hl/builder.h"
 #include "patterns/detect.h"
@@ -10,6 +12,7 @@
 #include "trace/collector.h"
 #include "trace/events.h"
 #include "util/bits.h"
+#include "vm/decode.h"
 #include "vm/interp.h"
 
 namespace ft {
@@ -41,10 +44,11 @@ patterns::PatternReport detect(const ir::Module& m, const vm::FaultPlan& plan,
                                patterns::DetectOptions opts = {}) {
   acl::DiffOptions dopts;
   dopts.fault = plan;
-  const auto diff = acl::diff_run(m, dopts);
-  const auto events = trace::LocationEvents::build(
-      std::span<const vm::DynInstr>(diff.faulty.records.data(),
-                                    diff.usable_records()));
+  const auto diff = acl::diff_run_columnar(
+      std::make_shared<const vm::DecodedProgram>(
+          vm::DecodedProgram::decode(m)),
+      dopts);
+  const auto events = trace::LocationEvents::build(diff.records());
   return patterns::detect_patterns(diff, events, opts);
 }
 

@@ -2,13 +2,18 @@
 // Case 1 / Case 2 tolerance classifier (§III-D).
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "acl/diff.h"
 #include "hl/builder.h"
 #include "regions/io.h"
 #include "regions/tolerance.h"
 #include "trace/collector.h"
+#include "trace/column.h"
 #include "trace/events.h"
+#include "trace/segment.h"
 #include "util/bits.h"
+#include "vm/decode.h"
 #include "vm/interp.h"
 
 namespace ft {
@@ -116,25 +121,37 @@ struct TolCase {
   regions::ToleranceCase expected;
 };
 
-regions::ToleranceReport tolerance_for(const Harness& h,
-                                       const vm::FaultPlan& plan) {
+struct ToleranceRun {
+  acl::ColumnDiff diff;
+  regions::ToleranceReport rep;
+};
+
+/// Diff `m` under `plan` and classify instance 0 of region `rid`. The fault
+/// fires at the plan's dynamic index (result bits) or at the instance's
+/// entry (region inputs).
+ToleranceRun tolerance_for(const ir::Module& m, std::uint32_t rid,
+                           const vm::FaultPlan& plan) {
   acl::DiffOptions dopts;
   dopts.fault = plan;
-  const auto diff = acl::diff_run(h.mod, dopts);
-  const auto span = std::span<const vm::DynInstr>(
-      diff.faulty.records.data(), diff.usable_records());
-  const auto insts = trace::segment_regions(span);
-  const auto inst = trace::find_instance(insts, h.rid, 0).value();
-  const auto events = trace::LocationEvents::build(span);
-  const auto slice = diff.faulty.slice(inst.body_begin(), inst.body_end());
-  const auto io = regions::classify_io(slice, events, inst);
+  ToleranceRun out{
+      acl::diff_run_columnar(std::make_shared<const vm::DecodedProgram>(
+                                 vm::DecodedProgram::decode(m)),
+                             dopts),
+      {}};
+  const auto& diff = out.diff;
+  const auto insts = trace::segment_regions(diff.faulty);
+  const auto inst = trace::find_instance(insts, rid, 0).value();
+  const auto events = trace::LocationEvents::build(diff.records());
+  const auto io = regions::classify_io(
+      diff.records().slice(inst.body_begin(), inst.body_end()), events, inst);
   std::uint64_t fault_index = acl::kNoIndex;
   if (plan.kind == vm::FaultPlan::Kind::ResultBit) {
     fault_index = plan.dyn_index;
   } else if (plan.kind == vm::FaultPlan::Kind::RegionInputMemoryBit) {
     fault_index = inst.enter_index;
   }
-  return regions::classify_tolerance(diff, inst, io, fault_index);
+  out.rep = regions::classify_tolerance(diff, inst, io, fault_index);
+  return out;
 }
 
 TEST(Tolerance, AdditiveRegionReducesErrorMagnitudeCase2) {
@@ -143,7 +160,7 @@ TEST(Tolerance, AdditiveRegionReducesErrorMagnitudeCase2) {
   // the paper's Case 2.
   const auto h = Harness::make();
   const auto plan = vm::FaultPlan::region_input_bit(h.rid, 0, h.in_addr, 8, 51);
-  const auto rep = tolerance_for(h, plan);
+  const auto rep = tolerance_for(h.mod, h.rid, plan).rep;
   EXPECT_EQ(rep.verdict, regions::ToleranceCase::Case2Reduced);
   EXPECT_GT(rep.corrupted_inputs, 0u);
   EXPECT_GT(rep.corrupted_outputs, 0u);
@@ -170,25 +187,17 @@ TEST(Tolerance, ErrorAmplifyingRegionIsNotTolerant) {
   auto mod = pb.finish();
   const auto in_addr = mod.global(*mod.find_global("in")).addr;
 
-  acl::DiffOptions dopts;
-  dopts.fault = vm::FaultPlan::region_input_bit(rid, 0, in_addr, 8, 51);
-  const auto diff = acl::diff_run(mod, dopts);
-  const auto span = std::span<const vm::DynInstr>(
-      diff.faulty.records.data(), diff.usable_records());
-  const auto insts = trace::segment_regions(span);
-  const auto inst = trace::find_instance(insts, rid, 0).value();
-  const auto events = trace::LocationEvents::build(span);
-  const auto io = regions::classify_io(
-      diff.faulty.slice(inst.body_begin(), inst.body_end()), events, inst);
   const auto rep =
-      regions::classify_tolerance(diff, inst, io, inst.enter_index);
+      tolerance_for(mod, rid,
+                    vm::FaultPlan::region_input_bit(rid, 0, in_addr, 8, 51))
+          .rep;
   EXPECT_EQ(rep.verdict, regions::ToleranceCase::NotTolerant);
   EXPECT_GT(rep.max_output_error, rep.max_input_error);
 }
 
 TEST(Tolerance, NoFaultMeansNotAffected) {
   const auto h = Harness::make();
-  const auto rep = tolerance_for(h, vm::FaultPlan::none());
+  const auto rep = tolerance_for(h.mod, h.rid, vm::FaultPlan::none()).rep;
   EXPECT_EQ(rep.verdict, regions::ToleranceCase::NotAffected);
   EXPECT_EQ(rep.corrupted_inputs, 0u);
   EXPECT_EQ(rep.corrupted_outputs, 0u);
@@ -215,22 +224,12 @@ TEST(Tolerance, MaskedRegionIsCase1) {
   auto mod = pb.finish();
   const auto tmp_addr = mod.global(*mod.find_global("tmp")).addr;
 
-  acl::DiffOptions dopts;
-  dopts.fault = vm::FaultPlan::region_input_bit(rid, 0, tmp_addr, 8, 60);
-  const auto diff = acl::diff_run(mod, dopts);
-  const auto span = std::span<const vm::DynInstr>(
-      diff.faulty.records.data(), diff.usable_records());
-  const auto insts = trace::segment_regions(span);
-  const auto inst = trace::find_instance(insts, rid, 0).value();
-  const auto events = trace::LocationEvents::build(span);
-  const auto io = regions::classify_io(
-      diff.faulty.slice(inst.body_begin(), inst.body_end()), events, inst);
-  const auto rep =
-      regions::classify_tolerance(diff, inst, io, inst.enter_index);
-  EXPECT_EQ(rep.verdict, regions::ToleranceCase::Case1Masked);
-  EXPECT_EQ(rep.corrupted_outputs, 0u);
+  const auto run = tolerance_for(
+      mod, rid, vm::FaultPlan::region_input_bit(rid, 0, tmp_addr, 8, 60));
+  EXPECT_EQ(run.rep.verdict, regions::ToleranceCase::Case1Masked);
+  EXPECT_EQ(run.rep.corrupted_outputs, 0u);
   // The faulty run's final output is identical to the clean run's.
-  EXPECT_EQ(diff.faulty_result.outputs, diff.clean_result.outputs);
+  EXPECT_EQ(run.diff.faulty_result.outputs, run.diff.clean_result.outputs);
 }
 
 TEST(Tolerance, NamesAreStable) {

@@ -6,8 +6,12 @@
 // Runs under the TSan CI job.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <future>
 #include <mutex>
 #include <stdexcept>
@@ -271,6 +275,31 @@ TEST(CampaignService, ConcurrentEditedSpecRequestsSpliceOnTheSharedStore) {
   }
   EXPECT_EQ(derived, edits.size());
   EXPECT_TRUE(std::filesystem::is_empty(dir.path + "/store/tmp"));
+}
+
+// A request's view over the shared store is not a second open of it: a
+// dead writer's tmp/ scratch planted after the service opened its store
+// survives a request, because only opening a store sweeps tmp/.
+TEST(CampaignService, RequestViewsDoNotReopenTheSharedStore) {
+  // A guaranteed-dead pid: fork a child that exits immediately and reap it.
+  const pid_t dead = fork();
+  ASSERT_NE(dead, -1);
+  if (dead == 0) _exit(0);
+  int status = 0;
+  ASSERT_EQ(waitpid(dead, &status, 0), dead);
+
+  TempDir dir;
+  core::ServiceOptions opts;
+  opts.store_dir = dir.path;
+  core::CampaignService service(opts);
+  ASSERT_TRUE(service.store());
+  const std::string orphan = dir.path + "/tmp/" + std::to_string(dead) + ".0";
+  std::ofstream(orphan) << "scratch";
+
+  const auto report = service.run(app_request("CG"));
+  ASSERT_TRUE(report.find_app("CG") != nullptr);
+  EXPECT_TRUE(std::filesystem::exists(orphan));
+  EXPECT_EQ(service.store()->counters().stale_tmp_swept, 0u);
 }
 
 // A failing request resolves its future with the thrown exception and does

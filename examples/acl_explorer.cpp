@@ -79,7 +79,8 @@ int main(int argc, char** argv) {
   std::printf("\ninjecting bit %u of input %s at region entry\n", bit,
               vm::loc_to_string(target.loc).c_str());
 
-  const auto rep = session.patterns_for(plan);
+  const auto diff = session.column_diff_with(plan);
+  const auto rep = session.patterns_for(plan, diff);
   const auto& acl = rep.acl;
   std::printf("ACL: max=%u births=%zu overwrite-kills=%zu dead-kills=%zu\n",
               acl.max_count, acl.births(),
@@ -117,7 +118,6 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", any ? "" : "none observed");
 
-  const auto diff = session.column_diff_with(plan);
   std::printf("outcome: %s\n",
               std::string(fault::outcome_name(fault::classify_outcome(
                   diff.faulty_result, diff.clean_result.outputs,

@@ -72,8 +72,8 @@ int main() {
               diff.faulty_result.outputs[0].as_f64(),
               diff.clean_result.outputs[0].as_f64());
 
-  // 5. ACL table + pattern report, straight from the session.
-  const auto report = session.patterns_for(plan);
+  // 5. ACL table + pattern report over the same diff.
+  const auto report = session.patterns_for(plan, diff);
   std::printf("\nACL: max alive corrupted locations = %u\n",
               report.acl.max_count);
   for (const auto& e : report.acl.events) {

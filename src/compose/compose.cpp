@@ -93,29 +93,6 @@ class PageDigests {
   return h.digest();
 }
 
-struct Tally {
-  std::atomic<std::size_t> success{0};
-  std::atomic<std::size_t> failed{0};
-  std::atomic<std::size_t> crashed{0};
-  std::atomic<std::size_t> recovered{0};
-  std::atomic<std::size_t> unrecoverable{0};
-  std::atomic<std::uint64_t> instructions{0};
-  std::atomic<std::uint64_t> early_exits{0};
-  std::atomic<std::uint64_t> dead_delta_exits{0};
-  std::atomic<std::uint64_t> composed{0};
-  std::atomic<std::uint64_t> avoided{0};
-
-  void count(fault::Outcome o) {
-    switch (o) {
-      case fault::Outcome::VerificationSuccess: success++; break;
-      case fault::Outcome::VerificationFailed: failed++; break;
-      case fault::Outcome::Crashed: crashed++; break;
-      case fault::Outcome::DetectedRecovered: recovered++; break;
-      case fault::Outcome::DetectedUnrecoverable: unrecoverable++; break;
-    }
-  }
-};
-
 /// Execute one trial suffix from a boundary snapshot: either a Diverged
 /// site (fault plan armed, forked at its own section entry) or a Delta
 /// fallback (no plan; the delta is patched into a copy of the boundary
@@ -124,13 +101,14 @@ struct Tally {
 /// the checkpoint/rollback recovery decision — so the outcome is
 /// bit-identical to the exhaustive trial it replaces. Returns nullopt,
 /// executing nothing, when the delta does not patch into the boundary
-/// (fault::patch_snapshot).
+/// (fault::patch_snapshot); otherwise `acct` receives the suffix's executed
+/// instructions and its early exit, if any.
 [[nodiscard]] std::optional<fault::Outcome> run_suffix(
     const vm::DecodedProgram& program, const fault::PreparedCampaign& prepared,
     const SectionPlan& plan, std::uint32_t start, const vm::FaultPlan* armed,
     const fault::MemDelta* mem_patch, const fault::OutDelta* out_patch,
     std::uint64_t landing, const std::vector<vm::OutputValue>& golden,
-    const fault::Verifier& verify, Tally& tally) {
+    const fault::Verifier& verify, fault::TrialAccounting& acct) {
   vm::VmOptions topts = prepared.run_opts;
   topts.fault = armed ? *armed : vm::FaultPlan::none();
   topts.track_writes = true;
@@ -189,11 +167,9 @@ struct Tally {
       const auto probe = fault::probe_boundary(*vm, ladder, k, pages, golden,
                                                verify, mem, out);
       if (probe.kind != fault::Probe::Kind::Open) {
-        tally.instructions += vm->instructions_retired() - begin;
-        tally.early_exits++;
-        if (probe.kind == fault::Probe::Kind::DeadDelta) {
-          tally.dead_delta_exits++;
-        }
+        acct.instructions = vm->instructions_retired() - begin;
+        acct.early_exit = true;
+        acct.dead_delta = probe.kind == fault::Probe::Kind::DeadDelta;
         return probe.outcome;
       }
       ++failed;
@@ -204,7 +180,7 @@ struct Tally {
 
   vm->run_until(~std::uint64_t{0});
   auto run = vm->take_result();
-  tally.instructions += run.instructions - begin;
+  acct.instructions = run.instructions - begin;
   if (run.trap == vm::TrapKind::DetectedFault && prepared.recovery.enabled) {
     // Same decision as TrialRunner::recover: recoverable iff no checkpoint
     // between the fault's landing and its detection captured corrupted
@@ -391,7 +367,9 @@ ComposedResult run_composed_campaign(const vm::DecodedProgram& program,
   std::atomic<std::size_t> computed{0};
   std::atomic<std::size_t> hits{0};
   std::atomic<std::uint64_t> reexecuted{0};
-  Tally tally;
+  fault::CampaignTally tally;
+  std::atomic<std::uint64_t> composed{0};  // sections closed symbolically
+  std::atomic<std::uint64_t> avoided{0};   // trials closed from the store
 
   pool.parallel_for(nsec, [&](std::size_t i) {
     const auto& idxs = plan.section_plans[i];
@@ -460,7 +438,8 @@ ComposedResult run_composed_campaign(const vm::DecodedProgram& program,
           }
         }
       }
-      tally.instructions += vm.instructions_retired() - sec.begin;
+      tally.add(fault::TrialAccounting{
+          .instructions = vm.instructions_retired() - sec.begin});
     }
     computed++;
     reexecuted++;
@@ -487,17 +466,20 @@ ComposedResult run_composed_campaign(const vm::DecodedProgram& program,
     const auto rerun = [&] {
       // Re-execute the site like an exhaustive trial, forked at its own
       // section entry.
-      tally.count(*run_suffix(program, prepared, plan, s, &plans[pi], nullptr,
-                              nullptr, landing, golden, verify, tally));
+      fault::TrialAccounting acct;
+      const auto o = run_suffix(program, prepared, plan, s, &plans[pi],
+                                nullptr, nullptr, landing, golden, verify,
+                                acct);
+      tally.add(*o, acct);
     };
     switch (site.kind) {
       case SiteSummary::Kind::Masked:
       case SiteSummary::Kind::Converged:
         // Bit-identical to golden at a boundary with the fault fired: the
         // remainder replays the golden run.
-        tally.composed += nsec - s - 1;
-        if (hit) tally.avoided++;
-        tally.count(fault::Outcome::VerificationSuccess);
+        composed += nsec - s - 1;
+        if (hit) avoided++;
+        tally.add(fault::Outcome::VerificationSuccess, {});
         return;
       case SiteSummary::Kind::Diverged:
         rerun();
@@ -509,24 +491,26 @@ ComposedResult run_composed_campaign(const vm::DecodedProgram& program,
     auto mem = site.mem;
     const auto closure = fault::close_delta(*plan.ladder, s + 1, mem, site.out,
                                             golden, verify);
-    tally.composed += closure.sections_crossed;
+    composed += closure.sections_crossed;
     switch (closure.kind) {
       case fault::Closure::Kind::Converged:
       case fault::Closure::Kind::Dead:
-        if (hit) tally.avoided++;
-        tally.count(closure.outcome);
+        if (hit) avoided++;
+        tally.add(closure.outcome, {});
         return;
-      case fault::Closure::Kind::Open:
+      case fault::Closure::Kind::Open: {
         // Consumed downstream: execute from the consuming section's entry
         // with the transported delta patched in.
+        fault::TrialAccounting acct;
         if (const auto o = run_suffix(program, prepared, plan,
                                       closure.consumed_at, nullptr, &mem,
                                       &site.out, landing, golden, verify,
-                                      tally)) {
-          tally.count(*o);
+                                      acct)) {
+          tally.add(*o, acct);
           return;
         }
         break;
+      }
       case fault::Closure::Kind::Invalid:
         break;
     }
@@ -535,24 +519,15 @@ ComposedResult run_composed_campaign(const vm::DecodedProgram& program,
     rerun();
   });
 
-  r.counts.success = tally.success.load();
-  r.counts.failed = tally.failed.load();
-  r.counts.crashed = tally.crashed.load();
-  r.counts.detected_recovered = tally.recovered.load();
-  r.counts.detected_unrecoverable = tally.unrecoverable.load();
-  r.counts.instructions_retired = tally.instructions.load();
-  r.counts.early_exits = tally.early_exits.load();
-  r.counts.dead_delta_exits = tally.dead_delta_exits.load();
-  r.counts.snapshots_taken = nsec;
-  r.counts.resume_depth = plan.sections.back().begin;
+  r.counts = tally.result(prepared, nsec, plan.sections.back().begin);
   const auto t2 = std::chrono::steady_clock::now();
   r.summarize_seconds = std::chrono::duration<double>(t1 - t0).count();
   r.close_seconds = std::chrono::duration<double>(t2 - t1).count();
   r.summaries_computed = computed.load();
   r.summary_store_hits = hits.load();
-  r.sections_composed = tally.composed.load();
+  r.sections_composed = composed.load();
   r.sections_reexecuted = reexecuted.load();
-  r.trials_avoided = tally.avoided.load();
+  r.trials_avoided = avoided.load();
   return r;
 }
 

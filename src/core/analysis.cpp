@@ -1,7 +1,6 @@
 #include "core/analysis.h"
 
 #include <algorithm>
-#include <atomic>
 #include <deque>
 #include <stdexcept>
 
@@ -464,7 +463,11 @@ acl::ColumnDiff AnalysisSession::column_diff_with(
 
 patterns::PatternReport AnalysisSession::patterns_for(
     const vm::FaultPlan& plan, std::size_t max_records) const {
-  const auto diff = column_diff_with(plan, max_records);
+  return patterns_for(plan, column_diff_with(plan, max_records));
+}
+
+patterns::PatternReport AnalysisSession::patterns_for(
+    const vm::FaultPlan& plan, const acl::ColumnDiff& diff) const {
   const auto events = trace::LocationEvents::build(diff.records());
   patterns::DetectOptions opts;
   if (plan.kind == vm::FaultPlan::Kind::RegionInputMemoryBit) {
@@ -660,94 +663,15 @@ struct CampaignUnit {
   std::uint64_t store_key = 0;
 };
 
-struct UnitCounts {
-  std::atomic<std::size_t> success{0};
-  std::atomic<std::size_t> failed{0};
-  std::atomic<std::size_t> crashed{0};
-  std::atomic<std::size_t> detected_recovered{0};
-  std::atomic<std::size_t> detected_unrecoverable{0};
-  std::atomic<std::size_t> early_exits{0};
-  std::atomic<std::size_t> dead_delta_exits{0};
-  std::atomic<std::uint64_t> instructions{0};
-  std::atomic<std::uint64_t> prefix_saved{0};
-  std::atomic<std::uint64_t> convergence_saved{0};
-};
-
-/// Per-unit mutable state of the batched executor: lazily-built waypoint
-/// snapshots (first touching chunk builds, last finishing chunk frees) and
-/// the counters that outlive the freed snapshots.
-struct UnitRuntime {
-  std::once_flag once;
-  fault::CampaignSnapshots snapshots;
-  std::vector<std::uint32_t> order;       // fork_schedule over the snapshots
-  std::atomic<std::size_t> remaining{0};  // trials not yet finished
-  std::uint64_t snapshots_taken = 0;
-  std::uint64_t resume_depth = 0;
-  /// Highest trials_done already streamed to the progress hook (guarded by
-  /// the executor's progress mutex) — keeps snapshots monotone per unit
-  /// when chunks race to report.
-  std::size_t progress_done = 0;
-};
-
 /// One cross-rank campaign scheduled into the shared work queue. Trials
 /// (whole worlds, one Vm per rank) interleave with scalar campaign trials
-/// on the same pool; rank-local waypoint snapshots are built lazily by the
-/// first chunk that touches the unit and freed by the last.
+/// on the same pool.
 struct RankUnit {
   std::shared_ptr<AnalysisSession> session;
   std::shared_ptr<const vm::DecodedProgram> program;
   fault::PreparedRankCampaign prepared;
   std::size_t app_index = ~std::size_t{0};  // into report.apps
 };
-
-/// Per-rank-unit state of the batched executor: the shared taxonomy
-/// accumulator (fault::RankCampaignAccumulator owns ALL per-trial
-/// bookkeeping, so batched results cannot drift from run_rank_campaign)
-/// plus the lazily-built rank-local snapshots.
-struct RankUnitCounts {
-  explicit RankUnitCounts(std::size_t nranks) : acc(nranks) {}
-
-  fault::RankCampaignAccumulator acc;
-  std::once_flag once;
-  fault::RankSnapshots snapshots;
-  std::atomic<std::size_t> remaining{0};
-  std::uint64_t snapshots_taken = 0;
-  std::size_t progress_done = 0;  // see UnitRuntime::progress_done
-};
-
-fault::CampaignResult unit_result(const CampaignUnit& unit,
-                                  const UnitCounts& counts,
-                                  const UnitRuntime& runtime) {
-  fault::CampaignResult r;
-  r.trials = unit.prepared.plans.size();
-  r.population_bits = unit.prepared.population_bits;
-  r.success = counts.success.load();
-  r.failed = counts.failed.load();
-  r.crashed = counts.crashed.load();
-  r.detected_recovered = counts.detected_recovered.load();
-  r.detected_unrecoverable = counts.detected_unrecoverable.load();
-  r.instructions_retired = counts.instructions.load();
-  r.snapshots_taken = runtime.snapshots_taken;
-  r.resume_depth = runtime.resume_depth;
-  r.prefix_instructions_saved = counts.prefix_saved.load();
-  r.convergence_instructions_saved = counts.convergence_saved.load();
-  r.early_exits = counts.early_exits.load();
-  r.dead_delta_exits = counts.dead_delta_exits.load();
-  return r;
-}
-
-/// Fold one unit's campaign result into the report's rollup counters.
-void fold_prefix_reuse(AnalysisReport& report,
-                       const fault::CampaignResult& result) {
-  report.total_instructions += result.instructions_retired;
-  report.instructions_saved += result.prefix_instructions_saved +
-                               result.convergence_instructions_saved;
-  report.snapshots_taken += result.snapshots_taken;
-  report.early_exits += result.early_exits;
-  report.dead_delta_exits += result.dead_delta_exits;
-  report.max_resume_depth =
-      std::max(report.max_resume_depth, result.resume_depth);
-}
 
 /// The concrete (region_id, name, instance) rows one request selects for
 /// one application.
@@ -1021,11 +945,9 @@ AnalysisReport run_analysis(const AnalysisRequest& request) {
   // 5. Execute every campaign trial of every unit as one batched queue —
   //    scalar trials and whole-world rank trials interleaved.
   report.campaign_units = units.size() + rank_units.size();
-  std::vector<std::size_t> offsets(units.size() + 1, 0);
-  for (std::size_t u = 0; u < units.size(); ++u) {
-    offsets[u + 1] = offsets[u] + units[u].prepared.plans.size();
+  for (const auto& unit : units) {
+    report.total_trials += unit.prepared.plans.size();
   }
-  report.total_trials = offsets.back();
   for (const auto& unit : rank_units) {
     report.total_trials += unit.prepared.plans.size();
   }
@@ -1040,174 +962,101 @@ AnalysisReport run_analysis(const AnalysisRequest& request) {
   report.total_trials += composed_trials;
 
   const util::Stopwatch campaign_sw;
-  std::vector<UnitCounts> counts(units.size());
-  std::deque<RankUnitCounts> rank_counts;
-  for (const auto& unit : rank_units) {
-    rank_counts.emplace_back(static_cast<std::size_t>(unit.prepared.nranks))
-        .remaining.store(unit.prepared.plans.size());
-  }
-  // The global queue is chunked per unit: each scalar chunk task owns one
-  // TrialRunner (machine reuse across its trials); each rank chunk runs
-  // whole worlds (one per trial, nranks VM threads each). A unit's
-  // waypoint snapshots are placed lazily by the first chunk that touches
-  // it (workers on other units keep draining the queue meanwhile) and
-  // freed by the last chunk to finish, so peak snapshot memory tracks
-  // the units in flight, not the whole request.
+  // One engine per unit (fault::CampaignEngine, fault::RankCampaignEngine)
+  // and every engine's chunks on ONE parallel_for. Engines place their
+  // waypoint snapshots lazily (workers on other units keep draining the
+  // queue meanwhile) and free them with their last chunk, so peak snapshot
+  // memory tracks the units in flight, not the whole request.
+  std::deque<fault::CampaignEngine> engines;
+  std::deque<fault::RankCampaignEngine> rank_engines;
   struct TrialChunk {
-    bool rank = false;      // scalar unit or rank-campaign unit
+    bool rank = false;  // scalar unit or rank-campaign unit
     std::size_t unit = 0;
-    std::size_t begin = 0;  // plan indices within the unit
-    std::size_t end = 0;
+    std::size_t chunk = 0;
   };
   std::vector<TrialChunk> chunks;
-  std::vector<UnitRuntime> runtimes(units.size());
+  for (std::size_t u = 0; u < units.size(); ++u) {
+    const auto& unit = units[u];
+    const auto& engine = engines.emplace_back(
+        *unit.program, unit.prepared, unit.golden->outputs,
+        unit.session->app().verifier, pool->size());
+    for (std::size_t c = 0; c < engine.chunks(); ++c) {
+      chunks.push_back(TrialChunk{false, u, c});
+    }
+  }
+  for (std::size_t u = 0; u < rank_units.size(); ++u) {
+    const auto& unit = rank_units[u];
+    const auto& engine = rank_engines.emplace_back(
+        *unit.program, unit.prepared, unit.session->app().verifier,
+        pool->size());
+    for (std::size_t c = 0; c < engine.chunks(); ++c) {
+      chunks.push_back(TrialChunk{true, u, c});
+    }
+  }
   // Progress streaming: one snapshot at a time under this mutex, counts
   // loaded inside the critical section so every field is monotone per
   // unit; stale boundary reports (a chunk that finished earlier but lost
-  // the race to report) are dropped via progress_done. The hook never
-  // feeds back into results.
+  // the race to report) are dropped via the unit's streamed trials_done.
+  // The hook never feeds back into results.
   std::mutex progress_mu;
+  std::vector<std::size_t> streamed(units.size() + rank_units.size(), 0);
   const auto& progress = request.progress_;
-  auto emit_scalar = [&](std::size_t u, std::size_t left) {
-    const auto& unit = units[u];
+  auto emit = [&](const TrialChunk& chunk, std::size_t left) {
+    const std::size_t u = chunk.unit;
     UnitProgress p;
-    p.trials_total = unit.prepared.plans.size();
-    p.trials_done = p.trials_total - left;
-    p.done = left == 0;
-    if (unit.entry_index != ~std::size_t{0}) {
-      const auto& e = report.entries[unit.entry_index];
+    p.trials_total = chunk.rank ? rank_units[u].prepared.plans.size()
+                                : units[u].prepared.plans.size();
+    if (chunk.rank) {
+      p.app = report.apps[rank_units[u].app_index].app;
+      p.rank = true;
+    } else if (units[u].entry_index != ~std::size_t{0}) {
+      const auto& e = report.entries[units[u].entry_index];
       p.app = e.app;
       p.region_id = e.region_id;
       p.region_name = e.region_name;
       p.instance = e.instance;
       p.target = e.target;
     } else {
-      p.app = report.apps[unit.app_index].app;
+      p.app = report.apps[units[u].app_index].app;
       p.whole_app = true;
     }
-    std::lock_guard lock(progress_mu);
-    auto& rt = runtimes[u];
-    if (p.trials_done <= rt.progress_done && !p.done) return;
-    rt.progress_done = p.trials_done;
-    p.success = counts[u].success.load();
-    p.failed = counts[u].failed.load();
-    p.crashed = counts[u].crashed.load();
-    p.detected_recovered = counts[u].detected_recovered.load();
-    p.detected_unrecoverable = counts[u].detected_unrecoverable.load();
-    progress(p);
-  };
-  auto emit_rank = [&](std::size_t u, std::size_t left) {
-    const auto& unit = rank_units[u];
-    UnitProgress p;
-    p.app = report.apps[unit.app_index].app;
-    p.rank = true;
-    p.trials_total = unit.prepared.plans.size();
     p.trials_done = p.trials_total - left;
     p.done = left == 0;
     std::lock_guard lock(progress_mu);
-    auto& rc = rank_counts[u];
-    if (p.trials_done <= rc.progress_done && !p.done) return;
-    rc.progress_done = p.trials_done;
+    auto& done = streamed[chunk.rank ? units.size() + u : u];
+    if (p.trials_done <= done && !p.done) return;
+    done = p.trials_done;
+    if (!chunk.rank) {
+      const auto r = engines[u].result();
+      p.success = r.success;
+      p.failed = r.failed;
+      p.crashed = r.crashed;
+      p.detected_recovered = r.detected_recovered;
+      p.detected_unrecoverable = r.detected_unrecoverable;
+    }
     progress(p);
   };
-  for (std::size_t u = 0; u < units.size(); ++u) {
-    const std::size_t n = units[u].prepared.plans.size();
-    runtimes[u].remaining.store(n);
-    if (n == 0) continue;
-    const std::size_t chunk =
-        std::clamp<std::size_t>(n / (pool->size() * 8), 1, 32);
-    for (std::size_t b = 0; b < n; b += chunk) {
-      chunks.push_back(TrialChunk{false, u, b, std::min(n, b + chunk)});
-    }
-  }
-  for (std::size_t u = 0; u < rank_units.size(); ++u) {
-    const std::size_t n = rank_units[u].prepared.plans.size();
-    if (n == 0) continue;
-    // Rank trials are whole multi-rank executions: smaller chunks keep
-    // the shared queue balanced against the cheaper scalar trials.
-    const std::size_t chunk = fault::rank_campaign_chunk(n, pool->size());
-    for (std::size_t b = 0; b < n; b += chunk) {
-      chunks.push_back(TrialChunk{true, u, b, std::min(n, b + chunk)});
-    }
-  }
   if (!chunks.empty()) {
     pool->parallel_for(chunks.size(), [&](std::size_t c) {
-      const auto& [is_rank, u, begin, end] = chunks[c];
-      if (is_rank) {
-        const auto& unit = rank_units[u];
-        auto& rc = rank_counts[u];
-        std::call_once(rc.once, [&] {
-          rc.snapshots =
-              fault::prepare_rank_snapshots(*unit.program, unit.prepared);
-          rc.snapshots_taken = rc.snapshots.snapshots_taken;
-        });
-        for (std::size_t pos = begin; pos < end; ++pos) {
-          std::uint64_t instr = 0, prefix = 0;
-          const auto trial = fault::run_rank_trial(
-              *unit.program, unit.prepared, rc.snapshots, pos,
-              unit.session->app().verifier, &instr, &prefix);
-          rc.acc.add(trial,
-                     static_cast<std::size_t>(unit.prepared.plan_rank[pos]),
-                     instr, prefix);
-        }
-        const std::size_t left =
-            rc.remaining.fetch_sub(end - begin) - (end - begin);
-        if (left == 0) rc.snapshots = fault::RankSnapshots{};
-        if (progress) emit_rank(u, left);
-        return;
-      }
-      const auto& unit = units[u];
-      auto& rt = runtimes[u];
-      std::call_once(rt.once, [&] {
-        rt.snapshots =
-            fault::prepare_snapshots(*unit.program, unit.prepared);
-        rt.order = fault::fork_schedule(unit.prepared);
-        rt.snapshots_taken = rt.snapshots.waypoints.size();
-        rt.resume_depth = rt.snapshots.resume_depth;
-      });
-      fault::TrialRunner runner(*unit.program, unit.prepared, rt.snapshots,
-                                unit.golden->outputs,
-                                unit.session->app().verifier);
-      for (std::size_t pos = begin; pos < end; ++pos) {
-        const std::size_t i = rt.order.empty() ? pos : rt.order[pos];
-        fault::TrialAccounting acct;
-        switch (runner.run(i, &acct)) {
-          case fault::Outcome::VerificationSuccess:
-            counts[u].success.fetch_add(1);
-            break;
-          case fault::Outcome::VerificationFailed:
-            counts[u].failed.fetch_add(1);
-            break;
-          case fault::Outcome::Crashed:
-            counts[u].crashed.fetch_add(1);
-            break;
-          case fault::Outcome::DetectedRecovered:
-            counts[u].detected_recovered.fetch_add(1);
-            break;
-          case fault::Outcome::DetectedUnrecoverable:
-            counts[u].detected_unrecoverable.fetch_add(1);
-            break;
-        }
-        counts[u].instructions.fetch_add(acct.instructions);
-        counts[u].prefix_saved.fetch_add(acct.prefix_saved);
-        counts[u].convergence_saved.fetch_add(acct.convergence_saved);
-        if (acct.early_exit) counts[u].early_exits.fetch_add(1);
-        if (acct.dead_delta) counts[u].dead_delta_exits.fetch_add(1);
-      }
-      // Last finisher of the unit releases its waypoint memory. The
-      // seq_cst decrement also orders every finished chunk's count
-      // updates before the left == 0 observation, so the final progress
-      // snapshot carries the unit's exact outcome counts.
+      const TrialChunk& chunk = chunks[c];
       const std::size_t left =
-          rt.remaining.fetch_sub(end - begin) - (end - begin);
-      if (left == 0) rt.snapshots = fault::CampaignSnapshots{};
-      if (progress) emit_scalar(u, left);
+          chunk.rank ? rank_engines[chunk.unit].run_chunk(chunk.chunk)
+                     : engines[chunk.unit].run_chunk(chunk.chunk);
+      if (progress) emit(chunk, left);
     });
     report.pool_batches = 1;
   }
+  // Place every result and fold the report's rollups from it.
   for (std::size_t u = 0; u < units.size(); ++u) {
-    const auto result = unit_result(units[u], counts[u], runtimes[u]);
-    fold_prefix_reuse(report, result);
+    const auto result = engines[u].result();
+    report.total_instructions += result.instructions_retired;
+    report.instructions_saved += result.prefix_instructions_saved +
+                                 result.convergence_instructions_saved;
+    report.snapshots_taken += result.snapshots_taken;
+    report.early_exits += result.early_exits;
+    report.dead_delta_exits += result.dead_delta_exits;
+    report.max_resume_depth =
+        std::max(report.max_resume_depth, result.resume_depth);
     if (store && units[u].store_key != 0) {
       store->publish_campaign(units[u].store_key, result);
     }
@@ -1218,8 +1067,7 @@ AnalysisReport run_analysis(const AnalysisRequest& request) {
     }
   }
   for (std::size_t u = 0; u < rank_units.size(); ++u) {
-    const auto result = rank_counts[u].acc.result(
-        rank_units[u].prepared, rank_counts[u].snapshots_taken);
+    const auto result = rank_engines[u].result();
     report.total_instructions += result.instructions_retired;
     report.instructions_saved += result.prefix_instructions_saved;
     report.snapshots_taken += result.snapshots_taken;

@@ -90,7 +90,7 @@ class AnalysisSession {
   /// Lifetime: the decoded program refers into the session-owned module,
   /// so the snapshot is valid only while the session lives. Anything that
   /// keeps the program past a call must pin the session too, as
-  /// run_analysis's CampaignUnit does.
+  /// run_analysis's campaign units do.
   [[nodiscard]] const std::shared_ptr<const vm::DecodedProgram>& program()
       const noexcept {
     return program_;
@@ -237,6 +237,10 @@ class AnalysisSession {
   /// column_diff_with(plan, max_records).
   [[nodiscard]] patterns::PatternReport patterns_for(
       const vm::FaultPlan& plan, std::size_t max_records = 0) const;
+  /// The same over a diff the caller already ran for `plan` (callers that
+  /// also read the runs' outcomes run the lockstep diff once).
+  [[nodiscard]] patterns::PatternReport patterns_for(
+      const vm::FaultPlan& plan, const acl::ColumnDiff& diff) const;
 
  private:
   // All *_locked helpers assume mu_ is held and may compute + fill caches.

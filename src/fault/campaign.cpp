@@ -396,14 +396,85 @@ std::vector<std::uint32_t> fork_schedule(const PreparedCampaign& prepared) {
   return order;
 }
 
-Outcome run_forked_trial(const vm::DecodedProgram& program,
-                         const PreparedCampaign& prepared,
-                         const CampaignSnapshots& snapshots,
-                         std::size_t plan_index,
-                         const std::vector<vm::OutputValue>& golden,
-                         const Verifier& verify, TrialAccounting* accounting) {
-  TrialRunner runner(program, prepared, snapshots, golden, verify);
-  return runner.run(plan_index, accounting);
+void CampaignTally::add(Outcome outcome, const TrialAccounting& accounting) {
+  switch (outcome) {
+    case Outcome::VerificationSuccess: success_.fetch_add(1); break;
+    case Outcome::VerificationFailed: failed_.fetch_add(1); break;
+    case Outcome::Crashed: crashed_.fetch_add(1); break;
+    case Outcome::DetectedRecovered: recovered_.fetch_add(1); break;
+    case Outcome::DetectedUnrecoverable: unrecoverable_.fetch_add(1); break;
+  }
+  add(accounting);
+}
+
+void CampaignTally::add(const TrialAccounting& accounting) {
+  instructions_.fetch_add(accounting.instructions);
+  prefix_saved_.fetch_add(accounting.prefix_saved);
+  convergence_saved_.fetch_add(accounting.convergence_saved);
+  if (accounting.early_exit) early_exits_.fetch_add(1);
+  if (accounting.dead_delta) dead_delta_exits_.fetch_add(1);
+}
+
+CampaignResult CampaignTally::result(const PreparedCampaign& prepared,
+                                     std::uint64_t snapshots_taken,
+                                     std::uint64_t resume_depth) const {
+  CampaignResult r;
+  r.trials = prepared.plans.size();
+  r.population_bits = prepared.population_bits;
+  r.success = success_.load();
+  r.failed = failed_.load();
+  r.crashed = crashed_.load();
+  r.detected_recovered = recovered_.load();
+  r.detected_unrecoverable = unrecoverable_.load();
+  r.instructions_retired = instructions_.load();
+  r.snapshots_taken = snapshots_taken;
+  r.prefix_instructions_saved = prefix_saved_.load();
+  r.convergence_instructions_saved = convergence_saved_.load();
+  r.early_exits = early_exits_.load();
+  r.dead_delta_exits = dead_delta_exits_.load();
+  r.resume_depth = resume_depth;
+  return r;
+}
+
+CampaignEngine::CampaignEngine(const vm::DecodedProgram& program,
+                               const PreparedCampaign& prepared,
+                               const std::vector<vm::OutputValue>& golden,
+                               const Verifier& verify, std::size_t workers)
+    : program_(program),
+      prepared_(prepared),
+      golden_(golden),
+      verify_(verify),
+      remaining_(prepared.plans.size()) {
+  const std::size_t n = prepared.plans.size();
+  chunk_ = std::clamp<std::size_t>(n / (workers * 8), 1, 32);
+  chunks_ = (n + chunk_ - 1) / chunk_;
+}
+
+std::size_t CampaignEngine::run_chunk(std::size_t c) {
+  std::call_once(once_, [&] {
+    snapshots_ = prepare_snapshots(program_, prepared_);
+    order_ = fork_schedule(prepared_);
+    snapshots_taken_ = snapshots_.waypoints.size();
+    resume_depth_ = snapshots_.resume_depth;
+  });
+  TrialRunner runner(program_, prepared_, snapshots_, golden_, verify_);
+  const std::size_t begin = c * chunk_;
+  const std::size_t end = std::min(prepared_.plans.size(), begin + chunk_);
+  for (std::size_t pos = begin; pos < end; ++pos) {
+    TrialAccounting acct;
+    const Outcome o = runner.run(order_.empty() ? pos : order_[pos], &acct);
+    tally_.add(o, acct);
+  }
+  // The last chunk to finish releases the waypoint memory. The seq_cst
+  // decrement also orders every finished chunk's tally updates before the
+  // left == 0 observation, so a caller seeing 0 reads final counts.
+  const std::size_t left = remaining_.fetch_sub(end - begin) - (end - begin);
+  if (left == 0) snapshots_ = CampaignSnapshots{};
+  return left;
+}
+
+CampaignResult CampaignEngine::result() const {
+  return tally_.result(prepared_, snapshots_taken_, resume_depth_);
 }
 
 namespace {
@@ -449,102 +520,21 @@ CampaignResult run_prepared_impl(const Executable& exe,
                                  const std::vector<vm::OutputValue>& golden,
                                  const Verifier& verify,
                                  util::Scheduler& pool) {
-  CampaignResult out;
-  out.population_bits = prepared.population_bits;
-  out.trials = prepared.plans.size();
-  if (prepared.plans.empty()) return out;
+  CampaignTally tally;
+  if (prepared.plans.empty()) return tally.result(prepared, 0, 0);
 
   const bool bounds =
       prepared.fork_bounds.size() == prepared.plans.size();
-  std::atomic<std::size_t> success{0}, failed{0}, crashed{0};
-  std::atomic<std::size_t> recovered{0}, unrecoverable{0};
-  std::atomic<std::uint64_t> instructions{0};
   pool.parallel_for(prepared.plans.size(), [&](std::size_t i) {
-    std::uint64_t n = 0;
+    TrialAccounting acct;
     const std::uint64_t landing = bounds
                                       ? prepared.fork_bounds[i]
                                       : plan_landing_index(prepared.plans[i]);
-    switch (run_trial_impl(exe, prepared, prepared.plans[i], landing, golden,
-                           verify, &n)) {
-      case Outcome::VerificationSuccess: success.fetch_add(1); break;
-      case Outcome::VerificationFailed: failed.fetch_add(1); break;
-      case Outcome::Crashed: crashed.fetch_add(1); break;
-      case Outcome::DetectedRecovered: recovered.fetch_add(1); break;
-      case Outcome::DetectedUnrecoverable: unrecoverable.fetch_add(1); break;
-    }
-    instructions.fetch_add(n);
+    const Outcome o = run_trial_impl(exe, prepared, prepared.plans[i], landing,
+                                     golden, verify, &acct.instructions);
+    tally.add(o, acct);
   });
-
-  out.success = success.load();
-  out.failed = failed.load();
-  out.crashed = crashed.load();
-  out.detected_recovered = recovered.load();
-  out.detected_unrecoverable = unrecoverable.load();
-  out.instructions_retired = instructions.load();
-  return out;
-}
-
-/// The snapshot-forked campaign body: one serial golden pass places the
-/// waypoints, then every trial forks from its waypoint on the pool. Outcome
-/// counts are bit-identical to run_prepared_impl on the same campaign.
-CampaignResult run_prepared_forked(const vm::DecodedProgram& program,
-                                   const PreparedCampaign& prepared,
-                                   const std::vector<vm::OutputValue>& golden,
-                                   const Verifier& verify,
-                                   util::Scheduler& pool) {
-  CampaignResult out;
-  out.population_bits = prepared.population_bits;
-  out.trials = prepared.plans.size();
-  if (prepared.plans.empty()) return out;
-
-  const auto snapshots = prepare_snapshots(program, prepared);
-  out.snapshots_taken = snapshots.waypoints.size();
-  out.resume_depth = snapshots.resume_depth;
-  const auto order = fork_schedule(prepared);
-
-  std::atomic<std::size_t> success{0}, failed{0}, crashed{0}, early{0};
-  std::atomic<std::size_t> dead{0}, recovered{0}, unrecoverable{0};
-  std::atomic<std::uint64_t> instructions{0}, prefix_saved{0}, conv_saved{0};
-  // Chunked dispatch in fork_schedule order: each task owns one TrialRunner,
-  // so consecutive trials on a worker reuse one machine and mostly fork from
-  // the same waypoint (incremental restore). Counts accumulate atomically —
-  // results are independent of chunking and order.
-  const std::size_t n = prepared.plans.size();
-  const std::size_t chunk = std::clamp<std::size_t>(n / (pool.size() * 8), 1, 32);
-  const std::size_t n_chunks = (n + chunk - 1) / chunk;
-  pool.parallel_for(n_chunks, [&](std::size_t c) {
-    TrialRunner runner(program, prepared, snapshots, golden, verify);
-    const std::size_t begin = c * chunk;
-    const std::size_t end = std::min(n, begin + chunk);
-    for (std::size_t pos = begin; pos < end; ++pos) {
-      const std::size_t i = order.empty() ? pos : order[pos];
-      TrialAccounting acct;
-      switch (runner.run(i, &acct)) {
-        case Outcome::VerificationSuccess: success.fetch_add(1); break;
-        case Outcome::VerificationFailed: failed.fetch_add(1); break;
-        case Outcome::Crashed: crashed.fetch_add(1); break;
-        case Outcome::DetectedRecovered: recovered.fetch_add(1); break;
-        case Outcome::DetectedUnrecoverable: unrecoverable.fetch_add(1); break;
-      }
-      instructions.fetch_add(acct.instructions);
-      prefix_saved.fetch_add(acct.prefix_saved);
-      conv_saved.fetch_add(acct.convergence_saved);
-      if (acct.early_exit) early.fetch_add(1);
-      if (acct.dead_delta) dead.fetch_add(1);
-    }
-  });
-
-  out.success = success.load();
-  out.failed = failed.load();
-  out.crashed = crashed.load();
-  out.detected_recovered = recovered.load();
-  out.detected_unrecoverable = unrecoverable.load();
-  out.instructions_retired = instructions.load();
-  out.prefix_instructions_saved = prefix_saved.load();
-  out.convergence_instructions_saved = conv_saved.load();
-  out.early_exits = early.load();
-  out.dead_delta_exits = dead.load();
-  return out;
+  return tally.result(prepared, 0, 0);
 }
 
 }  // namespace
@@ -570,11 +560,16 @@ CampaignResult run_prepared_campaign(const vm::DecodedProgram& program,
                                      const std::vector<vm::OutputValue>& golden,
                                      const Verifier& verify,
                                      util::Scheduler& pool) {
-  if (prepared.fork.enabled &&
-      prepared.fork_bounds.size() == prepared.plans.size()) {
-    return run_prepared_forked(program, prepared, golden, verify, pool);
+  if (!prepared.fork.enabled ||
+      prepared.fork_bounds.size() != prepared.plans.size()) {
+    return run_prepared_impl(program, prepared, golden, verify, pool);
   }
-  return run_prepared_impl(program, prepared, golden, verify, pool);
+  CampaignEngine engine(program, prepared, golden, verify, pool.size());
+  if (engine.chunks() > 0) {
+    pool.parallel_for(engine.chunks(),
+                      [&](std::size_t c) { engine.run_chunk(c); });
+  }
+  return engine.result();
 }
 
 CampaignResult run_prepared_campaign(const ir::Module& m,

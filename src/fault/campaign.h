@@ -40,8 +40,10 @@
 /// scale by bench/campaign_fork_ab.cpp via scripts/bench_smoke.sh.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -249,13 +251,40 @@ struct CampaignSnapshots {
 [[nodiscard]] CampaignSnapshots prepare_snapshots(
     const vm::DecodedProgram& program, const PreparedCampaign& prepared);
 
-/// Per-trial prefix-reuse accounting filled by run_forked_trial.
+/// Per-trial cost and prefix-reuse accounting, filled by TrialRunner::run
+/// (and by the from-scratch loop and compose's suffix runs, which fill only
+/// the fields that apply to them).
 struct TrialAccounting {
   std::uint64_t instructions = 0;       // actually executed by this trial
   std::uint64_t prefix_saved = 0;       // golden prefix skipped via the fork
   std::uint64_t convergence_saved = 0;  // tail skipped via early exit
   bool early_exit = false;
   bool dead_delta = false;  // the early exit was a dead-delta closure
+};
+
+/// Thread-safe outcome tally of one campaign: the ONE place a classified
+/// trial becomes CampaignResult counts. The forked engine, the from-scratch
+/// loop and compose's composed campaign all fold their trials through it,
+/// so their results cannot drift. Non-movable (atomics) — construct in
+/// place.
+class CampaignTally {
+ public:
+  /// Fold one classified trial (thread-safe, order-independent).
+  void add(Outcome outcome, const TrialAccounting& accounting);
+  /// Fold executed work that classifies no trial (compose's section
+  /// summaries): only the cost counters move.
+  void add(const TrialAccounting& accounting);
+
+  /// The counts so far, with the campaign-level fields filled in.
+  [[nodiscard]] CampaignResult result(const PreparedCampaign& prepared,
+                                      std::uint64_t snapshots_taken,
+                                      std::uint64_t resume_depth) const;
+
+ private:
+  std::atomic<std::size_t> success_{0}, failed_{0}, crashed_{0},
+      recovered_{0}, unrecoverable_{0};
+  std::atomic<std::uint64_t> instructions_{0}, prefix_saved_{0},
+      convergence_saved_{0}, early_exits_{0}, dead_delta_exits_{0};
 };
 
 /// Per-worker forked-trial executor. Each run() forks the trial machine at
@@ -328,12 +357,47 @@ class TrialRunner {
 [[nodiscard]] std::vector<std::uint32_t> fork_schedule(
     const PreparedCampaign& prepared);
 
-/// One-shot convenience over TrialRunner (no Vm reuse across calls).
-[[nodiscard]] Outcome run_forked_trial(
-    const vm::DecodedProgram& program, const PreparedCampaign& prepared,
-    const CampaignSnapshots& snapshots, std::size_t plan_index,
-    const std::vector<vm::OutputValue>& golden, const Verifier& verify,
-    TrialAccounting* accounting = nullptr);
+/// The forked trial executor of one prepared campaign, cut into chunks a
+/// pool runs in any order and interleaved with other campaigns' chunks
+/// (core::run_analysis puts every unit of a request on one parallel_for).
+/// Chunks hold clamp(trials / (workers * 8), 1, 32) consecutive trials of
+/// fork_schedule() order, and each chunk runs them on one TrialRunner, so
+/// consecutive trials reuse one machine and mostly fork from the same
+/// waypoint. The waypoint snapshots are placed lazily by the first chunk
+/// that runs (others wait on it) and freed by the last chunk to finish, so
+/// peak snapshot memory tracks the campaigns in flight. Counts are
+/// independent of chunking, order and pool size. Non-movable; the
+/// referenced campaign, golden outputs and verifier must outlive it.
+class CampaignEngine {
+ public:
+  CampaignEngine(const vm::DecodedProgram& program,
+                 const PreparedCampaign& prepared,
+                 const std::vector<vm::OutputValue>& golden,
+                 const Verifier& verify, std::size_t workers);
+
+  [[nodiscard]] std::size_t chunks() const noexcept { return chunks_; }
+  /// Run chunk `c` (thread-safe; each chunk exactly once). Returns the
+  /// campaign's trials not yet finished once this chunk's are counted:
+  /// 0 means every count in result() is final.
+  std::size_t run_chunk(std::size_t c);
+  /// The counts so far (final once a run_chunk returned 0).
+  [[nodiscard]] CampaignResult result() const;
+
+ private:
+  const vm::DecodedProgram& program_;
+  const PreparedCampaign& prepared_;
+  const std::vector<vm::OutputValue>& golden_;
+  const Verifier& verify_;
+  std::size_t chunk_ = 1;
+  std::size_t chunks_ = 0;
+  std::once_flag once_;
+  CampaignSnapshots snapshots_;      // built by the first chunk
+  std::vector<std::uint32_t> order_;  // fork_schedule(prepared_)
+  std::uint64_t snapshots_taken_ = 0;
+  std::uint64_t resume_depth_ = 0;
+  std::atomic<std::size_t> remaining_;
+  CampaignTally tally_;
+};
 
 /// Hang budget of a faulty run: `budget_factor` times the fault-free
 /// retired count, and never fewer than 1024 instructions. A run that
@@ -372,10 +436,11 @@ class TrialRunner {
 
 /// Execute every trial of one prepared campaign on `pool` (one blocking
 /// parallel_for) and aggregate the counts. Decoded-engine form; runs the
-/// snapshot-forked scheduler when the prepared campaign's ForkPolicy is
-/// enabled and fork bounds are known (prepare_snapshots + run_forked_trial),
-/// the from-scratch trial loop otherwise. Outcome counts are identical
-/// either way; only cost and the prefix-reuse counters differ.
+/// chunks of a CampaignEngine when the prepared campaign's ForkPolicy is
+/// enabled and fork bounds are known, the from-scratch trial loop (the
+/// reference the forked and composed campaigns are checked against)
+/// otherwise. Outcome counts are identical either way; only cost and the
+/// prefix-reuse counters differ.
 [[nodiscard]] CampaignResult run_prepared_campaign(
     const vm::DecodedProgram& program, const PreparedCampaign& prepared,
     const std::vector<vm::OutputValue>& golden, const Verifier& verify,

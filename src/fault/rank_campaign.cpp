@@ -336,34 +336,53 @@ RankCampaignResult RankCampaignAccumulator::result(
   return r;
 }
 
+RankCampaignEngine::RankCampaignEngine(const vm::DecodedProgram& program,
+                                       const PreparedRankCampaign& prepared,
+                                       const Verifier& verify,
+                                       std::size_t workers)
+    : program_(program),
+      prepared_(prepared),
+      verify_(verify),
+      remaining_(prepared.plans.size()),
+      acc_(static_cast<std::size_t>(prepared.nranks)) {
+  const std::size_t n = prepared.plans.size();
+  chunk_ = std::clamp<std::size_t>(n / (workers * 4), 1, 8);
+  chunks_ = (n + chunk_ - 1) / chunk_;
+}
+
+std::size_t RankCampaignEngine::run_chunk(std::size_t c) {
+  std::call_once(once_, [&] {
+    snapshots_ = prepare_rank_snapshots(program_, prepared_);
+    snapshots_taken_ = snapshots_.snapshots_taken;
+  });
+  const std::size_t begin = c * chunk_;
+  const std::size_t end = std::min(prepared_.plans.size(), begin + chunk_);
+  for (std::size_t i = begin; i < end; ++i) {
+    std::uint64_t instr = 0, prefix = 0;
+    const auto trial = run_rank_trial(program_, prepared_, snapshots_, i,
+                                      verify_, &instr, &prefix);
+    acc_.add(trial, static_cast<std::size_t>(prepared_.plan_rank[i]), instr,
+             prefix);
+  }
+  const std::size_t left = remaining_.fetch_sub(end - begin) - (end - begin);
+  if (left == 0) snapshots_ = RankSnapshots{};
+  return left;
+}
+
+RankCampaignResult RankCampaignEngine::result() const {
+  return acc_.result(prepared_, snapshots_taken_);
+}
+
 RankCampaignResult run_rank_campaign(const vm::DecodedProgram& program,
                                      const PreparedRankCampaign& prepared,
                                      const Verifier& verify,
                                      util::Scheduler& pool) {
-  const auto n = static_cast<std::size_t>(prepared.nranks);
-  RankCampaignAccumulator acc(n);
-  if (prepared.plans.empty()) return acc.result(prepared, 0);
-
-  const auto snapshots = prepare_rank_snapshots(program, prepared);
-
-  // Chunked dispatch: each task runs whole worlds (nranks threads each), so
-  // chunks stay small to keep the queue balanced. Counts accumulate
-  // atomically — results are independent of chunking and order.
-  const std::size_t total = prepared.plans.size();
-  const std::size_t chunk = rank_campaign_chunk(total, pool.size());
-  const std::size_t n_chunks = (total + chunk - 1) / chunk;
-  pool.parallel_for(n_chunks, [&](std::size_t c) {
-    const std::size_t begin = c * chunk;
-    const std::size_t end = std::min(total, begin + chunk);
-    for (std::size_t i = begin; i < end; ++i) {
-      std::uint64_t instr = 0, prefix = 0;
-      const auto trial = run_rank_trial(program, prepared, snapshots, i,
-                                        verify, &instr, &prefix);
-      acc.add(trial, static_cast<std::size_t>(prepared.plan_rank[i]), instr,
-              prefix);
-    }
-  });
-  return acc.result(prepared, snapshots.snapshots_taken);
+  RankCampaignEngine engine(program, prepared, verify, pool.size());
+  if (engine.chunks() > 0) {
+    pool.parallel_for(engine.chunks(),
+                      [&](std::size_t c) { engine.run_chunk(c); });
+  }
+  return engine.result();
 }
 
 RankCampaignResult run_rank_campaign(

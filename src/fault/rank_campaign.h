@@ -45,10 +45,10 @@
 /// scratch. Counts are pinned identical with forking on and off.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "fault/campaign.h"
@@ -245,9 +245,8 @@ struct RankCampaignResult {
 
 /// Thread-safe accumulator of the cross-rank taxonomy. The ONE place the
 /// per-trial bookkeeping (outcome buckets, depth histogram, per-injected-
-/// rank rollups, instruction counters) lives: run_rank_campaign and
-/// core::run_analysis's batched executor both fold trials through it, so
-/// their results cannot drift. Non-movable (atomics) — construct in place.
+/// rank rollups, instruction counters) lives; RankCampaignEngine folds
+/// every trial through it. Non-movable (atomics) — construct in place.
 class RankCampaignAccumulator {
  public:
   explicit RankCampaignAccumulator(std::size_t nranks)
@@ -286,16 +285,44 @@ class RankCampaignAccumulator {
   std::atomic<std::uint64_t> instructions_{0}, prefix_saved_{0};
 };
 
-/// Chunk size for scheduling rank trials on a pool: trials are whole
-/// multi-rank executions, so chunks stay small to keep queues balanced.
-[[nodiscard]] inline std::size_t rank_campaign_chunk(
-    std::size_t trials, std::size_t workers) noexcept {
-  return std::clamp<std::size_t>(trials / (workers * 4), 1, 8);
-}
+/// The trial executor of one prepared cross-rank campaign, cut into chunks
+/// a pool runs in any order — the rank counterpart of CampaignEngine.
+/// Trials are whole multi-rank executions (one world, nranks VM threads),
+/// so chunks stay small to keep a shared queue balanced: clamp(trials /
+/// (workers * 4), 1, 8) consecutive trials in plan order. The rank-local
+/// waypoint snapshots are placed lazily by the first chunk that runs and
+/// freed by the last chunk to finish. Non-movable; the referenced program,
+/// campaign and verifier must outlive it.
+class RankCampaignEngine {
+ public:
+  RankCampaignEngine(const vm::DecodedProgram& program,
+                     const PreparedRankCampaign& prepared,
+                     const Verifier& verify, std::size_t workers);
+
+  [[nodiscard]] std::size_t chunks() const noexcept { return chunks_; }
+  /// Run chunk `c` (thread-safe; each chunk exactly once). Returns the
+  /// campaign's trials not yet finished once this chunk's are counted.
+  std::size_t run_chunk(std::size_t c);
+  /// The taxonomy so far (final once a run_chunk returned 0).
+  [[nodiscard]] RankCampaignResult result() const;
+
+ private:
+  const vm::DecodedProgram& program_;
+  const PreparedRankCampaign& prepared_;
+  const Verifier& verify_;
+  std::size_t chunk_ = 1;
+  std::size_t chunks_ = 0;
+  std::once_flag once_;
+  RankSnapshots snapshots_;  // built by the first chunk
+  std::uint64_t snapshots_taken_ = 0;
+  std::atomic<std::size_t> remaining_;
+  RankCampaignAccumulator acc_;
+};
 
 /// Execute every trial of one prepared cross-rank campaign on `pool` (one
-/// blocking parallel_for; each task runs whole worlds) and aggregate the
-/// taxonomy. Counts are independent of pool size, chunking, and ForkPolicy.
+/// blocking parallel_for over a RankCampaignEngine's chunks) and aggregate
+/// the taxonomy. Counts are independent of pool size, chunking, and
+/// ForkPolicy.
 [[nodiscard]] RankCampaignResult run_rank_campaign(
     const vm::DecodedProgram& program, const PreparedRankCampaign& prepared,
     const Verifier& verify, util::Scheduler& pool);

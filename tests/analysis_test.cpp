@@ -4,6 +4,7 @@
 // observer-pipeline gating semantics.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <thread>
 
 #include "core/analysis.h"
@@ -115,9 +116,22 @@ TEST(CampaignDeterminism, IdenticalCountsAcrossPoolSizes) {
   }
 }
 
-TEST(CampaignDeterminism, BatchedMatchesPerRegionFacadeFlow) {
+// The batched executor against independent oracles: outcome counts against
+// the from-scratch trial loop (fork off), proof counters against the
+// per-unit forked entry points. Region, whole-app and 2-rank units share
+// one pool batch, so their chunks interleave.
+TEST(CampaignDeterminism, BatchedMatchesFromScratchOracle) {
   auto session = std::make_shared<core::AnalysisSession>(apps::build_cg());
-  const auto cfg = quick_campaign(10, /*seed=*/42);
+  util::Scheduler pool(3);
+  auto cfg = quick_campaign(12, /*seed=*/42);
+  cfg.pool = &pool;
+  auto app_cfg = quick_campaign(16, /*seed=*/7);
+  app_cfg.pool = &pool;
+  fault::RankCampaignConfig rank_cfg;
+  rank_cfg.nranks = 2;
+  rank_cfg.trials = 8;
+  rank_cfg.pool = &pool;
+  ASSERT_TRUE(cfg.fork.enabled && rank_cfg.fork.enabled);
 
   const auto batched =
       core::run_analysis(core::AnalysisRequest()
@@ -126,19 +140,96 @@ TEST(CampaignDeterminism, BatchedMatchesPerRegionFacadeFlow) {
                              .region("cg_b")
                              .target(fault::TargetClass::Internal)
                              .target(fault::TargetClass::Input)
-                             .success_rates(cfg));
+                             .success_rates(cfg)
+                             .app_campaign(app_cfg)
+                             .rank_campaign(rank_cfg)
+                             .pool(&pool));
+  EXPECT_EQ(batched.pool_batches, 1u);
+  EXPECT_EQ(batched.campaign_units, 6u);
 
-  // Every batched entry matches the imperative per-region session call.
+  const auto expect_oracle = [](const fault::CampaignResult& b,
+                                const fault::CampaignResult& scratch,
+                                const fault::CampaignResult& forked) {
+    EXPECT_GT(b.trials, 0u);
+    EXPECT_EQ(b.trials, scratch.trials);
+    EXPECT_EQ(b.population_bits, scratch.population_bits);
+    EXPECT_EQ(b.success, scratch.success);
+    EXPECT_EQ(b.failed, scratch.failed);
+    EXPECT_EQ(b.crashed, scratch.crashed);
+    EXPECT_EQ(b.detected_recovered, scratch.detected_recovered);
+    EXPECT_EQ(b.detected_unrecoverable, scratch.detected_unrecoverable);
+    EXPECT_EQ(b.snapshots_taken, forked.snapshots_taken);
+    EXPECT_EQ(b.resume_depth, forked.resume_depth);
+    EXPECT_EQ(b.prefix_instructions_saved, forked.prefix_instructions_saved);
+    EXPECT_EQ(b.convergence_instructions_saved,
+              forked.convergence_instructions_saved);
+    EXPECT_EQ(b.early_exits, forked.early_exits);
+    EXPECT_EQ(b.dead_delta_exits, forked.dead_delta_exits);
+    EXPECT_EQ(b.instructions_retired, forked.instructions_retired);
+  };
+  auto scratch_cfg = cfg;
+  scratch_cfg.fork.enabled = false;
   ASSERT_EQ(batched.entries.size(), 4u);
   for (const auto& e : batched.entries) {
-    const auto& b = e.campaign;
-    const auto direct =
-        session->region_campaign(e.region_id, e.instance, e.target, cfg);
-    EXPECT_EQ(b.trials, direct.trials);
-    EXPECT_EQ(b.success, direct.success);
-    EXPECT_EQ(b.failed, direct.failed);
-    EXPECT_EQ(b.crashed, direct.crashed);
+    SCOPED_TRACE(e.region_name + (e.target == fault::TargetClass::Input
+                                      ? " input"
+                                      : " internal"));
+    expect_oracle(
+        e.campaign,
+        session->region_campaign(e.region_id, e.instance, e.target,
+                                 scratch_cfg),
+        session->region_campaign(e.region_id, e.instance, e.target, cfg));
   }
+  const auto* app = batched.find_app(session->app().name);
+  ASSERT_NE(app, nullptr);
+  ASSERT_TRUE(app->whole_app && app->rank_campaign);
+  auto app_scratch_cfg = app_cfg;
+  app_scratch_cfg.fork.enabled = false;
+  expect_oracle(*app->whole_app, session->app_campaign(app_scratch_cfg),
+                session->app_campaign(app_cfg));
+  // The forked engine actually forked and probed.
+  EXPECT_GT(app->whole_app->snapshots_taken, 0u);
+  EXPECT_GT(app->whole_app->prefix_instructions_saved, 0u);
+  EXPECT_GT(batched.early_exits, 0u);
+
+  // Rank trials: the taxonomy against fork off; the prefix-reuse counters
+  // against the per-unit forked call. CG never communicates, so no world
+  // abort cuts a peer short and the retired count is deterministic too.
+  const auto& rb = *app->rank_campaign;
+  auto rank_scratch_cfg = rank_cfg;
+  rank_scratch_cfg.fork.enabled = false;
+  const auto rs = session->rank_campaign(rank_scratch_cfg);
+  const auto rf = session->rank_campaign(rank_cfg);
+  EXPECT_EQ(rb.trials, 8u);
+  EXPECT_EQ(rb.trials, rs.trials);
+  EXPECT_EQ(rb.masked_locally, rs.masked_locally);
+  EXPECT_EQ(rb.absorbed_by_collective, rs.absorbed_by_collective);
+  EXPECT_EQ(rb.propagated, rs.propagated);
+  EXPECT_EQ(rb.corrupted_output, rs.corrupted_output);
+  EXPECT_EQ(rb.trapped, rs.trapped);
+  EXPECT_EQ(rb.propagation_depth, rs.propagation_depth);
+  EXPECT_EQ(rb.rank_trials, rs.rank_trials);
+  EXPECT_EQ(rb.rank_success, rs.rank_success);
+  EXPECT_EQ(rb.snapshots_taken, rf.snapshots_taken);
+  EXPECT_EQ(rb.prefix_instructions_saved, rf.prefix_instructions_saved);
+  EXPECT_EQ(rb.instructions_retired, rf.instructions_retired);
+  EXPECT_GT(rb.prefix_instructions_saved, 0u);
+  // run_rank_campaign runs the same engine with fork off, so the taxonomy
+  // is also tallied trial by trial, with no engine in between.
+  const auto prepared = fault::prepare_rank_campaign(
+      *session->rank_enumeration(2), session->app().base, rank_cfg);
+  std::array<std::size_t, 5> by_outcome{};
+  for (std::size_t i = 0; i < prepared.plans.size(); ++i) {
+    const auto trial = fault::run_rank_trial(
+        *session->program(), prepared, fault::RankSnapshots{}, i,
+        session->app().verifier);
+    ++by_outcome[static_cast<std::size_t>(trial.outcome)];
+  }
+  EXPECT_EQ(rb.masked_locally, by_outcome[0]);
+  EXPECT_EQ(rb.absorbed_by_collective, by_outcome[1]);
+  EXPECT_EQ(rb.propagated, by_outcome[2]);
+  EXPECT_EQ(rb.corrupted_output, by_outcome[3]);
+  EXPECT_EQ(rb.trapped, by_outcome[4]);
 }
 
 // --- cross-region batching -----------------------------------------------------

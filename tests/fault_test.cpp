@@ -325,6 +325,41 @@ TEST(Campaign, InputCampaignRuns) {
   EXPECT_EQ(r.success + r.failed + r.crashed, r.trials);
 }
 
+// The forked, from-scratch and composed campaigns share one tally, so the
+// equivalence tests between them cannot see a miscount inside it.
+TEST(Campaign, TallyCountsEachOutcomeAndCost) {
+  fault::CampaignTally tally;
+  tally.add(fault::Outcome::VerificationSuccess, {.instructions = 1});
+  tally.add(fault::Outcome::VerificationFailed, {.instructions = 2});
+  tally.add(fault::Outcome::VerificationFailed, {.prefix_saved = 4});
+  tally.add(fault::Outcome::Crashed,
+            {.convergence_saved = 8, .early_exit = true});
+  tally.add(fault::Outcome::DetectedRecovered,
+            {.early_exit = true, .dead_delta = true});
+  tally.add(fault::Outcome::DetectedUnrecoverable, {.instructions = 16});
+  tally.add({.instructions = 32});  // work that classifies no trial
+  fault::PreparedCampaign prepared;
+  prepared.plans.resize(6);
+  prepared.population_bits = 640;
+  const auto r = tally.result(prepared, /*snapshots_taken=*/3,
+                              /*resume_depth=*/99);
+  EXPECT_EQ(r.trials, 6u);
+  EXPECT_EQ(r.population_bits, 640u);
+  EXPECT_EQ(r.success, 1u);
+  EXPECT_EQ(r.failed, 2u);
+  EXPECT_EQ(r.crashed, 1u);
+  EXPECT_EQ(r.detected_recovered, 1u);
+  EXPECT_EQ(r.detected_unrecoverable, 1u);
+  EXPECT_EQ(r.instructions_retired, 51u);
+  EXPECT_EQ(r.prefix_instructions_saved, 4u);
+  EXPECT_EQ(r.convergence_instructions_saved, 8u);
+  EXPECT_EQ(r.early_exits, 2u);
+  EXPECT_EQ(r.dead_delta_exits, 1u);
+  EXPECT_EQ(r.converged_exits(), 1u);
+  EXPECT_EQ(r.snapshots_taken, 3u);
+  EXPECT_EQ(r.resume_depth, 99u);
+}
+
 TEST(Campaign, EmptyPopulationIsSafe) {
   const auto h = CampaignHarness::make();
   fault::SiteEnumerationResult empty;

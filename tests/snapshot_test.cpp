@@ -414,7 +414,7 @@ TEST(RestoreDirty, IncrementalRestoreMatchesFullRestore) {
   expect_same_result(vm.run(), baseline);
 }
 
-TEST(RunForkedTrial, OneShotMatchesRunTrial) {
+TEST(TrialRunner, FreshRunnerPerTrialMatchesRunTrial) {
   const auto app = apps::build_cg();
   const auto prog = vm::DecodedProgram::decode(app.module);
   const auto sites = fault::enumerate_whole_program_sites(prog, app.base);
@@ -425,9 +425,12 @@ TEST(RunForkedTrial, OneShotMatchesRunTrial) {
       sites, fault::TargetClass::Internal, app.base, cfg);
   const auto snapshots = fault::prepare_snapshots(prog, prepared);
   for (std::size_t i = 0; i < prepared.plans.size(); ++i) {
+    // A fresh runner per trial: no machine reuse, the cursor seeded from
+    // the nearest waypoint every time.
+    fault::TrialRunner runner(prog, prepared, snapshots, golden.outputs,
+                              app.verifier);
     fault::TrialAccounting acct;
-    const auto forked = fault::run_forked_trial(
-        prog, prepared, snapshots, i, golden.outputs, app.verifier, &acct);
+    const auto forked = runner.run(i, &acct);
     const auto scratch = fault::run_trial(prog, prepared, prepared.plans[i],
                                           golden.outputs, app.verifier);
     EXPECT_EQ(forked, scratch) << "plan " << i;

@@ -20,9 +20,12 @@
 #
 #  4. Campaign-scheduler A/B (campaign_fork_ab): snapshot-forked trials vs
 #     the from-scratch trial loop on the CG whole-program campaign (one
-#     pool worker — per-worker efficiency, stable across hosts). Forked
-#     must stay >= 2x in trials/sec with identical outcome counts (the
-#     binary exits nonzero on a mismatch) and must report prefix reuse.
+#     pool worker — per-worker efficiency, stable across hosts), best of
+#     five interleaved repetitions per side. Forked must stay >= 2x in
+#     trials/sec with identical outcome counts (the binary exits nonzero on
+#     a mismatch), must report prefix reuse, and must execute at most half
+#     the instructions of the from-scratch loop (a deterministic count for
+#     the fixed seed and trial count).
 #     Its Fig. 5 leg runs every CG region x {Internal, Input} campaign both
 #     ways, the forked side probing the golden section ladder: counts must
 #     be identical per campaign (nonzero exit otherwise) and at least 10%
@@ -61,12 +64,16 @@
 #
 #  9. Compositional A/B (compose_ab): exhaustive snapshot-forked trials vs
 #     the per-section composed engine on every app (bit-identical outcome
-#     counts, the binary exits nonzero on a mismatch), then a cold composed
-#     run on CG, a one-instruction constant edit, and a warm-incremental
-#     run against the same store. The incremental summarization phase must
-#     stay >= 5x faster than cold (suffix re-execution through the edit is
-#     semantically required and excluded from the gate). The section output
-#     is also written to <build-dir>/compose_ab.out for the CI artifact.
+#     counts, the binary exits nonzero on a mismatch), then per app a cold
+#     composed run, a one-instruction constant edit, and a warm-incremental
+#     run against the same store, five interleaved repetitions. The
+#     incremental summarization phase, each side's best repetition summed
+#     over the apps, must stay >= 5x faster than cold (suffix re-execution
+#     through the edit is semantically required and excluded from the
+#     gate); the binary exits nonzero when the repetitions' work counts
+#     differ or the incremental runs recompute more than a fifth of the
+#     cold runs' summaries. The section output is also written to
+#     <build-dir>/compose_ab.out for the CI artifact.
 #
 # 10. Scheduler/service count identity (sched_service_ab): an imbalanced
 #     multi-request mix (CG app campaign + LULESH-RANKED rank campaign + MG
@@ -168,16 +175,20 @@ echo "== bench smoke 4/10: snapshot-forked vs from-scratch campaign trials on CG
 # keeps the best-of interleaved measurement steady; the binary itself
 # exits nonzero if the two schedulers disagree on any outcome count.
 fork_trials=$(( trials * 3 > 120 ? trials * 3 : 120 ))
-"$fork_ab" --trials="$fork_trials" | tee "$tmp_fork"
+"$fork_ab" --trials="$fork_trials" --reps=5 | tee "$tmp_fork"
 cat "$tmp_fork" >> "$out"
 
 fork_speedup=$(sed -n 's/^fork speedup: \([0-9.]*\)x$/\1/p' "$tmp_fork")
 fork_snaps=$(sed -n 's/^prefix reuse: \([0-9]*\) snapshots.*/\1/p' "$tmp_fork")
-awk -v s="$fork_speedup" -v n="$fork_snaps" 'BEGIN {
+scratch_instr=$(sed -n 's/^scratch: .* \([0-9]*\) instr executed$/\1/p' "$tmp_fork")
+forked_instr=$(sed -n 's/^forked : .* \([0-9]*\) instr executed$/\1/p' "$tmp_fork")
+awk -v s="$fork_speedup" -v n="$fork_snaps" -v a="$scratch_instr" -v b="$forked_instr" 'BEGIN {
   if (s == "") { print "ERROR: no fork speedup reported"; exit 1 }
   if (n == "" || n == 0) { print "ERROR: forked campaign took no snapshots (prefix reuse inactive)"; exit 1 }
+  if (a == "" || b == "" || b == 0) { print "ERROR: no executed-instruction counts reported"; exit 1 }
+  if (a < 2 * b) { printf "REGRESSION: snapshot-forked campaign executed %d instructions, more than half of from-scratch %d\n", b, a; exit 1 }
   if (s < 2.0) { printf "REGRESSION: snapshot-forked campaign only %.2fx from-scratch trial throughput (need >= 2x)\n", s; exit 1 }
-  printf "campaign scheduler OK (%.2fx >= 2x trials/s, %d snapshots)\n", s, n
+  printf "campaign scheduler OK (%.2fx >= 2x trials/s, %.2fx fewer instructions, %d snapshots)\n", s, a / b, n
 }' | tee -a "$out"
 # "region leg: 12 campaigns, 1440 trials, 253 early exits (83 bit-equal, ..."
 region_trials=$(sed -n 's/^region leg: [0-9]* campaigns, \([0-9]*\) trials.*/\1/p' "$tmp_fork")
@@ -266,10 +277,12 @@ echo "== bench smoke 9/10: compositional campaigns - cold vs warm-incremental ==
 # The binary exits nonzero if the composed engine's outcome counts diverge
 # from the exhaustive scheduler on any app, if the post-edit incremental
 # counts diverge from a from-scratch exhaustive run on the edited module,
-# if the warm run fails to serve untouched summaries from the store, or if
-# the edited session's golden trace was not spliced onto the cold run's
-# lineage root (it traced the whole run, or its columns differ from a
-# scratch trace; the `splice:` line shows the counts).
+# if the warm runs fail to serve untouched summaries from the store or
+# recompute more than a fifth of the cold runs' summaries, if the
+# repetitions' work counts differ (the `work:` line), or if an edited
+# session's golden trace was not spliced onto the cold run's lineage root
+# (it traced the whole run, or its columns differ from a scratch trace; the
+# `splice:` line shows the counts).
 "$compose_ab" --trials="$trials" | tee "$tmp_compose"
 cat "$tmp_compose" >> "$out"
 # The compositional section is its own CI artifact, next to bench_smoke.out.

@@ -295,11 +295,18 @@ SectionPlan plan_sections(const vm::DecodedProgram& program,
       trace.size() != prepared.fault_free_instructions) {
     return assign_sections(nullptr, prepared);
   }
+  const std::size_t cap =
+      fault::ladder_cap(program, prepared.fork.max_snapshot_bytes, max_sections);
+  // One ladder per request: the population's own ladder serves when it was
+  // cut over this program and run length with the same cap.
+  if (const auto& own = prepared.ladder;
+      own && own->program == &program &&
+      own->total_instructions == trace.size() && own->max_sections == cap) {
+    return assign_sections(own, prepared);
+  }
   return assign_sections(
       std::make_shared<const fault::SectionLadder>(fault::build_ladder(
-          program, trace, instances, prepared.run_opts,
-          fault::ladder_cap(program, prepared.fork.max_snapshot_bytes,
-                            max_sections))),
+          program, trace, instances, prepared.run_opts, cap)),
       prepared);
 }
 

@@ -148,11 +148,12 @@ struct SectionPlan {
     std::shared_ptr<const fault::SectionLadder> ladder,
     const fault::PreparedCampaign& prepared);
 
-/// Build a ladder from the golden trace (fault::build_ladder, at most
+/// Assign the campaign to a ladder of the golden trace with at most
 /// `max_sections` sections, lowered by the prepared campaign's
-/// ForkPolicy::max_snapshot_bytes budget for large memory images) and
-/// assign the campaign to it. core::AnalysisSession::run_compositional
-/// reuses the session's ladder instead.
+/// ForkPolicy::max_snapshot_bytes budget for large memory images. The
+/// ladder riding with the campaign (PreparedCampaign::ladder, the
+/// session's) serves when it was cut over `program` and the trace's run
+/// length with that cap; otherwise one is built (fault::build_ladder).
 [[nodiscard]] SectionPlan plan_sections(
     const vm::DecodedProgram& program, const trace::ColumnTrace& trace,
     std::span<const trace::RegionInstance> instances,

@@ -60,6 +60,11 @@ const std::shared_ptr<const vm::RunResult>& AnalysisSession::golden_locked() {
 
 bool AnalysisSession::fill_trace_locked(std::uint64_t& trapped_at) {
   if (trace_) return true;
+  trace_full_ = false;
+  splice_root_.reset();
+  splice_rows_ = 0;
+  root_facts_.reset();
+  root_facts_loaded_ = false;
   const std::uint64_t key =
       store_ ? store::trace_key(module_hash(), options_hash()) : 0;
   std::uint64_t lineage = 0;
@@ -71,6 +76,7 @@ bool AnalysisSession::fill_trace_locked(std::uint64_t& trapped_at) {
     // over the mapped columns; no traced execution happens at all.
     if (auto loaded = store_->load_trace(key, program_, module_hash())) {
       trace_ = std::move(loaded);
+      trace_full_ = true;
       return true;
     }
     // An edited module's trace stored as its lineage root's prefix plus
@@ -108,6 +114,11 @@ bool AnalysisSession::fill_trace_locked(std::uint64_t& trapped_at) {
     golden_ = std::make_shared<const vm::RunResult>(std::move(*run));
   }
   trace_ = std::make_shared<const trace::ColumnTrace>(std::move(sink));
+  trace_full_ = !spliced;
+  if (spliced) {
+    splice_root_ = root->segment;
+    splice_rows_ = prefix_rows;
+  }
   if (store_) {
     if (spliced) {
       store_->publish_derived_trace(key, *root, prefix_rows, *trace_,
@@ -173,11 +184,28 @@ const std::shared_ptr<const std::vector<trace::RegionInstance>>&
 AnalysisSession::instances_locked() {
   if (!instances_) {
     // Columnar fast path: marker opcodes resolve through the pc column, so
-    // segmentation touches no record at all.
+    // segmentation touches no record at all. A spliced trace keeps the
+    // lineage root's instances that close within the shared rows.
+    const auto& trace = *trace_locked();
+    const auto* root = root_facts_locked();
     instances_ = std::make_shared<const std::vector<trace::RegionInstance>>(
-        trace::segment_regions(*trace_locked()));
+        root ? trace::segment_regions(trace, root->instances, splice_rows_)
+             : trace::segment_regions(trace));
   }
   return instances_;
+}
+
+std::size_t AnalysisSession::ladder_cap() const {
+  return fault::ladder_cap(*program_, fault::ForkPolicy{}.max_snapshot_bytes);
+}
+
+const fault::LadderFacts* AnalysisSession::root_facts_locked() {
+  if (!splice_root_ || !store_) return nullptr;
+  if (!root_facts_loaded_) {
+    root_facts_loaded_ = true;
+    root_facts_ = store_->load_facts(*splice_root_, ladder_cap());
+  }
+  return root_facts_ ? &*root_facts_ : nullptr;
 }
 
 const std::shared_ptr<const trace::LocationEvents>&
@@ -191,9 +219,17 @@ AnalysisSession::events_locked() {
 
 void AnalysisSession::ensure_ladder_locked() {
   if (ladder_ || !trace_) return;
+  const auto& instances = *instances_locked();
   ladder_ = std::make_shared<const fault::SectionLadder>(fault::build_ladder(
-      *program_, *trace_, *instances_locked(), app_.base,
-      fault::ladder_cap(*program_, fault::ForkPolicy{}.max_snapshot_bytes)));
+      *program_, *trace_, instances, app_.base, ladder_cap(),
+      {root_facts_locked(), splice_rows_}));
+  // A full trace may be a lineage root: its edited descendants reuse these
+  // facts for the rows they share with it.
+  if (store_ && trace_full_ && !ladder_->empty()) {
+    store_->publish_facts(store::trace_key(module_hash(), options_hash()),
+                          fault::ladder_facts(*ladder_, instances),
+                          module_hash());
+  }
 }
 
 std::shared_ptr<const fault::SiteEnumerationResult>
@@ -404,13 +440,8 @@ compose::ComposedResult AnalysisSession::run_compositional(
   auto* pool = config.pool ? config.pool : &util::global_scheduler();
   auto prepared = fault::prepare_campaign(
       *sites, fault::TargetClass::Internal, app_.base, config);
-  const std::size_t cap =
-      fault::ladder_cap(*program_, config.fork.max_snapshot_bytes);
-  const auto plan =
-      prepared.ladder && prepared.ladder->max_sections == cap
-          ? compose::assign_sections(prepared.ladder, prepared)
-          : compose::plan_sections(*program_, *golden_trace(),
-                                   *region_instances(), prepared);
+  const auto plan = compose::plan_sections(*program_, *golden_trace(),
+                                           *region_instances(), prepared);
   compose::ComposeOptions opts;
   {
     std::lock_guard lock(mu_);

@@ -55,6 +55,7 @@
 #include "patterns/detect.h"
 #include "patterns/rates.h"
 #include "regions/io.h"
+#include "store/lineage.h"
 #include "trace/collector.h"
 #include "trace/events.h"
 #include "trace/segment.h"
@@ -62,7 +63,6 @@
 
 namespace ft::store {
 class ArtifactStore;
-struct LineageRoot;
 }  // namespace ft::store
 
 namespace ft::jit {
@@ -274,8 +274,15 @@ class AnalysisSession {
       std::uint32_t region_id, std::uint32_t instance);
   /// Build ladder_ from the held trace if it is not built yet. Never runs a
   /// traced golden run of its own: without a held trace it leaves ladder_
-  /// as it is.
+  /// as it is. A full trace publishes its ladder facts to the store; a
+  /// spliced one reuses its lineage root's (root_facts_locked).
   void ensure_ladder_locked();
+  /// The section cap of the session's ladder.
+  [[nodiscard]] std::size_t ladder_cap() const;
+  /// The lineage root's ladder facts when the held trace was spliced onto
+  /// the root and the store serves them (loaded once per trace); null
+  /// otherwise, and on a counted store miss.
+  const fault::LadderFacts* root_facts_locked();
 
   static std::uint64_t key(std::uint32_t region_id,
                            std::uint32_t instance) noexcept {
@@ -294,6 +301,14 @@ class AnalysisSession {
   std::atomic<std::uint64_t> traced_executed_{0};
   std::shared_ptr<const vm::RunResult> golden_;
   std::shared_ptr<const trace::ColumnTrace> trace_;
+  /// How trace_ was filled: a full trace (traced, or a full store segment)
+  /// publishes its ladder facts; a spliced one keeps its lineage root's
+  /// segment and the rows it shares with it (store/lineage.h).
+  bool trace_full_ = false;
+  std::optional<store::RootSegment> splice_root_;
+  std::uint64_t splice_rows_ = 0;
+  std::optional<fault::LadderFacts> root_facts_;
+  bool root_facts_loaded_ = false;
   std::shared_ptr<const std::vector<trace::RegionInstance>> instances_;
   std::shared_ptr<const trace::LocationEvents> events_;
   std::shared_ptr<const patterns::PatternRates> rates_;

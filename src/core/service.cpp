@@ -157,6 +157,14 @@ class SingleFlightStore final : public store::ArtifactStore {
       std::uint64_t program_hash) override {
     return inner_->load_derived_trace(key, std::move(program), program_hash);
   }
+  std::optional<fault::LadderFacts> load_facts(
+      const store::RootSegment& seg, std::size_t max_sections) override {
+    return inner_->load_facts(seg, max_sections);
+  }
+  bool publish_facts(std::uint64_t trace_key, const fault::LadderFacts& facts,
+                     std::uint64_t program_hash) override {
+    return inner_->publish_facts(trace_key, facts, program_hash);
+  }
   std::optional<vm::RunResult> load_golden(std::uint64_t key) override {
     return inner_->load_golden(key);
   }

@@ -11,38 +11,53 @@
 
 namespace ft::fault {
 
-using detail::pick_weighted;
+namespace {
+
+/// sample_plans over a population of `total` bits (its internal_bits() or
+/// input_bits(), by `target`).
+std::vector<vm::FaultPlan> sample_population(const SitePopulation& pop,
+                                             TargetClass target,
+                                             std::uint64_t total,
+                                             std::size_t trials,
+                                             std::uint64_t seed) {
+  std::vector<vm::FaultPlan> plans;
+  if (total == 0) return plans;
+  // Every offset is drawn in trial order before any is resolved, so the
+  // plans are those of one draw-and-walk per trial.
+  util::Rng rng(seed);
+  std::vector<std::uint64_t> draws(trials);
+  for (auto& u : draws) u = rng.below(total);
+  plans.reserve(trials);
+  if (target == TargetClass::Internal) {
+    for (const auto& p : detail::pick_weighted(
+             pop.internal, draws,
+             [](const InternalSite& s) { return std::uint64_t{s.width_bits}; })) {
+      if (p.site == p.kNoSite) continue;
+      plans.push_back(plan_for_internal(pop.internal[p.site], p.bit));
+    }
+  } else {
+    for (const auto& p : detail::pick_weighted(
+             pop.input, draws, [](const InputSite& s) {
+               return std::uint64_t{8} * s.width_bytes;
+             })) {
+      if (p.site == p.kNoSite) continue;
+      plans.push_back(plan_for_input(pop, pop.input[p.site], p.bit));
+    }
+  }
+  return plans;
+}
+
+}  // namespace
 
 std::vector<vm::FaultPlan> sample_plans(const SiteEnumerationResult& sites,
                                         TargetClass target,
                                         std::size_t trials,
                                         std::uint64_t seed) {
-  std::vector<vm::FaultPlan> plans;
-  plans.reserve(trials);
-  util::Rng rng(seed);
   const auto& pop = sites.sites;
-
-  if (target == TargetClass::Internal) {
-    const std::uint64_t total = pop.internal_bits();
-    if (total == 0) return plans;
-    for (std::size_t t = 0; t < trials; ++t) {
-      const auto [site, bit] = pick_weighted(
-          pop.internal, rng.below(total),
-          [](const InternalSite& s) { return std::uint64_t{s.width_bits}; });
-      if (site) plans.push_back(plan_for_internal(*site, bit));
-    }
-  } else {
-    const std::uint64_t total = pop.input_bits();
-    if (total == 0) return plans;
-    for (std::size_t t = 0; t < trials; ++t) {
-      const auto [site, bit] = pick_weighted(
-          pop.input, rng.below(total), [](const InputSite& s) {
-            return std::uint64_t{8} * s.width_bytes;
-          });
-      if (site) plans.push_back(plan_for_input(pop, *site, bit));
-    }
-  }
-  return plans;
+  return sample_population(
+      pop, target,
+      target == TargetClass::Internal ? pop.internal_bits() : pop.input_bits(),
+      trials, seed);
 }
 
 std::uint64_t hang_budget(double budget_factor,
@@ -67,7 +82,8 @@ PreparedCampaign prepare_campaign(const SiteEnumerationResult& sites,
     trials = util::fault_injection_sample_size(
         out.population_bits, config.confidence, config.margin);
   }
-  out.plans = sample_plans(sites, target, trials, config.seed);
+  out.plans =
+      sample_population(pop, target, out.population_bits, trials, config.seed);
 
   out.run_opts = base;
   out.run_opts.observer = nullptr;

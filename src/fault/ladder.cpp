@@ -97,7 +97,7 @@ SectionLadder build_ladder(const vm::DecodedProgram& program,
                            const trace::ColumnTrace& trace,
                            std::span<const trace::RegionInstance> instances,
                            const vm::VmOptions& base,
-                           std::size_t max_sections) {
+                           std::size_t max_sections, RootFacts root) {
   SectionLadder ladder;
   const std::uint64_t total = trace.size();
   ladder.total_instructions = total;
@@ -152,10 +152,21 @@ SectionLadder build_ladder(const vm::DecodedProgram& program,
   std::vector<std::uint8_t> seen_pc(program.code_size(), 0);
   std::vector<std::uint32_t> killed_in(nblocks, 0);
   std::vector<std::uint32_t> read_in(nblocks, 0);
+  std::span<const SectionInfo> shared;
+  if (root.facts) shared = root.facts->sections;
+  std::size_t r = 0;  // first root section not beginning before this one
   for (std::size_t s = 0; s < begins.size(); ++s) {
     SectionInfo& sec = ladder.sections[s];
     sec.begin = begins[s];
     sec.end = s + 1 < begins.size() ? begins[s + 1] : total;
+    while (r < shared.size() && shared[r].begin < sec.begin) ++r;
+    if (r < shared.size() && shared[r].begin == sec.begin &&
+        shared[r].end == sec.end && sec.end <= root.shared_rows &&
+        shared[r].written.size() == (npages + 63) / 64) {
+      sec = shared[r];
+      ladder.sections_reused++;
+      continue;
+    }
     sec.written.assign((npages + 63) / 64, 0);
     const auto epoch = static_cast<std::uint32_t>(s + 1);
     for (std::uint64_t row = sec.begin; row < sec.end; ++row) {
@@ -228,6 +239,16 @@ SectionLadder build_ladder(const vm::DecodedProgram& program,
     std::sort(sec.kills.begin(), sec.kills.end());
   }
   return ladder;
+}
+
+LadderFacts ladder_facts(const SectionLadder& ladder,
+                         std::span<const trace::RegionInstance> instances) {
+  LadderFacts f;
+  f.instances.assign(instances.begin(), instances.end());
+  f.sections = ladder.sections;
+  f.max_sections = ladder.max_sections;
+  f.rows = ladder.total_instructions;
+  return f;
 }
 
 bool data_delta(const vm::Vm& vm, const vm::Vm::Snapshot& s,

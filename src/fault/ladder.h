@@ -71,6 +71,8 @@ struct SectionInfo {
   /// Sections executing MiniMPI ops never transport a delta (communication
   /// makes the footprint non-local).
   bool opaque = false;
+
+  bool operator==(const SectionInfo&) const = default;
 };
 
 /// One golden execution cut into sections, with the golden machine state at
@@ -90,6 +92,9 @@ struct SectionLadder {
   /// The program the ladder was built over. Trials of any other program
   /// ignore the ladder.
   const vm::DecodedProgram* program = nullptr;
+  /// Sections whose facts were copied from a lineage root's (build_ladder's
+  /// `root`) instead of scanned from the trace.
+  std::size_t sections_reused = 0;
 
   [[nodiscard]] bool empty() const noexcept { return sections.empty(); }
   /// Index of the section whose span contains retired count `index` (the
@@ -111,17 +116,47 @@ inline constexpr std::size_t kLadderSections = 32;
                                      std::size_t max_snapshot_bytes,
                                      std::size_t max_sections = kLadderSections);
 
+/// Everything a ladder reads from its golden trace, without the boundary
+/// snapshots: the region instances the cuts come from, every section's
+/// facts, and the section cap and row count they were computed for. A
+/// lineage root publishes its facts to the store (store::BlobKind::Facts);
+/// an edited module of the same lineage reuses them for the rows it shares
+/// with the root (store/lineage.h).
+struct LadderFacts {
+  std::vector<trace::RegionInstance> instances;
+  std::vector<SectionInfo> sections;
+  std::size_t max_sections = 0;
+  std::uint64_t rows = 0;
+};
+
+/// A lineage root's facts and the number of leading rows the trace being
+/// laddered shares with the root's trace, row for row.
+struct RootFacts {
+  const LadderFacts* facts = nullptr;
+  std::uint64_t shared_rows = 0;
+};
+
 /// Cut the golden trace at region-instance boundaries
 /// (trace::section_boundaries, at most `max_sections` sections), run the
 /// golden prefix once under `base` (fault, observer and column sink
 /// cleared) to snapshot every boundary, and scan each section's rows for
-/// its facts. Returns an empty ladder when the trace does not describe a
-/// completed run of `program`. A boundary the golden run cannot pause at
-/// truncates the cut list; the tail then becomes one long final section.
+/// its facts. A section whose span equals one of `root`'s sections and ends
+/// within the shared rows copies that section's facts instead of scanning
+/// (a section's facts depend only on its own rows). Returns an empty
+/// ladder when the trace does not describe a completed run of `program`. A
+/// boundary the golden run cannot pause at truncates the cut list; the
+/// tail then becomes one long final section.
 [[nodiscard]] SectionLadder build_ladder(
     const vm::DecodedProgram& program, const trace::ColumnTrace& trace,
     std::span<const trace::RegionInstance> instances,
-    const vm::VmOptions& base, std::size_t max_sections);
+    const vm::VmOptions& base, std::size_t max_sections,
+    RootFacts root = {});
+
+/// The facts of `ladder`, cut from `instances`: what a lineage root
+/// publishes for its edited descendants.
+[[nodiscard]] LadderFacts ladder_facts(
+    const SectionLadder& ladder,
+    std::span<const trace::RegionInstance> instances);
 
 /// A data-only delta: differing 8-byte memory words as (8-aligned address,
 /// faulty bits) ascending by address, and differing emitted outputs as

@@ -125,21 +125,23 @@ PreparedRankCampaign prepare_rank_campaign(const RankEnumeration& enumeration,
   // Width-weighted sampling over the all-ranks site population, from one
   // seeded generator — the plan list is fixed before any trial runs.
   util::Rng rng(config.seed);
+  std::vector<std::uint64_t> draws(trials);
+  for (auto& u : draws) u = rng.below(out.population_bits);
   out.plans.reserve(trials);
   out.plan_rank.reserve(trials);
   out.fork_bounds.reserve(trials);
-  for (std::size_t t = 0; t < trials; ++t) {
-    const auto [site, bit] = detail::pick_weighted(
-        enumeration.sites, rng.below(out.population_bits),
-        [](const RankSite& s) { return std::uint64_t{s.width_bits}; });
-    if (!site) continue;
-    out.plans.push_back(vm::FaultPlan::result_bit(site->dyn_index, bit));
-    out.plan_rank.push_back(site->rank);
+  for (const auto& p : detail::pick_weighted(
+           enumeration.sites, draws,
+           [](const RankSite& s) { return std::uint64_t{s.width_bits}; })) {
+    if (p.site == p.kNoSite) continue;
+    const RankSite& site = enumeration.sites[p.site];
+    out.plans.push_back(vm::FaultPlan::result_bit(site.dyn_index, p.bit));
+    out.plan_rank.push_back(site.rank);
     // Rank-local legality: fork at or before the flip's own index AND
     // before the rank's first blocking communication op.
     const auto first_comm =
-        enumeration.first_comm_index[static_cast<std::size_t>(site->rank)];
-    out.fork_bounds.push_back(std::min(site->dyn_index, first_comm));
+        enumeration.first_comm_index[static_cast<std::size_t>(site.rank)];
+    out.fork_bounds.push_back(std::min(site.dyn_index, first_comm));
   }
   return out;
 }

@@ -191,25 +191,35 @@ SiteEnumerationResult enumerate_whole_program_sites_from_trace(
     }
   }
 
+  // Two passes of one row rule: count, then fill a vector of exactly that
+  // size (a growing vector would copy the population several times over).
   const auto cols = golden.raw();
-  std::size_t e = 0;  // escape cursor (extras are in row order)
-  for (std::size_t row = 0; row < cols.rows; ++row) {
-    const std::uint8_t w = width[cols.pc[row]];
-    if (w == 0) continue;
-    if (w & kRet) {
-      while (e < cols.num_extras && cols.extras[e].row < row) ++e;
-      std::uint64_t loc = vm::kNoLoc;
-      for (std::size_t k = e; k < cols.num_extras && cols.extras[k].row == row;
-           ++k) {
-        if (cols.extras[k].slot == trace::ColumnTrace::kResultSlot) {
-          loc = cols.extras[k].loc;
+  const auto for_each_site = [&](auto&& visit) {
+    std::size_t e = 0;  // escape cursor (extras are in row order)
+    for (std::size_t row = 0; row < cols.rows; ++row) {
+      const std::uint8_t w = width[cols.pc[row]];
+      if (w == 0) continue;
+      if (w & kRet) {
+        while (e < cols.num_extras && cols.extras[e].row < row) ++e;
+        std::uint64_t loc = vm::kNoLoc;
+        for (std::size_t k = e;
+             k < cols.num_extras && cols.extras[k].row == row; ++k) {
+          if (cols.extras[k].slot == trace::ColumnTrace::kResultSlot) {
+            loc = cols.extras[k].loc;
+          }
         }
+        if (loc == vm::kNoLoc) continue;
       }
-      if (loc == vm::kNoLoc) continue;
+      visit(row, static_cast<std::uint32_t>(w & ~kRet));
     }
-    out.sites.internal.push_back(
-        InternalSite{row, static_cast<std::uint32_t>(w & ~kRet)});
-  }
+  };
+  std::size_t n = 0;
+  for_each_site([&](std::size_t, std::uint32_t) { ++n; });
+  auto& internal = out.sites.internal;
+  internal.reserve(n);
+  for_each_site([&](std::size_t row, std::uint32_t w) {
+    internal.push_back(InternalSite{row, w});
+  });
   return out;
 }
 

@@ -384,6 +384,83 @@ std::optional<LineageRoot> decode_lineage(const std::string& payload,
   return out;
 }
 
+std::string encode_facts(const fault::LadderFacts& f,
+                         std::uint64_t program_hash) {
+  ByteWriter w;
+  w.u64(program_hash);
+  w.u64(f.rows);
+  w.u64(f.max_sections);
+  w.u64(f.instances.size());
+  for (const auto& i : f.instances) {
+    w.u32(i.region_id);
+    w.u32(i.instance);
+    w.u64(i.enter_index);
+    w.u64(i.exit_index);
+    w.boolean(i.complete);
+  }
+  w.u64(f.sections.size());
+  for (const auto& sec : f.sections) {
+    w.u64(sec.begin);
+    w.u64(sec.end);
+    w.boolean(sec.opaque);
+    w.array<std::uint32_t>(sec.funcs);
+    w.array<std::uint32_t>(sec.pcs);
+    w.array<std::uint64_t>(sec.reads);
+    w.array<std::uint64_t>(sec.kills);
+    w.array<std::uint64_t>(sec.written);
+  }
+  return w.bytes();
+}
+
+/// nullopt on any malformed payload, on facts of another program, row
+/// count or cap than `seg` / `max_sections`, and on instances that are not
+/// in entry order inside the rows or sections that do not tile them.
+std::optional<fault::LadderFacts> decode_facts(const std::string& payload,
+                                               const RootSegment& seg,
+                                               std::size_t max_sections) {
+  ByteReader r(payload.data(), payload.size());
+  fault::LadderFacts f;
+  const std::uint64_t program_hash = r.u64();
+  f.rows = r.u64();
+  f.max_sections = r.u64();
+  if (!r.ok() || program_hash != seg.program_hash || f.rows != seg.rows ||
+      f.max_sections != max_sections) {
+    return std::nullopt;
+  }
+  const std::uint64_t ni = r.u64();
+  if (!r.ok() || ni > payload.size()) return std::nullopt;
+  f.instances.resize(ni);
+  for (std::size_t k = 0; k < ni; ++k) {
+    auto& i = f.instances[k];
+    i.region_id = r.u32();
+    i.instance = r.u32();
+    i.enter_index = r.u64();
+    i.exit_index = r.u64();
+    i.complete = r.boolean();
+    if (i.exit_index < i.enter_index || i.exit_index > f.rows ||
+        (k > 0 && i.enter_index <= f.instances[k - 1].enter_index)) {
+      return std::nullopt;
+    }
+  }
+  const std::uint64_t ns = r.u64();
+  if (!r.ok() || ns == 0 || ns > f.max_sections) return std::nullopt;
+  f.sections.resize(ns);
+  std::uint64_t next = 0;  // where the next section must begin
+  for (auto& sec : f.sections) {
+    sec.begin = r.u64();
+    sec.end = r.u64();
+    sec.opaque = r.boolean();
+    if (!r.array(sec.funcs) || !r.array(sec.pcs) || !r.array(sec.reads) ||
+        !r.array(sec.kills) || !r.array(sec.written) || sec.begin != next ||
+        sec.end <= sec.begin) {
+      return std::nullopt;
+    }
+    next = sec.end;
+  }
+  if (next != f.rows || !r.done()) return std::nullopt;
+  return f;
+}
+
 std::string hex16(std::uint64_t key) {
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx",
@@ -398,6 +475,7 @@ const char* kind_ext(BlobKind kind) {
     case BlobKind::Campaign: return "campaign";
     case BlobKind::Summary: return "summary";
     case BlobKind::Lineage: return "lineage";
+    case BlobKind::Facts: return "facts";
   }
   return "blob";
 }
@@ -633,8 +711,9 @@ bool ArtifactStore::publish_blob(std::uint64_t key, BlobKind kind,
   return true;
 }
 
-std::optional<std::string> ArtifactStore::load_blob(std::uint64_t key,
-                                                    BlobKind kind) {
+std::optional<std::string> ArtifactStore::load_blob(
+    std::uint64_t key, BlobKind kind,
+    const std::function<bool(const std::string&)>& accept) {
   const std::string path = blob_path(key, kind);
   const auto miss = [&](bool found) -> std::optional<std::string> {
     misses_.fetch_add(1, std::memory_order_relaxed);
@@ -659,12 +738,31 @@ std::optional<std::string> ArtifactStore::load_blob(std::uint64_t key,
   }
   if (bytes.size() - sizeof(BlobHeader) != h.payload_bytes) return miss(true);
   std::string payload = bytes.substr(sizeof(BlobHeader));
-  if (util::hash_bytes(payload.data(), payload.size()) != h.payload_hash) {
+  if (util::hash_bytes(payload.data(), payload.size()) != h.payload_hash ||
+      (accept && !accept(payload))) {
     return miss(true);
   }
   hits_.fetch_add(1, std::memory_order_relaxed);
   bytes_read_.fetch_add(bytes.size(), std::memory_order_relaxed);
   return payload;
+}
+
+std::optional<fault::LadderFacts> ArtifactStore::load_facts(
+    const RootSegment& seg, std::size_t max_sections) {
+  std::optional<fault::LadderFacts> out;
+  (void)load_blob(seg.trace_key, BlobKind::Facts,
+                  [&](const std::string& payload) {
+                    out = decode_facts(payload, seg, max_sections);
+                    return out.has_value();
+                  });
+  return out;
+}
+
+bool ArtifactStore::publish_facts(std::uint64_t trace_key,
+                                  const fault::LadderFacts& facts,
+                                  std::uint64_t program_hash) {
+  return publish_blob(trace_key, BlobKind::Facts,
+                      encode_facts(facts, program_hash));
 }
 
 std::optional<vm::RunResult> ArtifactStore::load_golden(std::uint64_t key) {

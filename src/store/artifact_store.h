@@ -18,7 +18,7 @@
 ///     traces/<key>.ftderived an edited module's trace as a lineage root's
 ///                            prefix plus its own suffix (lineage.h)
 ///     blobs/<key>.<kind>     golden / sites / campaign / summary /
-///                            lineage blobs
+///                            lineage / facts blobs
 ///     tmp/                   uncommitted writer scratch (invisible)
 ///
 /// Durability contract: writers serialize into tmp/ under a unique name
@@ -36,6 +36,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -43,6 +44,7 @@
 #include <vector>
 
 #include "fault/campaign.h"
+#include "fault/ladder.h"
 #include "fault/sites.h"
 #include "store/format.h"
 #include "store/lineage.h"
@@ -204,6 +206,20 @@ class ArtifactStore {
                      std::shared_ptr<const vm::DecodedProgram> program,
                      std::uint64_t program_hash);
 
+  // --- ladder facts of a full trace segment (store/lineage.h) --------------
+  /// The fault::LadderFacts published for the trace segment `seg` names
+  /// (keyed by its trace key), cut with cap `max_sections`. nullopt when
+  /// absent or rejected: a payload that does not decode, or whose program
+  /// hash, row count or cap differs from `seg` / `max_sections`, is a
+  /// counted miss (and corrupt), never served.
+  [[nodiscard]] virtual std::optional<fault::LadderFacts> load_facts(
+      const RootSegment& seg, std::size_t max_sections);
+  /// Publish the facts of the full trace segment under `trace_key`, whose
+  /// program hash is `program_hash`.
+  virtual bool publish_facts(std::uint64_t trace_key,
+                             const fault::LadderFacts& facts,
+                             std::uint64_t program_hash);
+
   // --- golden run results ---------------------------------------------------
   [[nodiscard]] virtual std::optional<vm::RunResult> load_golden(
       std::uint64_t key);
@@ -275,8 +291,10 @@ class ArtifactStore {
   bool publish_blob(std::uint64_t key, BlobKind kind,
                     const std::string& payload);
   /// Read + validate one result blob; nullopt on any anomaly (counted).
-  [[nodiscard]] std::optional<std::string> load_blob(std::uint64_t key,
-                                                     BlobKind kind);
+  /// A payload `accept` rejects counts as a corrupt miss.
+  [[nodiscard]] std::optional<std::string> load_blob(
+      std::uint64_t key, BlobKind kind,
+      const std::function<bool(const std::string&)>& accept = {});
 
   /// Remove tmp/ entries left by pids that no longer exist. Returns the
   /// number removed; never touches this process's files, unparseable

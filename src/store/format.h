@@ -13,7 +13,7 @@
 ///   * result blobs (`blobs/<key>.<kind>`) — a 40-byte header followed by a
 ///     little-endian field stream (store/serial.h) holding a serialized
 ///     golden run, site enumeration, campaign outcome counts, section
-///     summary or lineage record.
+///     summary, lineage record or ladder facts.
 ///
 /// Shared rules:
 ///   * every file is little-endian and says so (`kEndianMark`, written
@@ -56,6 +56,7 @@ enum class BlobKind : std::uint32_t {
   Campaign = 3,    // serialized fault::CampaignResult outcome counts
   Summary = 4,     // serialized compose::SectionSummary (per-section sites)
   Lineage = 5,     // serialized store::LineageRoot (store/lineage.h)
+  Facts = 6,       // serialized fault::LadderFacts of a full trace segment
 };
 
 /// Header of a trace segment file. 64 bytes, no padding; `header_hash` is

@@ -22,7 +22,17 @@
 ///   * the **derived trace** (`traces/<key>.ftderived`, DerivedTraceHeader
 ///     in store/format.h): an edited module's trace stored as "the root
 ///     segment's rows [0, R)" plus its own suffix columns. It never becomes
-///     a root, so a derived trace is always one hop from a full segment.
+///     a root, so a derived trace is always one hop from a full segment;
+///   * the **ladder facts** (`blobs/<trace key>.facts`, fault::LadderFacts):
+///     a full trace's region instances and per-section ladder facts
+///     (fault::SectionInfo, no snapshots), with its section cap, row count
+///     and program hash. A session holding a full trace publishes them when
+///     it builds its ladder. A session that spliced onto root K at row R
+///     loads K's facts and keeps the instances that close before R
+///     (segmentation resumes at the earliest instance still open there) and
+///     the facts of every section whose span equals a root section's and
+///     ends at or before R; every other section is scanned. The golden pass
+///     that snapshots the boundaries always runs.
 ///
 /// A session that misses its trace finds the changed pcs by comparing
 /// digests, reads the root's rows up to the first one executing a changed
@@ -43,11 +53,21 @@
 /// pc is changed. Everything from R on is re-executed, never copied. The
 /// prefix bytes themselves are checked against the record's chunk
 /// hashes, so a damaged root is a counted miss, never spliced data.
+/// The ladder facts follow from the same argument: rows before R, and the
+/// decoded instructions their pcs name, equal the root's; a section's
+/// facts are a function of its own rows and of those instructions; and an
+/// instance that closes before R is a function of rows before R. So a
+/// section inside [0, R) with the root section's exact span has the root
+/// section's facts, and a closed instance is the root's. Section cuts are
+/// thinned by index over all instances, so a section is matched by its
+/// span, never by its position.
 ///
 /// Every anomaly — a missing, truncated, corrupt or mismatched root
-/// segment, lineage record or derived file — is a miss, and the session
-/// falls back to a full traced run. A store without lineage records
-/// behaves exactly as before they existed.
+/// segment, lineage record, derived file or facts blob (another program,
+/// row count or section cap) — is a counted miss, and the session falls
+/// back to the full computation: a full traced run, or a full scan of the
+/// spliced trace. A store without lineage records behaves exactly as
+/// before they existed.
 #pragma once
 
 #include <cstdint>

@@ -10,9 +10,12 @@
 /// the store treats a failed decode as a cache miss.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace ft::store {
@@ -28,6 +31,19 @@ class ByteWriter {
     u64(bits);
   }
   void boolean(bool v) { u8(v ? 1 : 0); }
+  /// A u64 element count, then each u32 / u64 element.
+  template <typename T>
+    requires std::is_same_v<T, std::uint32_t> || std::is_same_v<T, std::uint64_t>
+  void array(std::span<const T> v) {
+    u64(v.size());
+    if constexpr (std::endian::native == std::endian::little) {
+      if (!v.empty()) {
+        buf_.append(reinterpret_cast<const char*>(v.data()), v.size_bytes());
+      }
+    } else {
+      for (const T x : v) le(x, sizeof(T));
+    }
+  }
 
   [[nodiscard]] const std::string& bytes() const noexcept { return buf_; }
 
@@ -57,6 +73,26 @@ class ByteReader {
     return v;
   }
   [[nodiscard]] bool boolean() { return u8() != 0; }
+  /// ByteWriter::array's field: false (sticky) when the count overruns the
+  /// payload.
+  template <typename T>
+    requires std::is_same_v<T, std::uint32_t> || std::is_same_v<T, std::uint64_t>
+  bool array(std::vector<T>& out) {
+    const std::uint64_t n = u64();
+    if (!ok_ || n > static_cast<std::size_t>(end_ - p_) / sizeof(T)) {
+      ok_ = false;
+      p_ = end_;
+      return false;
+    }
+    out.resize(n);
+    if constexpr (std::endian::native == std::endian::little) {
+      if (n > 0) std::memcpy(out.data(), p_, n * sizeof(T));
+      p_ += n * sizeof(T);
+    } else {
+      for (auto& x : out) x = static_cast<T>(le(sizeof(T)));
+    }
+    return true;
+  }
 
   /// True once all fields decoded in bounds and the payload was consumed
   /// exactly (a trailing-garbage or short payload is a corrupt entry).

@@ -4,6 +4,14 @@
 
 namespace ft::trace {
 
+RegionSegmenter::RegionSegmenter(std::vector<RegionInstance> closed)
+    : instances_(std::move(closed)) {
+  for (const auto& i : instances_) {
+    if (i.region_id >= counts_.size()) counts_.resize(i.region_id + 1, 0);
+    counts_[i.region_id] = std::max(counts_[i.region_id], i.instance + 1);
+  }
+}
+
 void RegionSegmenter::on_instruction(const vm::DynInstr& d) {
   last_index_ = d.index;
   if (d.op == ir::Opcode::RegionEnter) {
@@ -46,13 +54,17 @@ std::vector<RegionInstance> segment_regions(
   return seg.take();
 }
 
-std::vector<RegionInstance> segment_regions(const ColumnTrace& trace) {
-  // The segmenter only reads index/op/aux, and all three are cheap columnar
-  // lookups — feed it skeleton records for the marker rows (plus the final
-  // row, so finish() closes crashed regions at the right index).
-  RegionSegmenter seg;
+namespace {
+
+/// Feed `seg` rows [from, trace.size()) of `trace`. The segmenter only
+/// reads index/op/aux, and all three are cheap columnar lookups — feed it
+/// skeleton records for the marker rows (plus the final row, so finish()
+/// closes crashed regions at the right index).
+std::vector<RegionInstance> segment_rows(const ColumnTrace& trace,
+                                         RegionSegmenter seg,
+                                         std::uint64_t from) {
   vm::DynInstr d;
-  for (std::size_t row = 0; row < trace.size(); ++row) {
+  for (std::size_t row = from; row < trace.size(); ++row) {
     const auto op = trace.opcode_at(row);
     if (!ir::is_region_marker(op) && row + 1 != trace.size()) continue;
     d.index = row;
@@ -61,6 +73,43 @@ std::vector<RegionInstance> segment_regions(const ColumnTrace& trace) {
     seg.on_instruction(d);
   }
   return seg.take();
+}
+
+}  // namespace
+
+std::vector<RegionInstance> segment_regions(const ColumnTrace& trace) {
+  return segment_rows(trace, RegionSegmenter{}, 0);
+}
+
+std::vector<RegionInstance> segment_regions(
+    const ColumnTrace& trace, std::span<const RegionInstance> prefix,
+    std::uint64_t shared_rows) {
+  // Rows before shared_rows replay the prefix trace's, so an instance that
+  // closed before them closed identically here. Resume where the earliest
+  // instance still open at shared_rows entered: the segmenter's stack is
+  // empty there (an instance entered earlier and closed later would have
+  // had to close it first).
+  shared_rows = std::min<std::uint64_t>(shared_rows, trace.size());
+  std::uint64_t resume = shared_rows;
+  for (const auto& i : prefix) {
+    if (i.enter_index < shared_rows && i.exit_index >= shared_rows) {
+      resume = std::min(resume, i.enter_index);
+    }
+  }
+  std::size_t kept = 0;
+  while (kept < prefix.size() && prefix[kept].enter_index < resume) {
+    const auto& i = prefix[kept];
+    if (i.exit_index >= resume ||
+        (kept > 0 && i.enter_index <= prefix[kept - 1].enter_index)) {
+      return segment_regions(trace);  // not a segmentation of such a trace
+    }
+    ++kept;
+  }
+  return segment_rows(
+      trace,
+      RegionSegmenter(std::vector<RegionInstance>(prefix.begin(),
+                                                  prefix.begin() + kept)),
+      resume);
 }
 
 std::vector<RegionInstance> instances_of(std::span<const RegionInstance> all,

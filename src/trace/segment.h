@@ -39,6 +39,12 @@ struct RegionInstance {
 /// finish() closes any open regions at the last seen index.
 class RegionSegmenter final : public vm::ExecObserver {
  public:
+  RegionSegmenter() = default;
+  /// Resume after `closed`: instances of an earlier segmentation, in
+  /// dynamic order, none still open where feeding resumes. Instance
+  /// numbering continues from them.
+  explicit RegionSegmenter(std::vector<RegionInstance> closed);
+
   void on_instruction(const vm::DynInstr& d) override;
 
   /// Close unterminated regions (crashed runs); idempotent.
@@ -72,6 +78,16 @@ class RegionSegmenter final : public vm::ExecObserver {
 /// materialized at all.
 [[nodiscard]] std::vector<RegionInstance> segment_regions(
     const ColumnTrace& trace);
+
+/// segment_regions(trace) for a trace whose rows [0, shared_rows) equal
+/// those of the trace `prefix` was segmented from. The instances of
+/// `prefix` that entered before the earliest one still open at row
+/// shared_rows are kept (none of them is open there), and segmentation
+/// resumes at that row. Falls back to the full pass when `prefix` does not
+/// fit that shape.
+[[nodiscard]] std::vector<RegionInstance> segment_regions(
+    const ColumnTrace& trace, std::span<const RegionInstance> prefix,
+    std::uint64_t shared_rows);
 
 /// All instances of one region, in dynamic order.
 [[nodiscard]] std::vector<RegionInstance> instances_of(

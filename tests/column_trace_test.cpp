@@ -110,6 +110,51 @@ INSTANTIATE_TEST_SUITE_P(AllApps, ColumnTraceEquivalence,
                          ::testing::ValuesIn(apps::all_app_names()),
                          [](const auto& info) { return info.param; });
 
+// --- Resumed segmentation -------------------------------------------------------
+
+TEST(SegmentRegions, ResumingFromAnEarlierSegmentationMatchesTheFullPass) {
+  // Segmenting a trace from its own instances at any shared row — before
+  // the first marker, inside nested instances, on a marker row, at the
+  // end — equals the full pass, and instances that do not describe the
+  // trace's prefix fall back to it.
+  for (const char* name : {"CG", "MG", "LULESH"}) {
+    SCOPED_TRACE(name);
+    const auto app = apps::build_app(name);
+    const auto prog = std::make_shared<const vm::DecodedProgram>(
+        vm::DecodedProgram::decode(app.module));
+    trace::ColumnTrace columnar(prog);
+    vm::VmOptions opts = app.base;
+    opts.column_sink = &columnar;
+    (void)vm::Vm::run(*prog, opts);
+    const auto full = trace::segment_regions(columnar);
+    ASSERT_GT(full.size(), 2u);
+    std::vector<std::uint64_t> rows = {0, 1, columnar.size() / 3,
+                                       columnar.size() - 1, columnar.size(),
+                                       columnar.size() + 5};
+    for (const auto& i : full) {
+      rows.push_back(i.enter_index);
+      rows.push_back(i.enter_index + 1);
+      rows.push_back(i.exit_index);
+      rows.push_back(i.exit_index + 1);
+    }
+    for (const auto r : rows) {
+      ASSERT_EQ(trace::segment_regions(columnar, full, r), full) << r;
+    }
+    // Out of entry order, or claiming to close after the resume row.
+    auto swapped = full;
+    std::swap(swapped[0], swapped[1]);
+    EXPECT_EQ(trace::segment_regions(columnar, swapped, columnar.size()), full);
+    const auto open = std::find_if(full.begin() + 1, full.end(), [&](auto& i) {
+      return i.enter_index > full[0].enter_index && i.body_length() > 4;
+    });
+    ASSERT_NE(open, full.end());
+    auto late = full;
+    late[0].exit_index = open->enter_index + 1;
+    EXPECT_EQ(trace::segment_regions(columnar, late, open->enter_index + 3),
+              full);
+  }
+}
+
 // --- TraceView slicing ---------------------------------------------------------
 
 TEST(TraceView, SlicesMatchLegacySlices) {

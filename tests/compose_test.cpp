@@ -202,6 +202,52 @@ TEST_P(ComposeEquivalence, BoundaryImagesAreExactAndPageShared) {
                           [](std::uint8_t b) { return b == 0; }));
 }
 
+// One ladder per request: plan_sections assigns a campaign to the ladder
+// riding with its population when that ladder fits, and the plan equals
+// one cut afresh from the golden trace. A snapshot budget that lowers the
+// cap cuts a ladder of its own.
+TEST_P(ComposeEquivalence, PlanReusesThePopulationLadderAndEqualsAFreshOne) {
+  auto session =
+      std::make_shared<core::AnalysisSession>(apps::build_app(GetParam()));
+  const auto program = session->program();
+  const auto trace = session->golden_trace();
+  const auto instances = session->region_instances();
+  fault::CampaignConfig cfg;
+  cfg.trials = 40;
+  cfg.seed = 0x1ADDE2ull;
+  const auto prepared = fault::prepare_campaign(
+      *session->whole_program_sites(), fault::TargetClass::Internal,
+      session->app().base, cfg);
+  ASSERT_TRUE(prepared.ladder);
+  const auto reused =
+      compose::plan_sections(*program, *trace, *instances, prepared);
+  EXPECT_EQ(reused.ladder, prepared.ladder);
+
+  auto bare = prepared;
+  bare.ladder = nullptr;
+  const auto fresh = compose::plan_sections(*program, *trace, *instances, bare);
+  ASSERT_TRUE(fresh.ladder);
+  EXPECT_NE(fresh.ladder, prepared.ladder);
+  EXPECT_EQ(fresh.ladder->sections, reused.ladder->sections);
+  EXPECT_EQ(fresh.ladder->max_sections, reused.ladder->max_sections);
+  ASSERT_EQ(fresh.snapshots.size(), reused.snapshots.size());
+  for (std::size_t i = 0; i < fresh.snapshots.size(); ++i) {
+    EXPECT_EQ(compose::entry_hash(fresh.snapshots[i]),
+              compose::entry_hash(reused.snapshots[i]))
+        << "boundary " << i;
+  }
+  EXPECT_EQ(fresh.entry_hashes, reused.entry_hashes);
+  EXPECT_EQ(fresh.plan_section, reused.plan_section);
+  EXPECT_EQ(fresh.section_plans, reused.section_plans);
+
+  auto budget = prepared;
+  budget.fork.max_snapshot_bytes = 2 * program->module().memory_size();
+  const auto own = compose::plan_sections(*program, *trace, *instances, budget);
+  ASSERT_TRUE(own.ladder);
+  EXPECT_NE(own.ladder, prepared.ladder);
+  EXPECT_EQ(own.ladder->max_sections, 2u);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllApps, ComposeEquivalence,
                          ::testing::ValuesIn(apps::all_app_names()),
                          [](const auto& info) { return info.param; });

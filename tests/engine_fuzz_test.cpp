@@ -341,7 +341,9 @@ std::string check_lineage(const ir::Module& m, std::uint64_t seed,
     out->attach_store(st);
     return out;
   };
-  const auto root = session(spec)->golden_trace();
+  const auto root_session = session(spec);
+  const auto root = root_session->golden_trace();
+  (void)root_session->whole_program_sites();  // publishes its ladder facts
   const auto cols = root->raw();
   std::vector<std::uint64_t> first(root->program().code_size(), cols.rows);
   for (std::uint64_t r = cols.rows; r-- > 0;) first[cols.pc[r]] = r;
@@ -409,6 +411,24 @@ std::string check_lineage(const ir::Module& m, std::uint64_t seed,
       why = at + "traced " + std::to_string(s->traced_instructions_executed()) +
             " instructions, expected " +
             std::to_string(run.instructions - first[pc]);
+    } else {
+      // Golden facts reused from the root equal a storeless session's.
+      core::AnalysisSession ref(edited);
+      const auto& a = s->whole_program_sites()->sites.internal;
+      const auto& b = ref.whole_program_sites()->sites.internal;
+      if (*s->region_instances() != *ref.region_instances()) {
+        why = at + "region instances differ from a storeless session's";
+      } else if (!s->ladder() || !ref.ladder() ||
+                 s->ladder()->sections != ref.ladder()->sections) {
+        why = at + "ladder sections differ from a storeless session's";
+      } else if (a.size() != b.size() ||
+                 !std::equal(a.begin(), a.end(), b.begin(),
+                             [](const auto& x, const auto& y) {
+                               return x.dyn_index == y.dyn_index &&
+                                      x.width_bits == y.width_bits;
+                             })) {
+        why = at + "whole-program sites differ from a storeless session's";
+      }
     }
   }
   std::filesystem::remove_all(dir);

@@ -3,15 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <random>
 
 #include "apps/app.h"
 #include "core/analysis.h"
 #include "fault/campaign.h"
 #include "fault/outcome.h"
+#include "fault/rank_campaign.h"
+#include "fault/sampling.h"
 #include "fault/sites.h"
 #include "hl/builder.h"
 #include "trace/column.h"
 #include "util/bits.h"
+#include "util/rng.h"
 #include "util/stats.h"
 #include "vm/interp.h"
 
@@ -236,6 +240,196 @@ TEST(Plans, InputPlansTargetRegionEntry) {
     EXPECT_EQ(p.kind, vm::FaultPlan::Kind::RegionInputMemoryBit);
     EXPECT_EQ(p.region_id, h.rid);
     EXPECT_EQ(p.region_instance, 0u);
+  }
+}
+
+// The linear reference the shared sampler replaced: one population walk per
+// draw.
+template <typename Site, typename WidthFn>
+std::pair<const Site*, std::uint32_t> reference_pick(
+    const std::vector<Site>& sites, std::uint64_t u, const WidthFn& width_of) {
+  for (const auto& s : sites) {
+    const std::uint64_t w = width_of(s);
+    if (u < w) return {&s, static_cast<std::uint32_t>(u)};
+    u -= w;
+  }
+  return {nullptr, 0};
+}
+
+/// sample_plans as it read with reference_pick: draw, walk, plan per trial.
+std::vector<vm::FaultPlan> reference_sample_plans(
+    const fault::SiteEnumerationResult& sites, fault::TargetClass target,
+    std::size_t trials, std::uint64_t seed) {
+  std::vector<vm::FaultPlan> plans;
+  util::Rng rng(seed);
+  const auto& pop = sites.sites;
+  if (target == fault::TargetClass::Internal) {
+    const std::uint64_t total = pop.internal_bits();
+    if (total == 0) return plans;
+    for (std::size_t t = 0; t < trials; ++t) {
+      const auto [site, bit] = reference_pick(
+          pop.internal, rng.below(total), [](const fault::InternalSite& s) {
+            return std::uint64_t{s.width_bits};
+          });
+      if (site) plans.push_back(fault::plan_for_internal(*site, bit));
+    }
+  } else {
+    const std::uint64_t total = pop.input_bits();
+    if (total == 0) return plans;
+    for (std::size_t t = 0; t < trials; ++t) {
+      const auto [site, bit] = reference_pick(
+          pop.input, rng.below(total), [](const fault::InputSite& s) {
+            return std::uint64_t{8} * s.width_bytes;
+          });
+      if (site) plans.push_back(fault::plan_for_input(pop, *site, bit));
+    }
+  }
+  return plans;
+}
+
+void expect_same_plans(const std::vector<vm::FaultPlan>& a,
+                       const std::vector<vm::FaultPlan>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].kind, b[i].kind) << i;
+    EXPECT_EQ(a[i].dyn_index, b[i].dyn_index) << i;
+    EXPECT_EQ(a[i].bit, b[i].bit) << i;
+    EXPECT_EQ(a[i].region_id, b[i].region_id) << i;
+    EXPECT_EQ(a[i].region_instance, b[i].region_instance) << i;
+    EXPECT_EQ(a[i].address, b[i].address) << i;
+    EXPECT_EQ(a[i].width_bytes, b[i].width_bytes) << i;
+  }
+}
+
+/// Resolve `draws` with the shared sampler and with reference_pick, and
+/// check both name the same site and bit for every draw.
+template <typename Site, typename WidthFn>
+void expect_sampler_matches_reference(const std::vector<Site>& sites,
+                                      const std::vector<std::uint64_t>& draws,
+                                      const WidthFn& width_of) {
+  const auto picks = fault::detail::pick_weighted(sites, draws, width_of);
+  ASSERT_EQ(picks.size(), draws.size());
+  for (std::size_t t = 0; t < draws.size(); ++t) {
+    const auto [site, bit] = reference_pick(sites, draws[t], width_of);
+    ASSERT_NE(site, nullptr);
+    ASSERT_EQ(picks[t].site, static_cast<std::size_t>(site - sites.data()))
+        << "draw " << draws[t];
+    EXPECT_EQ(picks[t].bit, bit) << "draw " << draws[t];
+  }
+}
+
+TEST(Plans, SharedSamplerMatchesLinearReference) {
+  std::mt19937_64 gen(2024);
+  const auto internal_width = [](const fault::InternalSite& s) {
+    return std::uint64_t{s.width_bits};
+  };
+  const auto input_width = [](const fault::InputSite& s) {
+    return std::uint64_t{8} * s.width_bytes;
+  };
+  const std::uint32_t widths[] = {1, 8, 32, 64};
+  for (const std::size_t n : {1u, 2u, 7u, 8u, 9u, 100u, 5000u}) {
+    std::vector<fault::InternalSite> internal(n);
+    std::vector<fault::InputSite> input(n);
+    std::uint64_t internal_total = 0;
+    std::uint64_t input_total = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      internal[i] = {i * 3, widths[gen() % 4]};
+      input[i] = {8 * i, static_cast<std::uint32_t>(1 + gen() % 8)};
+      internal_total += internal[i].width_bits;
+      input_total += 8 * input[i].width_bytes;
+    }
+    for (const std::size_t trials : {0u, 1u, 32u, 1000u}) {
+      // Random draws, then the first and last bit of the population and
+      // of its first and last site, in arbitrary positions.
+      std::vector<std::uint64_t> a(trials);
+      std::vector<std::uint64_t> b(trials);
+      for (auto& u : a) u = gen() % internal_total;
+      for (auto& u : b) u = gen() % input_total;
+      if (trials > 0) {
+        a.front() = internal_total - 1;
+        b.front() = input_total - 1;
+        a.back() = 0;
+        b.back() = 0;
+      }
+      if (trials >= 32) {
+        a[5] = internal[0].width_bits - 1;
+        a[9] = internal_total - internal.back().width_bits;
+        b[5] = 8 * input[0].width_bytes - 1;
+        b[9] = input_total - 8 * input.back().width_bytes;
+        a[11] = a[3];  // duplicate draws resolve independently
+      }
+      expect_sampler_matches_reference(internal, a, internal_width);
+      expect_sampler_matches_reference(input, b, input_width);
+    }
+  }
+  // A draw past the population resolves to no site; earlier ones still do.
+  const std::vector<fault::InternalSite> two = {{0, 8}, {1, 8}};
+  const auto picks =
+      fault::detail::pick_weighted(two, std::vector<std::uint64_t>{16, 9},
+                                   internal_width);
+  EXPECT_EQ(picks[0].site, fault::detail::WeightedPick::kNoSite);
+  EXPECT_EQ(picks[1].site, 1u);
+  EXPECT_EQ(picks[1].bit, 1u);
+}
+
+TEST(Plans, SampledPlansMatchLinearReferenceOnEveryApp) {
+  for (const auto& name : apps::all_app_names()) {
+    SCOPED_TRACE(name);
+    core::AnalysisSession session(apps::build_app(name));
+    const auto whole = session.whole_program_sites();
+    for (const std::size_t trials : {0u, 1u, 32u, 1000u}) {
+      expect_same_plans(
+          fault::sample_plans(*whole, fault::TargetClass::Internal, trials, 7),
+          reference_sample_plans(*whole, fault::TargetClass::Internal, trials,
+                                 7));
+    }
+    fault::CampaignConfig cfg;
+    cfg.trials = 64;
+    cfg.seed = 11;
+    expect_same_plans(fault::prepare_campaign(*whole,
+                                              fault::TargetClass::Internal,
+                                              session.app().base, cfg)
+                          .plans,
+                      reference_sample_plans(*whole,
+                                             fault::TargetClass::Internal, 64,
+                                             11));
+    for (const auto& r : session.app().analysis_regions) {
+      const auto sites = session.region_sites(r.id, 0);
+      for (const auto target :
+           {fault::TargetClass::Internal, fault::TargetClass::Input}) {
+        expect_same_plans(fault::sample_plans(*sites, target, 32, r.id + 3),
+                          reference_sample_plans(*sites, target, 32, r.id + 3));
+      }
+    }
+  }
+}
+
+TEST(Plans, RankPlansMatchLinearReference) {
+  for (const char* name : {"CG", "IS"}) {
+    SCOPED_TRACE(name);
+    core::AnalysisSession session(apps::build_app(name));
+    const auto en = session.rank_enumeration(2);
+    fault::RankCampaignConfig cfg;
+    cfg.nranks = 2;
+    cfg.trials = 200;
+    cfg.seed = 5;
+    const auto prepared =
+        fault::prepare_rank_campaign(*en, session.app().base, cfg);
+    util::Rng rng(cfg.seed);
+    ASSERT_EQ(prepared.plans.size(), cfg.trials);
+    for (std::size_t t = 0; t < cfg.trials; ++t) {
+      const auto [site, bit] = reference_pick(
+          en->sites, rng.below(prepared.population_bits),
+          [](const fault::RankSite& s) { return std::uint64_t{s.width_bits}; });
+      ASSERT_NE(site, nullptr);
+      EXPECT_EQ(prepared.plans[t].dyn_index, site->dyn_index);
+      EXPECT_EQ(prepared.plans[t].bit, bit);
+      EXPECT_EQ(prepared.plan_rank[t], site->rank);
+      EXPECT_EQ(prepared.fork_bounds[t],
+                std::min(site->dyn_index,
+                         en->first_comm_index[static_cast<std::size_t>(
+                             site->rank)]));
+    }
   }
 }
 

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "apps/app.h"
+#include "compose/compose.h"
 #include "core/analysis.h"
 #include "fault/campaign.h"
 #include "store/artifact_store.h"
@@ -714,13 +715,55 @@ void expect_scratch_identity(core::AnalysisSession& session,
   EXPECT_EQ(g->outputs, scratch.run.outputs) << what;
 }
 
+/// The golden facts `session` derives — region instances, ladder (every
+/// SectionInfo field, snapshot count, run length, cap), whole-program sites
+/// and the section plan of a 64-trial campaign — equal those of a storeless
+/// from-scratch session of the same module.
+void expect_scratch_facts(core::AnalysisSession& session,
+                          const apps::AppSpec& spec, const std::string& what) {
+  core::AnalysisSession ref(spec);
+  EXPECT_EQ(*session.region_instances(), *ref.region_instances()) << what;
+  const auto sites = session.whole_program_sites();
+  const auto ref_sites = ref.whole_program_sites();
+  const auto& a = sites->sites.internal;
+  const auto& b = ref_sites->sites.internal;
+  EXPECT_EQ(a.size(), b.size()) << what;
+  EXPECT_TRUE(a.size() == b.size() &&
+              std::equal(a.begin(), a.end(), b.begin(),
+                         [](const auto& x, const auto& y) {
+                           return x.dyn_index == y.dyn_index &&
+                                  x.width_bits == y.width_bits;
+                         }))
+      << what;
+  const auto la = session.ladder();
+  const auto lb = ref.ladder();
+  ASSERT_TRUE(la && lb) << what;
+  EXPECT_EQ(la->sections, lb->sections) << what;
+  EXPECT_EQ(la->snapshots.size(), lb->snapshots.size()) << what;
+  EXPECT_EQ(la->total_instructions, lb->total_instructions) << what;
+  EXPECT_EQ(la->max_sections, lb->max_sections) << what;
+  fault::CampaignConfig cfg;
+  cfg.trials = 64;
+  cfg.seed = 3;
+  const auto pa = compose::assign_sections(
+      la, fault::prepare_campaign(*sites, fault::TargetClass::Internal,
+                                  session.app().base, cfg));
+  const auto pb = compose::assign_sections(
+      lb, fault::prepare_campaign(*ref_sites, fault::TargetClass::Internal,
+                                  ref.app().base, cfg));
+  EXPECT_EQ(pa.entry_hashes, pb.entry_hashes) << what;
+  EXPECT_EQ(pa.plan_section, pb.plan_section) << what;
+  EXPECT_EQ(pa.section_plans, pb.section_plans) << what;
+}
+
 TEST(StoreLineage, SplicedTracesEqualScratchRunsAllApps) {
-  // Per app: the pristine module's full trace becomes the lineage root;
-  // then the four latest-first-executing f64 constants and the earliest
-  // one are edited. Each edited session must splice (trace only rows
-  // [R, N)), match a from-scratch traced run in every column and in its
-  // golden run, and publish a derived trace a second session loads with
-  // no traced execution at all.
+  // Per app: the pristine module's full trace becomes the lineage root,
+  // and its ladder facts are published beside it; then the four
+  // latest-first-executing f64 constants and the earliest one are edited.
+  // Each edited session must splice (trace only rows [R, N)), match a
+  // from-scratch traced run in every column and in its golden run, derive
+  // the from-scratch golden facts while reusing the root's, and publish a
+  // derived trace a second session loads with no traced execution at all.
   std::size_t edits = 0;
   for (const auto& name : apps::all_app_names()) {
     TempDir dir;
@@ -729,6 +772,7 @@ TEST(StoreLineage, SplicedTracesEqualScratchRunsAllApps) {
     const auto pristine = store_session(spec, st);
     const auto root = pristine->golden_trace();
     ASSERT_EQ(st->counters().lineage_roots, 1u) << name;
+    (void)pristine->whole_program_sites();  // builds the ladder: facts out
     const auto first = first_rows(*root);
 
     std::vector<std::uint32_t> cands;
@@ -763,6 +807,11 @@ TEST(StoreLineage, SplicedTracesEqualScratchRunsAllApps) {
       EXPECT_EQ(session->traced_instructions_executed(),
                 scratch.run.instructions - first[pc])
           << what;
+      expect_scratch_facts(*session, edited, what);
+      if (pc != picked.back()) {
+        // A late edit shares all but the last sections with the root.
+        EXPECT_GT(session->ladder()->sections_reused, 0u) << what;
+      }
       // The derived trace: a second session traces nothing.
       const auto warm = store_session(edited, st);
       expect_scratch_identity(*warm, scratch, what + " (derived load)");
@@ -887,6 +936,81 @@ TEST(StoreLineage, DamagedRootIsACountedMissAndAFullTrace) {
               scratch2.run.instructions - f.first[pc2])
         << damage;
     EXPECT_EQ(f.st->counters().corrupt, after.corrupt) << damage;
+  }
+}
+
+TEST(StoreLineage, DamagedFactsAreACountedMissAndAFullComputation) {
+  // The root's ladder facts byte-flipped, truncated, or republished for
+  // another cap, row count or program: an edited session splicing onto
+  // the root counts one corrupt miss for them, reuses nothing and derives
+  // the from-scratch golden facts. Intact facts are one hit and reused.
+  for (const std::string damage :
+       {"intact", "byte-flipped", "truncated", "wrong cap", "wrong rows",
+        "wrong program"}) {
+    TempDir dir;
+    auto st = std::make_shared<store::ArtifactStore>(dir.path + "/store");
+    const auto spec = apps::build_app("MG");
+    const auto pristine = store_session(spec, st);
+    (void)pristine->whole_program_sites();
+    const auto module_hash = store::hash_module(spec.module);
+    const auto key =
+        store::trace_key(module_hash, store::hash_options(spec.base));
+    char hex[17];
+    std::snprintf(hex, sizeof hex, "%016llx",
+                  static_cast<unsigned long long>(key));
+    const std::string path = dir.path + "/store/blobs/" + hex + ".facts";
+    ASSERT_TRUE(fs::exists(path));
+    const auto size = fs::file_size(path);
+    auto facts =
+        fault::ladder_facts(*pristine->ladder(), *pristine->region_instances());
+    std::uint64_t program_hash = module_hash;
+    if (damage == "byte-flipped") {
+      const std::uint8_t flip = 0x5a;
+      stomp_bytes(path, (sizeof(store::BlobHeader) + size) / 2, &flip, 1);
+    } else if (damage == "truncated") {
+      truncate_file(path, size - 8);
+    } else if (damage == "wrong cap") {
+      facts.max_sections += 1;
+    } else if (damage == "wrong rows") {
+      facts.rows += 1;
+      facts.sections.back().end += 1;  // still tiles its (wrong) rows
+    } else if (damage == "wrong program") {
+      program_hash += 1;
+    }
+    if (damage.starts_with("wrong")) {
+      ASSERT_TRUE(st->publish_facts(key, facts, program_hash));
+    }
+
+    // The latest-first-executing f64 constant.
+    const auto rows = pristine->golden_trace()->size();
+    const auto first = first_rows(*pristine->golden_trace());
+    std::uint32_t pc = 0;
+    std::uint64_t latest = 0;
+    for (std::uint32_t p = 0; p < first.size(); ++p) {
+      if (first[p] < rows && first[p] >= latest &&
+          has_imm(spec, pristine->program()->code()[p],
+                  ir::OperandKind::ImmF)) {
+        pc = p;
+        latest = first[p];
+      }
+    }
+    const auto edited = edit_constant(spec, *pristine->program(), pc);
+    const auto session = store_session(edited, st);
+    (void)session->golden_trace();
+    const auto before = st->counters();
+    (void)session->whole_program_sites();
+    const auto after = st->counters();
+    if (damage == "intact") {
+      EXPECT_EQ(after.hits - before.hits, 1u);
+      EXPECT_EQ(after.misses - before.misses, 0u);
+      EXPECT_GT(session->ladder()->sections_reused, 0u);
+    } else {
+      EXPECT_EQ(after.hits - before.hits, 0u) << damage;
+      EXPECT_EQ(after.misses - before.misses, 1u) << damage;
+      EXPECT_EQ(after.corrupt - before.corrupt, 1u) << damage;
+      EXPECT_EQ(session->ladder()->sections_reused, 0u) << damage;
+    }
+    expect_scratch_facts(*session, edited, damage);
   }
 }
 
@@ -1038,6 +1162,16 @@ TEST(StoreLineage, ConcurrentEditsCreateExactlyOneRoot) {
   for (auto& t : threads) t.join();
   for (std::size_t i = 0; i < edits.size(); ++i) {
     expect_scratch_identity(*sessions[i], scratch[i], "thread " + std::to_string(i));
+  }
+  // The golden facts too, built concurrently: the root's session publishes
+  // its ladder facts while the spliced ones look them up.
+  std::vector<std::thread> builders;
+  for (std::size_t i = 0; i < edits.size(); ++i) {
+    builders.emplace_back([&, i] { (void)sessions[i]->whole_program_sites(); });
+  }
+  for (auto& t : builders) t.join();
+  for (std::size_t i = 0; i < edits.size(); ++i) {
+    expect_scratch_facts(*sessions[i], edits[i], "thread " + std::to_string(i));
   }
   EXPECT_EQ(st->counters().lineage_roots, 1u);
   std::size_t records = 0;

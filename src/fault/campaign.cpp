@@ -257,7 +257,8 @@ bool TrialRunner::seek_cursor(std::uint64_t bound) {
          cursor_->instructions_retired() == bound;
 }
 
-Outcome TrialRunner::run(std::size_t plan_index, TrialAccounting* accounting) {
+Outcome TrialRunner::run(std::size_t plan_index, TrialAccounting* accounting,
+                         bool last) {
   const vm::FaultPlan& plan = prepared_->plans[plan_index];
   const std::uint64_t bound =
       prepared_->fork_bounds.size() == prepared_->plans.size()
@@ -266,17 +267,25 @@ Outcome TrialRunner::run(std::size_t plan_index, TrialAccounting* accounting) {
 
   std::uint64_t fork_index = 0;
   if (prepared_->fork.enabled && seek_cursor(bound)) {
-    // Exact fork: the trial machine becomes a copy of the cursor at the
-    // plan's own bound — no prefix is ever re-executed by the trial.
-    if (!vm_) {
-      vm::VmOptions opts = prepared_->run_opts;
-      opts.fault = plan;
-      opts.track_writes = true;
-      vm_.emplace(*program_, opts);
-      synced_ = false;
+    if (last) {
+      // No later trial needs the cursor: it becomes the trial machine. Its
+      // options differ from a trial's only in the plan armed below. The
+      // next run() re-seeds a cursor, which marks the machines unsynced.
+      vm_ = std::move(cursor_);
+      cursor_.reset();
+    } else {
+      // Exact fork: the trial machine becomes a copy of the cursor at the
+      // plan's own bound — no prefix is ever re-executed by the trial.
+      if (!vm_) {
+        vm::VmOptions opts = prepared_->run_opts;
+        opts.fault = plan;
+        opts.track_writes = true;
+        vm_.emplace(*program_, opts);
+        synced_ = false;
+      }
+      vm_->fork_from(*cursor_, /*full=*/!synced_);
+      synced_ = true;
     }
-    vm_->fork_from(*cursor_, /*full=*/!synced_);
-    synced_ = true;
     vm_->set_fault(plan);
     fork_index = bound;
   } else {
@@ -462,7 +471,8 @@ CampaignEngine::CampaignEngine(const vm::DecodedProgram& program,
       verify_(verify),
       remaining_(prepared.plans.size()) {
   const std::size_t n = prepared.plans.size();
-  chunk_ = std::clamp<std::size_t>(n / (workers * 8), 1, 32);
+  const std::size_t share = n / (std::max<std::size_t>(workers, 1) * 8);
+  chunk_ = std::clamp<std::size_t>(share, 1, 32);
   chunks_ = (n + chunk_ - 1) / chunk_;
 }
 
@@ -478,7 +488,8 @@ std::size_t CampaignEngine::run_chunk(std::size_t c) {
   const std::size_t end = std::min(prepared_.plans.size(), begin + chunk_);
   for (std::size_t pos = begin; pos < end; ++pos) {
     TrialAccounting acct;
-    const Outcome o = runner.run(order_.empty() ? pos : order_[pos], &acct);
+    const Outcome o = runner.run(order_.empty() ? pos : order_[pos], &acct,
+                                 /*last=*/pos + 1 == end);
     tally_.add(o, acct);
   }
   // The last chunk to finish releases the waypoint memory. The seq_cst

@@ -298,6 +298,13 @@ class CampaignTally {
 /// fault/ladder.h, and a closed trial is classified without executing its
 /// tail. Outcomes are bit-identical to run_trial on the same plan.
 ///
+/// A trial run with `last` set needs no copy: no later trial of this runner
+/// needs the cursor, so the cursor itself becomes the trial machine (armed
+/// by vm::Vm::set_fault, which starts a fresh write bitmap as fork_from
+/// would). A runner whose trials all run `last` therefore builds one machine
+/// per trial and copies no memory image; a later run() re-seeds the cursor
+/// from a waypoint. Outcomes and TrialAccounting do not depend on `last`.
+///
 /// Run trials in fork_schedule() order (ascending fork bound) to keep the
 /// cursor monotonic; an out-of-order bound re-seeds the cursor from a
 /// waypoint, which only costs time, never correctness. Keep one runner per
@@ -317,7 +324,8 @@ class TrialRunner {
         verify_(&verify) {}
 
   [[nodiscard]] Outcome run(std::size_t plan_index,
-                            TrialAccounting* accounting = nullptr);
+                            TrialAccounting* accounting = nullptr,
+                            bool last = false);
 
  private:
   /// Place the cursor at retired count `bound` on the fault-free prefix.
@@ -340,7 +348,7 @@ class TrialRunner {
   const std::vector<vm::OutputValue>* golden_;
   const Verifier* verify_;
   std::optional<vm::Vm> cursor_;  // golden prefix cursor (never faulted)
-  std::optional<vm::Vm> vm_;      // reused trial machine
+  std::optional<vm::Vm> vm_;      // reused trial machine, or the last cursor
   bool synced_ = false;  // trial machine has fork_from'd this cursor before
   // Probe scratch, reused across trials: the page mask a ladder probe
   // compares and the delta it extracts.
@@ -361,12 +369,15 @@ class TrialRunner {
 /// pool runs in any order and interleaved with other campaigns' chunks
 /// (core::run_analysis puts every unit of a request on one parallel_for).
 /// Chunks hold clamp(trials / (workers * 8), 1, 32) consecutive trials of
-/// fork_schedule() order, and each chunk runs them on one TrialRunner, so
-/// consecutive trials reuse one machine and mostly fork from the same
-/// waypoint. The waypoint snapshots are placed lazily by the first chunk
-/// that runs (others wait on it) and freed by the last chunk to finish, so
-/// peak snapshot memory tracks the campaigns in flight. Counts are
-/// independent of chunking, order and pool size. Non-movable; the
+/// fork_schedule() order (`workers` 0 counts as 1), and each chunk runs them
+/// on one TrialRunner: the cursor seeded once from a waypoint walks the
+/// chunk's bounds, each trial but the last forks a copy of it, and the last
+/// runs on the cursor itself. A one-trial chunk (the common case when trials
+/// are few per worker) thus builds one machine and forks nothing. No machine
+/// outlives its chunk. The waypoint snapshots are placed lazily by the first
+/// chunk that runs (others wait on it) and freed by the last chunk to
+/// finish, so peak snapshot memory tracks the campaigns in flight. Counts
+/// are independent of chunking, order and pool size. Non-movable; the
 /// referenced campaign, golden outputs and verifier must outlive it.
 class CampaignEngine {
  public:

@@ -348,7 +348,8 @@ RankCampaignEngine::RankCampaignEngine(const vm::DecodedProgram& program,
       remaining_(prepared.plans.size()),
       acc_(static_cast<std::size_t>(prepared.nranks)) {
   const std::size_t n = prepared.plans.size();
-  chunk_ = std::clamp<std::size_t>(n / (workers * 4), 1, 8);
+  const std::size_t share = n / (std::max<std::size_t>(workers, 1) * 4);
+  chunk_ = std::clamp<std::size_t>(share, 1, 8);
   chunks_ = (n + chunk_ - 1) / chunk_;
 }
 

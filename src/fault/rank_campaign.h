@@ -289,10 +289,11 @@ class RankCampaignAccumulator {
 /// a pool runs in any order — the rank counterpart of CampaignEngine.
 /// Trials are whole multi-rank executions (one world, nranks VM threads),
 /// so chunks stay small to keep a shared queue balanced: clamp(trials /
-/// (workers * 4), 1, 8) consecutive trials in plan order. The rank-local
-/// waypoint snapshots are placed lazily by the first chunk that runs and
-/// freed by the last chunk to finish. Non-movable; the referenced program,
-/// campaign and verifier must outlive it.
+/// (workers * 4), 1, 8) consecutive trials in plan order (`workers` 0
+/// counts as 1). The rank-local waypoint snapshots are placed lazily by the
+/// first chunk that runs and freed by the last chunk to finish.
+/// Non-movable; the referenced program, campaign and verifier must outlive
+/// it.
 class RankCampaignEngine {
  public:
   RankCampaignEngine(const vm::DecodedProgram& program,

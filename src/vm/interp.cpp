@@ -468,6 +468,7 @@ bool Vm::control_equals(const Snapshot& s) const {
 void Vm::set_fault(const FaultPlan& plan) noexcept {
   opts_.fault = plan;
   fault_fired_ = false;
+  std::fill(dirty_.begin(), dirty_.end(), 0);
 }
 
 void Vm::rollback(const Snapshot& s) {

@@ -236,8 +236,13 @@ class Vm {
   /// state_equals.
   [[nodiscard]] bool control_equals(const Snapshot& s) const;
 
-  /// Re-arm the fault plan mid-life (clears the fired flag). Used by the
-  /// campaign scheduler to reuse one restored machine for a new trial.
+  /// Re-arm the fault plan mid-life (clears the fired flag) and start a
+  /// fresh write bitmap, so dirty_pages() then holds the armed run's writes
+  /// only, as after fork_from(). Used by the campaign scheduler to reuse one
+  /// forked machine for a new trial, or to turn a golden cursor into one.
+  /// restore_dirty() copies back only the pages the bitmap names, so arm a
+  /// plan only while memory equals the snapshot a later restore_dirty()
+  /// targets (right after a restore, for instance).
   void set_fault(const FaultPlan& plan) noexcept;
 
   /// Checkpoint/rollback recovery re-entry (fault/campaign.h,
@@ -277,9 +282,9 @@ class Vm {
     return mem_;
   }
   /// Pages written since construction or the last restore(),
-  /// restore_dirty(), fork_from() or rollback() (bit p % 64 of word p / 64,
-  /// 4 KiB pages); empty unless VmOptions::track_writes is on. Every other
-  /// page still holds the bytes it held then.
+  /// restore_dirty(), fork_from(), set_fault() or rollback() (bit p % 64 of
+  /// word p / 64, 4 KiB pages); empty unless VmOptions::track_writes is on.
+  /// Every other page still holds the bytes it held then.
   [[nodiscard]] std::span<const std::uint64_t> dirty_pages() const noexcept {
     return dirty_;
   }

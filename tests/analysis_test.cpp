@@ -94,25 +94,45 @@ TEST(AnalysisSession, SharedAcrossThreadsYieldsOneSnapshot) {
 
 // --- campaign determinism ------------------------------------------------------
 
+// Counts at every pool size equal the from-scratch oracle (fork off). With
+// 64 trials the engine cuts chunks of 8, 4, 2 and 1 trials at 1, 2, 3 and 8
+// workers, so some chunks fork from their cursor before running their last
+// trial on it, and some run their only trial on it. The per-trial work
+// counters do not depend on chunking either.
 TEST(CampaignDeterminism, IdenticalCountsAcrossPoolSizes) {
   core::AnalysisSession session(apps::build_cg());
   const auto* cg_b = session.app().find_region("cg_b");
   ASSERT_NE(cg_b, nullptr);
 
+  auto scratch_cfg = quick_campaign(64, /*seed=*/77);
+  scratch_cfg.fork.enabled = false;
+  const auto scratch = session.region_campaign(
+      cg_b->id, 0, fault::TargetClass::Internal, scratch_cfg);
+  ASSERT_EQ(scratch.trials, 64u);
+
   std::vector<fault::CampaignResult> results;
-  for (const std::size_t workers : {1u, 2u, 8u}) {
+  for (const std::size_t workers : {1u, 2u, 3u, 8u}) {
+    SCOPED_TRACE(workers);
     util::Scheduler pool(workers);
-    auto cfg = quick_campaign(12, /*seed=*/77);
+    auto cfg = quick_campaign(64, /*seed=*/77);
     cfg.pool = &pool;
-    results.push_back(session.region_campaign(
+    const auto& r = results.emplace_back(session.region_campaign(
         cg_b->id, 0, fault::TargetClass::Internal, cfg));
-  }
-  for (std::size_t i = 1; i < results.size(); ++i) {
-    EXPECT_EQ(results[i].trials, results[0].trials);
-    EXPECT_EQ(results[i].success, results[0].success);
-    EXPECT_EQ(results[i].failed, results[0].failed);
-    EXPECT_EQ(results[i].crashed, results[0].crashed);
-    EXPECT_EQ(results[i].population_bits, results[0].population_bits);
+    EXPECT_EQ(r.trials, scratch.trials);
+    EXPECT_EQ(r.success, scratch.success);
+    EXPECT_EQ(r.failed, scratch.failed);
+    EXPECT_EQ(r.crashed, scratch.crashed);
+    EXPECT_EQ(r.detected_recovered, scratch.detected_recovered);
+    EXPECT_EQ(r.detected_unrecoverable, scratch.detected_unrecoverable);
+    EXPECT_EQ(r.population_bits, scratch.population_bits);
+    EXPECT_GT(r.prefix_instructions_saved, 0u);
+    const auto& first = results.front();
+    EXPECT_EQ(r.instructions_retired, first.instructions_retired);
+    EXPECT_EQ(r.prefix_instructions_saved, first.prefix_instructions_saved);
+    EXPECT_EQ(r.convergence_instructions_saved,
+              first.convergence_instructions_saved);
+    EXPECT_EQ(r.early_exits, first.early_exits);
+    EXPECT_EQ(r.dead_delta_exits, first.dead_delta_exits);
   }
 }
 

@@ -554,6 +554,59 @@ TEST(Campaign, TallyCountsEachOutcomeAndCost) {
   EXPECT_EQ(r.resume_depth, 99u);
 }
 
+// Both chunk engines take a worker count to size their chunks; 0 counts as
+// one worker instead of dividing by zero.
+TEST(Campaign, EnginesTreatZeroWorkersAsOne) {
+  core::AnalysisSession session(apps::build_cg());
+  const auto& prog = *session.program();
+  const auto golden = session.golden();
+  const auto& verify = session.app().verifier;
+  fault::CampaignConfig cfg;
+  cfg.trials = 40;
+  const auto prepared =
+      fault::prepare_campaign(*session.whole_program_sites(),
+                              fault::TargetClass::Internal,
+                              session.app().base, cfg);
+  fault::RankCampaignConfig rank_cfg;
+  rank_cfg.nranks = 2;
+  rank_cfg.trials = 12;
+  const auto rank_prepared = fault::prepare_rank_campaign(
+      *session.rank_enumeration(2), session.app().base, rank_cfg);
+
+  std::vector<fault::CampaignResult> results;
+  std::vector<fault::RankCampaignResult> rank_results;
+  for (const std::size_t workers : {0u, 1u}) {
+    fault::CampaignEngine engine(prog, prepared, golden->outputs, verify,
+                                 workers);
+    EXPECT_EQ(engine.chunks(), 8u);  // 40 / (1 * 8) = 5 trials a chunk
+    for (std::size_t c = 0; c < engine.chunks(); ++c) engine.run_chunk(c);
+    results.push_back(engine.result());
+
+    fault::RankCampaignEngine rank_engine(prog, rank_prepared, verify,
+                                         workers);
+    EXPECT_EQ(rank_engine.chunks(), 4u);  // 12 / (1 * 4) = 3 trials a chunk
+    for (std::size_t c = 0; c < rank_engine.chunks(); ++c) {
+      rank_engine.run_chunk(c);
+    }
+    rank_results.push_back(rank_engine.result());
+  }
+  EXPECT_EQ(results[0].trials, 40u);
+  EXPECT_EQ(results[0].success, results[1].success);
+  EXPECT_EQ(results[0].failed, results[1].failed);
+  EXPECT_EQ(results[0].crashed, results[1].crashed);
+  EXPECT_EQ(results[0].instructions_retired, results[1].instructions_retired);
+  EXPECT_EQ(rank_results[0].trials, 12u);
+  EXPECT_EQ(rank_results[0].masked_locally, rank_results[1].masked_locally);
+  EXPECT_EQ(rank_results[0].absorbed_by_collective,
+            rank_results[1].absorbed_by_collective);
+  EXPECT_EQ(rank_results[0].propagated, rank_results[1].propagated);
+  EXPECT_EQ(rank_results[0].corrupted_output,
+            rank_results[1].corrupted_output);
+  EXPECT_EQ(rank_results[0].trapped, rank_results[1].trapped);
+  EXPECT_EQ(rank_results[0].instructions_retired,
+            rank_results[1].instructions_retired);
+}
+
 TEST(Campaign, EmptyPopulationIsSafe) {
   const auto h = CampaignHarness::make();
   fault::SiteEnumerationResult empty;

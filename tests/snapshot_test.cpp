@@ -13,8 +13,11 @@
 #include "apps/app.h"
 #include "core/analysis.h"
 #include "fault/campaign.h"
+#include "fault/ladder.h"
 #include "fault/sites.h"
+#include "harden/harden.h"
 #include "hl/builder.h"
+#include "jit/jit_program.h"
 #include "trace/column.h"
 #include "trace/segment.h"
 #include "vm/decode.h"
@@ -438,6 +441,81 @@ TEST(TrialRunner, FreshRunnerPerTrialMatchesRunTrial) {
   }
 }
 
+// A chunk's last trial runs on the golden cursor itself instead of a forked
+// copy. Per plan, on every app (hardened, so detectors fire and recovery
+// rolls back the former cursor), the cursor trial must match the forked one
+// in outcome and in every accounting field: with the golden ladder and with
+// recovery on and off, and without a ladder, where trials probe waypoints
+// by state_equals.
+TEST(TrialRunner, LastTrialOnTheCursorMatchesForkedTrial) {
+  std::size_t detected = 0, recovered = 0, early_exits = 0;
+  for (const auto& name : apps::all_app_names()) {
+    SCOPED_TRACE(name);
+    const auto app = apps::build_app(name);
+    const auto hardened = harden::harden_module(app.module, {});
+    ASSERT_TRUE(hardened.verify_errors.empty());
+    const auto prog = std::make_shared<const vm::DecodedProgram>(
+        vm::DecodedProgram::decode(hardened.module));
+    trace::ColumnTrace trace(prog);
+    vm::VmOptions traced = app.base;
+    traced.column_sink = &trace;
+    const auto golden = vm::Vm::run(*prog, traced);
+    ASSERT_TRUE(golden.completed());
+    auto sites = fault::enumerate_whole_program_sites_from_trace(trace);
+    const auto ladder = std::make_shared<const fault::SectionLadder>(
+        fault::build_ladder(*prog, trace, trace::segment_regions(trace),
+                            app.base, fault::kLadderSections));
+    // Trials run natively, as in a session, when this build has the JIT.
+    const auto jit = jit::JitProgram::runtime_enabled()
+                         ? jit::JitProgram::compile(*prog)
+                         : nullptr;
+    vm::VmOptions base = app.base;
+    base.jit = jit.get();
+
+    for (const bool with_ladder : {true, false}) {
+      for (const bool recovery : {false, true}) {
+        SCOPED_TRACE(std::string(with_ladder ? "ladder" : "waypoints") +
+                     (recovery ? ", recovery on" : ", recovery off"));
+        sites.ladder = with_ladder ? ladder : nullptr;
+        fault::CampaignConfig cfg;
+        cfg.trials = 48;
+        cfg.seed = 0xC0A5ull;
+        cfg.recovery.enabled = recovery;
+        cfg.recovery.checkpoint_interval = 4096;
+        const auto prepared = fault::prepare_campaign(
+            sites, fault::TargetClass::Internal, base, cfg);
+        const auto snapshots = fault::prepare_snapshots(*prog, prepared);
+        ASSERT_TRUE(with_ladder || !snapshots.waypoints.empty());
+        // `forked` keeps its machines across trials and never gives up its
+        // cursor; every trial of `cursor` is its last, so each one consumes
+        // the cursor and the next re-seeds it from a waypoint.
+        fault::TrialRunner forked(*prog, prepared, snapshots, golden.outputs,
+                                  app.verifier);
+        fault::TrialRunner cursor(*prog, prepared, snapshots, golden.outputs,
+                                  app.verifier);
+        for (const auto i : fault::fork_schedule(prepared)) {
+          fault::TrialAccounting f, c;
+          const auto fo = forked.run(i, &f);
+          const auto co = cursor.run(i, &c, /*last=*/true);
+          EXPECT_EQ(co, fo) << "plan " << i;
+          EXPECT_EQ(c.instructions, f.instructions) << "plan " << i;
+          EXPECT_EQ(c.prefix_saved, f.prefix_saved) << "plan " << i;
+          EXPECT_EQ(c.convergence_saved, f.convergence_saved) << "plan " << i;
+          EXPECT_EQ(c.early_exit, f.early_exit) << "plan " << i;
+          EXPECT_EQ(c.dead_delta, f.dead_delta) << "plan " << i;
+          detected += fo == fault::Outcome::DetectedRecovered ||
+                      fo == fault::Outcome::DetectedUnrecoverable;
+          recovered += fo == fault::Outcome::DetectedRecovered;
+          early_exits += f.early_exit;
+        }
+      }
+    }
+  }
+  EXPECT_GT(detected, 0u);
+  EXPECT_GT(recovered, 0u);
+  EXPECT_GT(early_exits, 0u);
+}
+
 TEST(ForkFrom, IncrementalSyncTracksBothMachines) {
   const auto app = apps::build_cg();
   const auto prog = vm::DecodedProgram::decode(app.module);
@@ -465,6 +543,39 @@ TEST(ForkFrom, IncrementalSyncTracksBothMachines) {
   trial.set_fault(vm::FaultPlan::none());
   const auto from_sync = trial.run();
   expect_same_result(from_sync, reference.run());
+}
+
+// Arming a plan starts a fresh write bitmap: a golden cursor armed in place
+// then reports exactly the pages a forked copy of it writes over the same
+// faulty stretch, which are the pages a ladder probe compares.
+TEST(SetFault, StartsAFreshWriteBitmapLikeAFork) {
+  const auto app = apps::build_cg();
+  const auto prog = vm::DecodedProgram::decode(app.module);
+  vm::VmOptions tracked = app.base;
+  tracked.track_writes = true;
+
+  vm::Vm cursor(prog, tracked);
+  cursor.run_until(50000);
+  ASSERT_EQ(cursor.status(), vm::Vm::Status::Running);
+  // A copy built from a snapshot leaves the cursor's bitmap as it is
+  // (fork_from would clear both).
+  vm::Vm fork(prog, cursor.snapshot(), tracked);
+  const auto written = cursor.dirty_pages();
+  ASSERT_TRUE(std::any_of(written.begin(), written.end(),
+                          [](std::uint64_t w) { return w != 0; }));
+
+  const auto plan = vm::FaultPlan::result_bit(50100, 13);
+  for (vm::Vm* m : {&cursor, &fork}) {
+    m->set_fault(plan);
+    const auto fresh = m->dirty_pages();
+    EXPECT_TRUE(std::all_of(fresh.begin(), fresh.end(),
+                            [](std::uint64_t w) { return w == 0; }));
+    m->run_until(90000);
+  }
+  ASSERT_EQ(cursor.status(), vm::Vm::Status::Running);
+  EXPECT_TRUE(std::ranges::equal(cursor.dirty_pages(), fork.dirty_pages()));
+  EXPECT_TRUE(cursor.state_equals(fork.snapshot()));
+  expect_same_result(cursor.run(), fork.run());
 }
 
 TEST(RunUntil, PausesWithoutTrappingAndHonorsHangBudget) {

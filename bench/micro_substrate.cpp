@@ -155,7 +155,6 @@ void BM_VmTracedColumnar(benchmark::State& state) {
   for (auto _ : state) {
     trace::ColumnTrace c(prog);
     vm::VmOptions opts;
-    opts.program = prog.get();
     opts.column_sink = &c;
     const auto r = vm::Vm::run(*prog, opts);
     benchmark::DoNotOptimize(r.instructions);
@@ -214,9 +213,8 @@ void BM_LocationEventsQueries(benchmark::State& state) {
       vm::DecodedProgram::decode(app.module));
   trace::ColumnTrace c(prog);
   vm::VmOptions opts = app.base;
-  opts.program = prog.get();
   opts.column_sink = &c;
-  (void)vm::Vm::run(app.module, opts);
+  (void)vm::Vm::run(*prog, opts);
   const auto ev = trace::LocationEvents::build(c.view());
   std::vector<std::pair<vm::Location, std::uint64_t>> probes;
   for (const vm::DynInstr& r : c.view()) {

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Perf-regression canary, ten sections:
+# Perf-regression canary, nine sections:
 #
 #  1. Engine A/B (vm_engine_ab): decoded vs legacy interpreter on the CG
 #     whole-program campaign. The decoded engine must stay >= 2x the
@@ -7,18 +7,11 @@
 #     produce identical outcome counts — the binary exits nonzero on a
 #     mismatch).
 #
-#  2. Trace substrate A/B (trace_substrate_ab): columnar direct-emit traced
-#     execution vs the DynInstr-observer baseline on the CG traced run.
-#     Columnar must stay >= 2x in instructions/sec and >= 3x smaller in
-#     resident bytes/record. The lockstep diff of one injection must match
-#     two plain observer runs: faulty rows equal the faulted run's records,
-#     clean columns the golden run's (the binary exits nonzero otherwise).
-#
-#  3. Batched analysis (fig5 on CG): the Fig. 5 request on one app through
+#  2. Batched analysis (fig5 on CG): the Fig. 5 request on one app through
 #     the batched work queue. The section fails when the binary exits
 #     nonzero; its schedule and campaign-wall lines go into the artifact.
 #
-#  4. Campaign-scheduler A/B (campaign_fork_ab): snapshot-forked trials vs
+#  3. Campaign-scheduler A/B (campaign_fork_ab): snapshot-forked trials vs
 #     the from-scratch trial loop on the CG whole-program campaign (one
 #     pool worker — per-worker efficiency, stable across hosts), best of
 #     five interleaved repetitions per side. Forked must stay >= 2x in
@@ -32,20 +25,20 @@
 #     of the trials must close early at a probe — a deterministic count
 #     for the fixed seed and trial count, so the gate is host-independent.
 #
-#  5. Cross-rank determinism (rank_propagation): 4-rank campaigns on the
+#  4. Cross-rank determinism (rank_propagation): 4-rank campaigns on the
 #     rank-decomposed CG/MG/LULESH with the rank-local ForkPolicy A/B'd on
 #     vs off — outcome counts must be bit-identical (the binary exits
 #     nonzero on a mismatch) and the serial-vs-parallel SR table prints
 #     into the artifact.
 #
-#  6. Persistent store A/B (store_warm_ab): cold run_analysis computing and
+#  5. Persistent store A/B (store_warm_ab): cold run_analysis computing and
 #     publishing every artifact vs a warm replay of the identical request
 #     from the store. Warm must be >= 5x faster with bit-identical outcome
 #     counts and zero executed work (the binary exits nonzero on either
 #     violation); the store stats line is also written to
 #     <build-dir>/store_stats.out for the CI artifact.
 #
-#  7. Native-engine A/B/C (jit_engine_ab): the template JIT vs the decoded
+#  6. Native-engine A/B/C (jit_engine_ab): the template JIT vs the decoded
 #     and legacy interpreters on the CG whole-program campaign (fork off —
 #     raw engine throughput). The JIT must stay >= 3x the decoded
 #     interpreter in instructions/sec with bit-identical outcome counts on
@@ -54,7 +47,7 @@
 #     artifact. On targets without a native backend the section reports
 #     "skipped" and passes.
 #
-#  8. Hardening A/B (harden_ab): the campaign-guided transform pass (DWC +
+#  7. Hardening A/B (harden_ab): the campaign-guided transform pass (DWC +
 #     ABFT detectors + checkpoint/rollback recovery) vs the hand-built CG
 #     variant. Every protected region's effective success rate must stay >=
 #     its baseline, the aggregate static overhead must stay <= 2x, and at
@@ -62,7 +55,7 @@
 #     on any violation). The section output is also written to
 #     <build-dir>/harden_ab.out for the CI artifact.
 #
-#  9. Compositional A/B (compose_ab): exhaustive snapshot-forked trials vs
+#  8. Compositional A/B (compose_ab): exhaustive snapshot-forked trials vs
 #     the per-section composed engine on every app (bit-identical outcome
 #     counts, the binary exits nonzero on a mismatch), then per app a cold
 #     composed run, a one-instruction constant edit, and a warm-incremental
@@ -75,7 +68,7 @@
 #     cold runs' summaries. The section output is also written to
 #     <build-dir>/compose_ab.out for the CI artifact.
 #
-# 10. Scheduler/service count identity (sched_service_ab): an imbalanced
+#  9. Scheduler/service count identity (sched_service_ab): an imbalanced
 #     multi-request mix (CG app campaign + LULESH-RANKED rank campaign + MG
 #     compositional, three concurrent clients) on a one-worker Scheduler, on
 #     an N-worker Scheduler, and through a CampaignService leg multiplexing
@@ -94,7 +87,6 @@ build_dir="${1:-build}"
 trials="${2:-40}"
 bench="$build_dir/fig5_per_region_sr"
 engine_ab="$build_dir/vm_engine_ab"
-trace_ab="$build_dir/trace_substrate_ab"
 fork_ab="$build_dir/campaign_fork_ab"
 rank_prop="$build_dir/rank_propagation"
 store_ab="$build_dir/store_warm_ab"
@@ -109,7 +101,7 @@ harden_ab_out="$build_dir/harden_ab.out"
 compose_ab_out="$build_dir/compose_ab.out"
 sched_ab_out="$build_dir/sched_ab.out"
 
-for bin in "$bench" "$engine_ab" "$trace_ab" "$fork_ab" "$rank_prop" "$store_ab" "$jit_ab" "$harden_ab" "$compose_ab" "$sched_ab"; do
+for bin in "$bench" "$engine_ab" "$fork_ab" "$rank_prop" "$store_ab" "$jit_ab" "$harden_ab" "$compose_ab" "$sched_ab"; do
   if [[ ! -x "$bin" ]]; then
     echo "error: $bin not found (build first: cmake -B $build_dir -S . && cmake --build $build_dir -j)" >&2
     exit 1
@@ -123,11 +115,11 @@ extract_ms() {
   sed -n 's/^campaign wall: \([0-9.]*\) ms.*/\1/p' "$1"
 }
 
-tmp_engine=$(mktemp) tmp_trace=$(mktemp) tmp_batched=$(mktemp) tmp_fork=$(mktemp) tmp_rank=$(mktemp) tmp_store=$(mktemp) tmp_jit=$(mktemp) tmp_harden=$(mktemp) tmp_compose=$(mktemp) tmp_sched=$(mktemp)
-trap 'rm -f "$tmp_engine" "$tmp_trace" "$tmp_batched" "$tmp_fork" "$tmp_rank" "$tmp_store" "$tmp_jit" "$tmp_harden" "$tmp_compose" "$tmp_sched"' EXIT
+tmp_engine=$(mktemp) tmp_batched=$(mktemp) tmp_fork=$(mktemp) tmp_rank=$(mktemp) tmp_store=$(mktemp) tmp_jit=$(mktemp) tmp_harden=$(mktemp) tmp_compose=$(mktemp) tmp_sched=$(mktemp)
+trap 'rm -f "$tmp_engine" "$tmp_batched" "$tmp_fork" "$tmp_rank" "$tmp_store" "$tmp_jit" "$tmp_harden" "$tmp_compose" "$tmp_sched"' EXIT
 
-echo "== bench smoke 1/10: decoded vs legacy engine on the CG campaign =="
-# A longer campaign than section 3 (and interleaved best-of-3 inside the
+echo "== bench smoke 1/9: decoded vs legacy engine on the CG campaign =="
+# A longer campaign than section 2 (and interleaved best-of-3 inside the
 # bench) keeps the speedup measurement steady on busy/single-core hosts.
 engine_trials=$(( trials * 2 > 60 ? trials * 2 : 60 ))
 "$engine_ab" --trials="$engine_trials" | tee "$tmp_engine"
@@ -141,24 +133,7 @@ awk -v s="$engine_speedup" 'BEGIN {
 }' | tee -a "$out"
 
 echo
-echo "== bench smoke 2/10: columnar vs DynInstr-observer traced run on CG =="
-# The binary exits nonzero when the lockstep diff disagrees with the plain
-# faulted and golden observer runs, failing the smoke under pipefail.
-"$trace_ab" | tee "$tmp_trace"
-cat "$tmp_trace" >> "$out"
-
-trace_speedup=$(sed -n 's/^trace speedup: \([0-9.]*\)x$/\1/p' "$tmp_trace")
-bytes_ratio=$(sed -n 's/^bytes\/record ratio: \([0-9.]*\)x smaller$/\1/p' "$tmp_trace")
-awk -v s="$trace_speedup" -v r="$bytes_ratio" 'BEGIN {
-  if (s == "") { print "ERROR: no trace speedup reported"; exit 1 }
-  if (r == "") { print "ERROR: no bytes/record ratio reported"; exit 1 }
-  if (s < 2.0) { printf "REGRESSION: columnar traced run only %.2fx the observer baseline (need >= 2x)\n", s; exit 1 }
-  if (r < 3.0) { printf "REGRESSION: columnar records only %.2fx smaller than DynInstr (need >= 3x)\n", r; exit 1 }
-  printf "trace substrate OK (%.2fx >= 2x instr/s, %.2fx >= 3x smaller records)\n", s, r
-}' | tee -a "$out"
-
-echo
-echo "== bench smoke 3/10: fig5 on CG, $trials trials per region/class =="
+echo "== bench smoke 2/9: fig5 on CG, $trials trials per region/class =="
 # A nonzero exit of the binary fails the smoke under pipefail.
 "$bench" --apps=CG --trials="$trials" | tee "$tmp_batched" | grep -E "^(schedule|campaign)"
 cat "$tmp_batched" >> "$out"
@@ -170,8 +145,8 @@ awk -v b="$batched_ms" 'BEGIN {
 }' | tee -a "$out"
 
 echo
-echo "== bench smoke 4/10: snapshot-forked vs from-scratch campaign trials on CG =="
-# A longer campaign than section 3 amortizes the one-time golden pass and
+echo "== bench smoke 3/9: snapshot-forked vs from-scratch campaign trials on CG =="
+# A longer campaign than section 2 amortizes the one-time golden pass and
 # keeps the best-of interleaved measurement steady; the binary itself
 # exits nonzero if the two schedulers disagree on any outcome count.
 fork_trials=$(( trials * 3 > 120 ? trials * 3 : 120 ))
@@ -202,7 +177,7 @@ awk -v t="$region_trials" -v e="$region_early" -v c="$region_counts" 'BEGIN {
 }' | tee -a "$out"
 
 echo
-echo "== bench smoke 5/10: cross-rank campaign determinism (4-rank CG/MG/LULESH) =="
+echo "== bench smoke 4/9: cross-rank campaign determinism (4-rank CG/MG/LULESH) =="
 # The binary runs every multi-rank campaign twice — rank-local snapshot
 # forking on and off — and exits nonzero if any cross-rank outcome count
 # differs, failing the smoke under pipefail.
@@ -217,7 +192,7 @@ fi
 echo "cross-rank determinism OK" | tee -a "$out"
 
 echo
-echo "== bench smoke 6/10: cold compute vs warm artifact-store replay on CG =="
+echo "== bench smoke 5/9: cold compute vs warm artifact-store replay on CG =="
 # The binary exits nonzero if any outcome count differs between the cold
 # and warm run, or if the warm run executed any trials / traced any
 # instructions — the store must serve everything. The same holds for its
@@ -236,7 +211,7 @@ awk -v s="$store_speedup" 'BEGIN {
 sed -n '/^store stats:/p;/^warm speedup:/p;/^identity:/p;/^cold:/p;/^warm:/p' "$tmp_store" > "$store_stats_out"
 
 echo
-echo "== bench smoke 7/10: jit vs decoded vs legacy engine on the CG campaign =="
+echo "== bench smoke 6/9: jit vs decoded vs legacy engine on the CG campaign =="
 # Same campaign shape as section 1 (interleaved best-of inside the bench);
 # the binary exits nonzero when any engine's outcome counts diverge.
 "$jit_ab" --trials="$engine_trials" | tee "$tmp_jit"
@@ -256,7 +231,7 @@ else
 fi
 
 echo
-echo "== bench smoke 8/10: campaign-guided hardening pass vs hand-built CG =="
+echo "== bench smoke 7/9: campaign-guided hardening pass vs hand-built CG =="
 # The binary exits nonzero if any protected region's effective success
 # rate falls below its baseline, the aggregate static overhead exceeds
 # 2x, or no trial ever exercised the rollback recovery path.
@@ -273,7 +248,7 @@ fi
 echo "hardening OK ($(sed -n 's/^aggregate overhead: \([0-9.]*x\).*/\1/p' "$tmp_harden") aggregate overhead)" | tee -a "$out"
 
 echo
-echo "== bench smoke 9/10: compositional campaigns - cold vs warm-incremental =="
+echo "== bench smoke 8/9: compositional campaigns - cold vs warm-incremental =="
 # The binary exits nonzero if the composed engine's outcome counts diverge
 # from the exhaustive scheduler on any app, if the post-edit incremental
 # counts diverge from a from-scratch exhaustive run on the edited module,
@@ -296,7 +271,7 @@ awk -v s="$compose_speedup" 'BEGIN {
 }' | tee -a "$out"
 
 echo
-echo "== bench smoke 10/10: scheduler and service count identity on a mixed load =="
+echo "== bench smoke 9/9: scheduler and service count identity on a mixed load =="
 # Three concurrent clients on one scheduler (quick trial counts are baked
 # into the bench: the mix's imbalance is the point, not its size). The
 # binary exits nonzero when outcome counts differ between the one-worker

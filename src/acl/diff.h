@@ -5,10 +5,13 @@
 // between faulty and fault-free runs"). Because the VM is deterministic, the
 // two instruction streams are identical record-by-record until either the
 // fault alters control flow (a corrupted branch) or the faulty run traps.
-// diff_run_columnar() steps two decoded-engine VMs over one shared program
-// in lockstep and records the faulty stream into a columnar
-// trace::ColumnTrace, the matching clean result and operand values per
-// record, and the first divergence point if any. The ACL sweep, the pattern
+// diff_run_columnar() advances two traced decoded-engine VMs over one
+// shared program window by window on the interpreter's hot loop
+// (Vm::run_until), compares their pc columns row by row, and keeps the
+// faulty stream as a columnar trace::ColumnTrace, the matching clean result
+// and operand values per record, and the first divergence point if any.
+// Memory is bounded by the recorded rows plus one window per machine,
+// whatever the run length or hang budget. The ACL sweep, the pattern
 // detectors and the region tolerance classifier read the result through
 // ColumnDiff::records() without materializing the stream; this is what
 // core::AnalysisSession::column_diff_with and patterns_for run on.
@@ -27,7 +30,7 @@
 namespace ft::acl {
 
 struct DiffOptions {
-  vm::VmOptions base;     // seed / mpi / budget; observer & fault ignored
+  vm::VmOptions base;     // seed / mpi / budget; observer/sink/fault ignored
   vm::FaultPlan fault;    // the injection for the faulty run
   std::size_t max_records = 0;  // cap on materialized records (0 = no cap)
   /// Expected record count (e.g. the session's golden-trace size): the
@@ -69,10 +72,15 @@ struct ColumnDiff {
 /// pre-decoded program, so callers that diff many plans against one program
 /// (core::AnalysisSession) pay the decode cost once, not per diff. The
 /// faulty stream lands in a ColumnTrace that shares `program` (the
-/// shared_ptr keeps the decoded form alive past the call). Its rows
-/// materialize bit-identically to a plain traced run under the same fault
-/// plan, and its clean columns to the fault-free traced run (pinned by
-/// tests/acl_test.cpp against those two runs).
+/// shared_ptr keeps the decoded form alive past the call).
+///
+/// The lockstep prefix is the common pc prefix of the two runs; the first
+/// row whose pcs differ, or else the faulty run's trap row, is the
+/// divergence. Rows are recorded up to `max_records`; past it only pcs are
+/// compared. Both runs then finish untraced. The recorded rows materialize
+/// bit-identically to a plain traced run under the same fault plan, and the
+/// clean columns to the fault-free traced run (pinned by tests/acl_test.cpp
+/// against those two runs, hanging and trapping faults included).
 [[nodiscard]] ColumnDiff diff_run_columnar(
     std::shared_ptr<const vm::DecodedProgram> program,
     const DiffOptions& opts);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <numeric>
-#include <type_traits>
 
 #include "fault/sampling.h"
 #include "util/rng.h"
@@ -516,10 +515,6 @@ Outcome run_trial_impl(const Executable& exe, const PreparedCampaign& prepared,
                        const Verifier& verify, std::uint64_t* instructions) {
   vm::VmOptions opts = prepared.run_opts;
   opts.fault = plan;
-  if constexpr (std::is_same_v<Executable, ir::Module>) {
-    opts.program = nullptr;  // the module overloads are the legacy baseline
-    opts.jit = nullptr;      // ... which never executes native code
-  }
   auto run = vm::Vm::run(exe, opts);
   if (instructions) *instructions = run.instructions;
   if (run.trap == vm::TrapKind::DetectedFault && prepared.recovery.enabled) {

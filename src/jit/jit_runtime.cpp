@@ -23,7 +23,7 @@ struct VmAccess {
     caller.pc = static_cast<std::uint32_t>(pc) + 1;  // resume point
     // push_dframe reads `caller` only before its final push_back, so the
     // reference staying valid through the call is guaranteed.
-    vm.push_dframe(ins, caller, nullptr);
+    vm.push_dframe(ins, caller);
     ctx->slots = vm.slots_.data();  // the slot stack may have grown
     ctx->frame_base = ctx->slots + vm.dframes_.back().reg_base;
     return 0;

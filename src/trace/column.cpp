@@ -122,42 +122,4 @@ void ColumnTrace::materialize(std::size_t row, vm::DynInstr& out) const {
   }
 }
 
-void ColumnTrace::append(const vm::DynInstr& d, std::uint32_t pc) {
-  const vm::DecodedInstr& ins = prog_->code()[pc];
-  const vm::Src* const srcs = prog_->srcs() + ins.src_begin;
-  const auto nrec = std::min<unsigned>(ins.src_count, vm::kMaxTracedOps);
-
-  // The activation column only exists to rebuild register locations, so any
-  // derivable register location of the record reveals the value to store; a
-  // record without one never reads the column back.
-  std::uint64_t act = 0;
-  if (vm::is_reg_loc(d.result_loc) && ins.op != ir::Opcode::Ret) {
-    act = vm::loc_activation(d.result_loc);
-  } else {
-    for (unsigned i = 0; i < nrec; ++i) {
-      if (srcs[i].kind != SrcKind::Reg) continue;
-      act = vm::loc_activation(
-          d.op_loc[ins.op == ir::Opcode::Load ? 1 : i]);
-      break;
-    }
-  }
-
-  begin_record(pc, act);
-  if (ins.op == ir::Opcode::Load) {
-    push_op(d.op_bits[1]);  // pointer value
-    if (srcs[0].kind == SrcKind::Arg) push_op_loc(0, d.op_loc[1]);
-    if (d.op_bits[0] != d.result_bits) set_load_value(d.op_bits[0]);
-  } else {
-    for (unsigned i = 0; i < nrec; ++i) {
-      if (srcs[i].kind == SrcKind::None) continue;
-      push_op(d.op_bits[i]);
-      if (srcs[i].kind == SrcKind::Arg) push_op_loc(i, d.op_loc[i]);
-    }
-  }
-  set_result(d.result_bits);
-  if (ins.op == ir::Opcode::Ret && d.result_loc != vm::kNoLoc) {
-    set_result_loc(d.result_loc);
-  }
-}
-
 }  // namespace ft::trace

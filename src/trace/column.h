@@ -26,14 +26,15 @@
 ///
 /// Net effect (the "memory of a trace"): ~20 fixed bytes + 8 bytes per
 /// recorded operand instead of 128, a 3-4x resident-size reduction on the
-/// paper workloads, measured by bench/trace_substrate_ab.cpp.
+/// paper workloads (perfbench reports it as `trace.bytes_per_record`;
+/// tests/column_trace_test.cpp keeps it under a third of a DynInstr).
 ///
-/// The decoded engine appends into a ColumnTrace directly (the direct-emit
-/// instantiation of the hot loop, vm/interp.cpp) — no DynInstr is
-/// materialized and no virtual observer dispatch runs per record. Analyses
-/// read through TraceView, a zero-copy span whose cursor materializes a
-/// bit-identical vm::DynInstr on demand (pinned against the legacy observer
-/// path by tests/column_trace_test.cpp).
+/// The decoded engine is the only writer: the direct-emit instantiation of
+/// its hot loop (vm/interp_decoded.cpp) appends every retired record — no
+/// DynInstr is materialized and no virtual observer dispatch runs per
+/// record. Analyses read through TraceView, a zero-copy span whose cursor
+/// materializes a bit-identical vm::DynInstr on demand (pinned against the
+/// legacy engine's observer stream by tests/column_trace_test.cpp).
 ///
 /// A ColumnTrace either OWNS its columns (the appending form above) or
 /// BORROWS them from externally managed memory — the zero-copy load path of
@@ -222,12 +223,6 @@ class ColumnTrace {
                       op_bits_.data() + o0,     extras_.data() + e0};
   }
 
-  /// Append one already-materialized record (the lockstep diff path, which
-  /// steps two VMs and records the faulty side). `pc` is the record's flat
-  /// pc (Vm::next_pc() before the step). Reconstructs to a record
-  /// bit-identical to `d`.
-  void append(const vm::DynInstr& d, std::uint32_t pc);
-
   // --- reading ---------------------------------------------------------------
   /// Reconstruct row `row` into `out`, bit-identical to the DynInstr the
   /// observer path would have delivered.
@@ -253,8 +248,8 @@ class ColumnTrace {
       noexcept;
 
   /// Resident bytes of the dynamic columns (capacity-independent: what the
-  /// records themselves occupy). The sizing note in README.md and the
-  /// bytes/record gate in scripts/bench_smoke.sh are computed from this.
+  /// records themselves occupy). The sizing note in README.md and perfbench's
+  /// `trace.bytes_per_record` are computed from this.
   /// For a borrowed trace this equals the mapped segment payload.
   [[nodiscard]] std::size_t resident_bytes() const noexcept {
     const auto c = raw();

@@ -20,9 +20,9 @@
 //     for the Vm's single contiguous register/argument stack, eliminating
 //     the per-frame std::vector allocations of the legacy engine.
 //
-// Dispatch over the decoded stream is a dense-opcode switch (Opcode is a
-// dense uint8 enum, so the compiler emits a jump table); see
-// Vm::step_decoded in interp.cpp.
+// Dispatch over the decoded stream is computed goto (or a dense-opcode
+// switch where labels-as-values are unavailable); see Vm::run_decoded_hot
+// in interp_decoded.cpp.
 //
 // A DecodedProgram is immutable after decode() and holds only pointers into
 // the module it was decoded from: share one instance (e.g. behind a

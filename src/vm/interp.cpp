@@ -1,8 +1,8 @@
 // Machine-state plumbing shared by every execution engine: construction,
 // memory/fault primitives, snapshot/restore/fork, and the run() dispatcher.
 // The engines themselves live in their own translation units —
-// interp_legacy.cpp (tree-walker), interp_decoded.cpp (decoded hot loop and
-// stepper) and interp_jit.cpp (native driver) — so the shared helpers in
+// interp_legacy.cpp (tree-walker), interp_decoded.cpp (decoded hot loop) and
+// interp_jit.cpp (native driver) — so the shared helpers in
 // interp_shared.h link from one definition instead of three copies.
 #include "vm/interp.h"
 
@@ -36,7 +36,7 @@ std::int64_t OutputValue::as_i64() const noexcept {
 
 void Vm::init_memory(const ir::Module& m) {
   mem_.assign(m.memory_size(), 0);
-  if (opts_.track_writes && opts_.program) {
+  if (opts_.track_writes && prog_) {
     const std::uint64_t pages =
         (mem_.size() + ((std::uint64_t{1} << kDirtyPageShift) - 1)) >>
         kDirtyPageShift;
@@ -54,17 +54,22 @@ void Vm::init_memory(const ir::Module& m) {
   region_counts_.assign(m.num_regions(), 0);
 }
 
-Vm::Vm(const ir::Module& m, VmOptions opts)
-    : mod_(&m), prog_(opts.program), opts_(opts), randlc_(opts.rand_seed) {
+Vm::Vm(const ir::Module& m, VmOptions opts) : Vm(m, nullptr, opts) {}
+
+Vm::Vm(const DecodedProgram& p, VmOptions opts) : Vm(p.module(), &p, opts) {}
+
+Vm::Vm(const ir::Module& m, const DecodedProgram* p, VmOptions opts)
+    : mod_(&m), prog_(p), opts_(opts), randlc_(opts.rand_seed) {
   assert(m.laid_out() && "module must be laid out before execution");
-  assert((!prog_ || &prog_->module() == &m) &&
-         "VmOptions::program must be decoded from the module being run");
+  assert((!opts_.observer || !prog_) &&
+         "observers run on the legacy engine; decoded runs record through "
+         "VmOptions::column_sink");
   assert((!opts_.column_sink || prog_) &&
          "VmOptions::column_sink requires the decoded engine");
   assert((!opts_.column_sink || (&opts_.column_sink->program() == prog_ &&
                                  opts_.column_sink->empty())) &&
          "column sink must be empty and built over the program being run");
-  assert((!opts_.jit || &opts_.jit->program() == prog_) &&
+  assert((!opts_.jit || !prog_ || &opts_.jit->program() == prog_) &&
          "VmOptions::jit must be compiled from the program being run");
   init_memory(m);
   if (opts_.count_opcodes) {
@@ -97,14 +102,8 @@ Vm::Vm(const ir::Module& m, VmOptions opts)
   }
 }
 
-Vm::Vm(const DecodedProgram& p, VmOptions opts)
-    : Vm(p.module(), (opts.program = &p, opts)) {}
-
 Vm::Vm(const DecodedProgram& p, const Snapshot& s, VmOptions opts)
-    : mod_(&p.module()),
-      prog_(&p),
-      opts_((opts.program = &p, opts)),
-      randlc_(opts.rand_seed) {
+    : mod_(&p.module()), prog_(&p), opts_(opts), randlc_(opts.rand_seed) {
   assert(mod_->laid_out() && "module must be laid out before execution");
   assert(!opts_.observer && !opts_.column_sink &&
          "snapshot-constructed Vms run the untraced campaign path");
@@ -172,19 +171,9 @@ std::uint32_t Vm::region_instances(std::uint32_t rid) const {
 }
 
 bool Vm::next_is_region_marker() const {
-  if (prog_) {
-    return ir::is_region_marker(prog_->code()[dframes_.back().pc].op);
-  }
   const Frame& fr = frames_.back();
   return ir::is_region_marker(
       mod_->function(fr.func).blocks[fr.block].instrs[fr.pc].op);
-}
-
-Vm::Status Vm::step(DynInstr* out) {
-  if (prog_) {
-    return out ? step_decoded<true>(out) : step_decoded<false>(nullptr);
-  }
-  return step_legacy(out);
 }
 
 // ---------------------------------------------------------------------------
@@ -251,8 +240,7 @@ Vm::Snapshot Vm::snapshot() const {
 }
 
 void Vm::attach_column_sink(trace::ColumnTrace& sink) {
-  assert(prog_ && !opts_.observer &&
-         "column sinks attach to the decoded engine's unobserved runs");
+  assert(prog_ && "column sinks attach to the decoded engine");
   assert(&sink.program() == prog_ && sink.size() == n_retired_ &&
          "an attached sink holds exactly the records retired so far");
   opts_.column_sink = &sink;
@@ -485,7 +473,9 @@ void Vm::rollback(const Snapshot& s) {
 }
 
 RunResult Vm::run() {
-  if (opts_.observer) {
+  if (prog_) {
+    run_until(~std::uint64_t{0});
+  } else if (opts_.observer) {
     DynInstr rec;
     while (status_ == Status::Running) {
       // Trace control: skip record construction while the observer is
@@ -493,17 +483,11 @@ RunResult Vm::run() {
       const bool deliver =
           opts_.observer->enabled() || next_is_region_marker();
       const auto before = n_retired_;
-      if (step(deliver ? &rec : nullptr) == Status::Trapped) break;
+      if (step_legacy(deliver ? &rec : nullptr) == Status::Trapped) break;
       if (deliver && n_retired_ > before) {
         opts_.observer->on_instruction(rec);
       }
     }
-  } else if (prog_ && opts_.column_sink) {
-    run_decoded_hot<true>();
-  } else if (prog_ && opts_.jit && opcode_counts_.empty()) {
-    run_jit();
-  } else if (prog_) {
-    run_decoded_hot<false>();
   } else {
     while (status_ == Status::Running) step_legacy(nullptr);
   }

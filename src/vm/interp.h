@@ -8,28 +8,29 @@
 /// our VM is deterministic by construction).
 ///
 /// Two execution engines, bit-identical by construction and pinned so by
-/// tests/decode_test.cpp:
+/// tests/decode_test.cpp; the constructor picks the engine:
 ///   * decoded — constructed from a vm::DecodedProgram (vm/decode.h): flat
 ///     pre-resolved instruction stream dispatched over a dense-opcode jump
 ///     table, with one contiguous register/argument stack shared by all
 ///     frames (no per-frame heap allocation). This is the hot engine every
 ///     campaign trial runs on; decode once per program, execute thousands
-///     of times.
+///     of times. One interpreter loop serves it, untraced or recording into
+///     a columnar trace (VmOptions::column_sink), beside the JIT
+///     (VmOptions::jit).
 ///   * legacy — constructed from an ir::Module directly: walks the nested
 ///     ir::Instruction/ir::Operand representation. Kept as the reference
-///     implementation and the A/B baseline for the decoded engine.
+///     implementation the decoded engine is checked against, and the only
+///     engine that feeds an ExecObserver.
 ///
-/// Three driving styles:
-///   * Vm::run()  — run to completion. With VmOptions::column_sink set (and
-///                  no observer), the decoded hot loop appends every record
-///                  directly into the columnar trace — no DynInstr, no
-///                  virtual dispatch. With an observer, records stream
+/// Two driving styles:
+///   * Vm::run()  — run to completion. On the decoded engine with
+///                  VmOptions::column_sink set, the hot loop appends every
+///                  record directly into the columnar trace — no DynInstr,
+///                  no virtual dispatch; without one nothing is
+///                  materialized (the campaign fast path). On the legacy
+///                  engine with VmOptions::observer set, records stream
 ///                  through the ExecObserver hook (the gating/selective
-///                  path). With neither, nothing is materialized (the
-///                  campaign fast path).
-///   * Vm::step() — retire one instruction at a time; used by the lockstep
-///                  differential engine (src/acl/) to compare a faulty and a
-///                  fault-free execution.
+///                  path).
 ///   * Vm::run_until() — run the decoded hot loop up to a target retired
 ///                  count and stop with the machine still Running. Paired
 ///                  with save()/restore()/fork_from() (Vm::Snapshot) this
@@ -37,7 +38,10 @@
 ///                  (src/fault/) builds on: execute the golden prefix
 ///                  once (a cursor machine, resumed site to site, never
 ///                  from zero) and fork every injection trial at exactly
-///                  its site instead of replaying the prefix.
+///                  its site instead of replaying the prefix. The lockstep
+///                  differential engine (src/acl/) advances a clean and a
+///                  faulty traced machine window by window with it and
+///                  compares their pc columns.
 #pragma once
 
 #include <algorithm>
@@ -79,19 +83,18 @@ struct OutputValue {
 struct VmOptions {
   std::uint64_t max_instructions = std::uint64_t{1} << 31;
   double rand_seed = 314159265.0;  // NAS randlc default
+  /// Per-record hook (legacy engine only: a decoded Vm built with one is
+  /// rejected). Decoded runs record through `column_sink` instead.
   ExecObserver* observer = nullptr;
   FaultPlan fault{};
   MpiEndpoint* mpi = nullptr;
   std::uint32_t max_call_depth = 256;
-  /// When set, the Vm executes this pre-decoded form of the module instead
-  /// of walking the IR (the Vm(const DecodedProgram&, ...) constructor
-  /// fills it in). Must be decoded from the module being run.
-  const DecodedProgram* program = nullptr;
   /// When set (decoded engine only, must be empty, built over the same
-  /// program), run() executes the direct-emit hot loop: every retired
-  /// record is appended straight into the columnar trace — no DynInstr is
-  /// materialized and no observer dispatch runs. Ignored when an observer
-  /// is also set (the observer path keeps gating/streaming semantics).
+  /// program), run() and run_until() execute the direct-emit hot loop:
+  /// every retired record is appended straight into the columnar trace — no
+  /// DynInstr is materialized and no observer dispatch runs. Each call
+  /// appends after the sink's current end, so between run_until() calls a
+  /// caller may truncate rows it has consumed (ColumnTrace::truncate_to).
   trace::ColumnTrace* column_sink = nullptr;
   /// Track which memory pages the machine writes (decoded engine): enables
   /// the incremental state transfers of the campaign scheduler —
@@ -104,11 +107,12 @@ struct VmOptions {
   /// execute natively through this pre-compiled form of the program instead
   /// of the interpreter hot loop — golden-cursor advances, trial tails and
   /// convergence probes all go native. Must be compiled from the same
-  /// DecodedProgram the Vm executes, and must outlive the Vm. Ignored on
-  /// observer/column-sink runs (those need per-instruction recording) and
-  /// when `count_opcodes` is set. The machine state layout is shared with
-  /// the interpreter, so snapshots, fork_from() and run_until() stop marks
-  /// behave identically; tests/engine_fuzz_test.cpp pins the equivalence.
+  /// DecodedProgram the Vm executes, and must outlive the Vm. Ignored by
+  /// the legacy engine, on column-sink runs (those need per-instruction
+  /// recording) and when `count_opcodes` is set. The machine state layout
+  /// is shared with the interpreter, so snapshots, fork_from() and
+  /// run_until() stop marks behave identically; tests/engine_fuzz_test.cpp
+  /// pins the equivalence.
   const jit::JitProgram* jit = nullptr;
   /// Count per-opcode dynamic dispatches in the decoded interpreter
   /// (Vm::opcode_counts()). Forces the interpreter even when `jit` is set —
@@ -137,13 +141,13 @@ class Vm {
   /// types). See save()/restore().
   struct Snapshot;
 
-  /// The module must outlive the Vm and must be laid out (Module::layout(),
-  /// done by ProgramBuilder::finish()). Runs the legacy tree-walking engine
-  /// unless `opts.program` carries a decoded form of `m`.
+  /// Run the legacy tree-walking engine over `m`. The module must outlive
+  /// the Vm and must be laid out (Module::layout(), done by
+  /// ProgramBuilder::finish()).
   explicit Vm(const ir::Module& m, VmOptions opts = {});
 
   /// Execute the decoded engine over `p` (which must outlive the Vm, as
-  /// must the module it was decoded from).
+  /// must the module it was decoded from). `opts.observer` must be unset.
   explicit Vm(const DecodedProgram& p, VmOptions opts = {});
 
   /// Construct the decoded engine directly in a snapshotted state: cheaper
@@ -152,10 +156,6 @@ class Vm {
   /// trial on the snapshot-forked path). The snapshot must come from a Vm
   /// over the same program.
   Vm(const DecodedProgram& p, const Snapshot& s, VmOptions opts = {});
-
-  /// Retire one instruction. If `out` is non-null it receives the dynamic
-  /// record of the retired instruction (unset when the instruction trapped).
-  Status step(DynInstr* out);
 
   /// Run to completion (or trap), feeding opts.observer if present.
   RunResult run();
@@ -173,7 +173,7 @@ class Vm {
   /// column sink; incompatible with an observer.
   void run_until(std::uint64_t target);
 
-  /// Start recording into `sink` mid-run (decoded engine, no observer).
+  /// Start recording into `sink` mid-run (decoded engine).
   /// `sink` must be built over this program and already hold exactly the
   /// records of the instructions retired so far (size() ==
   /// instructions_retired()), e.g. a golden prefix copied from the stored
@@ -182,6 +182,10 @@ class Vm {
   /// finished sink equals a trace recorded from instruction 0 — while the
   /// prefix itself ran untraced (natively, when VmOptions::jit is set).
   void attach_column_sink(trace::ColumnTrace& sink);
+
+  /// Stop recording: later run()/run_until() calls execute untraced
+  /// (natively, when VmOptions::jit is set). The sink keeps its rows.
+  void detach_column_sink() noexcept { opts_.column_sink = nullptr; }
 
   /// Capture the full machine state (memory image, frame stack, live
   /// register/argument slots, stack pointer, RNG, outputs, region counts,
@@ -292,9 +296,8 @@ class Vm {
   /// How many instances of region `rid` have been entered so far.
   [[nodiscard]] std::uint32_t region_instances(std::uint32_t rid) const;
 
-  /// Flat pc of the next instruction to retire (decoded engine only). The
-  /// lockstep differential engine pairs this with step() to append faulty
-  /// records into a ColumnTrace without a static-coordinate lookup.
+  /// Flat pc of the next instruction to retire (decoded engine only; on a
+  /// trapped machine, the pc of the instruction that trapped).
   [[nodiscard]] std::uint32_t next_pc() const noexcept {
     return dframes_.back().pc;
   }
@@ -312,6 +315,9 @@ class Vm {
   /// behalf of emitted code — frame push/pop, RNG, outputs, region faults —
   /// through this single named door instead of N friend functions.
   friend struct jit::VmAccess;
+  /// Shared construction: the decoded engine over `p` when non-null, the
+  /// legacy engine over `m` otherwise.
+  Vm(const ir::Module& m, const DecodedProgram* p, VmOptions opts);
   // --- legacy engine ---------------------------------------------------------
   struct Frame {
     std::uint32_t func = 0;
@@ -372,11 +378,8 @@ class Vm {
   OpVal eval_src(const Src& s, const DFrame& fr) const;
   void push_frame(std::uint32_t func, const ir::Instruction& call_ins,
                   Frame& caller, DynInstr* out);
-  void push_dframe(const DecodedInstr& call_ins, const DFrame& caller,
-                   DynInstr* out);
+  void push_dframe(const DecodedInstr& call_ins, const DFrame& caller);
   Status step_legacy(DynInstr* out);
-  template <bool Traced>
-  Status step_decoded(DynInstr* out);
   template <bool Traced>
   void run_decoded_hot();
   /// Native driver (interp_jit.cpp): alternates compiled-code bursts with

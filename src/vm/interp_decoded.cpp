@@ -1,7 +1,10 @@
-// Decoded engine: dispatch over the flat pre-resolved instruction stream.
-// Must stay semantically and record-by-record identical to step_legacy —
-// tests/decode_test.cpp pins the equivalence across all ten workloads — and
-// bit-identical to the JIT backend (tests/engine_fuzz_test.cpp pins that).
+// Decoded engine: one interpreter loop over the flat pre-resolved
+// instruction stream, run_decoded_hot, in an untraced and a column-recording
+// instantiation. Its column trace must stay record-by-record identical to
+// the legacy engine's observer stream — tests/decode_test.cpp and
+// tests/column_trace_test.cpp pin that across all ten workloads — and its
+// machine state bit-identical to the JIT backend (tests/engine_fuzz_test.cpp
+// pins both on generated programs).
 #include <algorithm>
 #include <cassert>
 #include <cmath>
@@ -39,8 +42,7 @@ Vm::OpVal Vm::eval_src(const Src& s, const DFrame& fr) const {
   return {};
 }
 
-void Vm::push_dframe(const DecodedInstr& call_ins, const DFrame& caller,
-                     DynInstr* out) {
+void Vm::push_dframe(const DecodedInstr& call_ins, const DFrame& caller) {
   const auto func = static_cast<std::uint32_t>(call_ins.aux);
   const DecodedFunction& callee = prog_->function(func);
   DFrame fr;
@@ -66,482 +68,16 @@ void Vm::push_dframe(const DecodedInstr& call_ins, const DFrame& caller,
     const OpVal v = eval_src(args[i], caller);
     slots_[fr.arg_base + i] = v.bits;
     arg_locs_[fr.arg_loc_base + i] = v.loc;
-    if (out && i < kMaxTracedOps) {
-      out->op_loc[i] = v.loc;
-      out->op_bits[i] = v.bits;
-      out->op_type[i] = v.type;
-    }
   }
   slot_top_ = new_top;
   arg_loc_top_ += fr.nargs;
   dframes_.push_back(fr);
 }
 
-template <bool Traced>
-Vm::Status Vm::step_decoded(DynInstr* out) {
-  if (status_ != Status::Running) return status_;
-  if (n_retired_ >= opts_.max_instructions) {
-    set_trap(TrapKind::Hang);
-    return status_;
-  }
-
-  DFrame& fr = dframes_.back();
-  const DecodedInstr& ins = prog_->code()[fr.pc];
-  if (!opcode_counts_.empty()) {
-    ++opcode_counts_[static_cast<std::uint8_t>(ins.op)];
-  }
-
-  if constexpr (Traced) {
-    *out = DynInstr{};
-    out->index = n_retired_;
-    out->func = ins.func;
-    out->block = ins.block;
-    out->instr = ins.instr;
-    out->op = ins.op;
-    out->pred = ins.pred;
-    out->type = ins.type;
-    out->line = ins.line;
-    out->aux = ins.aux;
-    out->nops = ins.nops;
-  } else {
-    (void)out;
-  }
-
-  // Operands were pre-resolved at decode time; evaluating one is a slot
-  // read (or nothing, for pre-folded constants). Block operands decode to
-  // SrcKind::None and evaluate to the empty value, matching the legacy
-  // engine's skip.
-  const Src* const srcs = prog_->srcs() + ins.src_begin;
-  OpVal a{}, b{}, c{};
-  const std::size_t nsrc = ins.src_count;
-  if (ins.op != Opcode::Call) {
-    if (nsrc > 0) a = eval_src(srcs[0], fr);
-    if (nsrc > 1) b = eval_src(srcs[1], fr);
-    if (nsrc > 2) c = eval_src(srcs[2], fr);
-    if constexpr (Traced) {
-      const OpVal* vals[3] = {&a, &b, &c};
-      for (std::size_t i = 0; i < std::min<std::size_t>(nsrc, 3); ++i) {
-        out->op_loc[i] = vals[i]->loc;
-        out->op_bits[i] = vals[i]->bits;
-        out->op_type[i] = vals[i]->type;
-      }
-    }
-  }
-
-  std::uint64_t result = 0;
-  bool has_res = ins.result != ir::kNoReg;
-  Location result_location =
-      has_res ? reg_loc(fr.activation, ins.result) : kNoLoc;
-  bool advance_pc = true;
-
-  const Type t = ins.type;
-  const auto ia = static_cast<std::int64_t>(a.bits);
-  const auto ib = static_cast<std::int64_t>(b.bits);
-
-  switch (ins.op) {
-    // --- integer binary -----------------------------------------------------
-    case Opcode::Add:
-      result = canon_int(a.bits + b.bits, t);
-      break;
-    case Opcode::Sub:
-      result = canon_int(a.bits - b.bits, t);
-      break;
-    case Opcode::Mul:
-      result = canon_int(a.bits * b.bits, t);
-      break;
-    case Opcode::SDiv:
-    case Opcode::SRem: {
-      if (ib == 0) {
-        set_trap(TrapKind::DivByZero);
-        return status_;
-      }
-      if (ia == std::numeric_limits<std::int64_t>::min() && ib == -1) {
-        set_trap(TrapKind::IntOverflowDiv);
-        return status_;
-      }
-      const std::int64_t r = ins.op == Opcode::SDiv ? ia / ib : ia % ib;
-      result = canon_int(static_cast<std::uint64_t>(r), t);
-      break;
-    }
-    case Opcode::And:
-      result = canon_int(a.bits & b.bits, t);
-      break;
-    case Opcode::Or:
-      result = canon_int(a.bits | b.bits, t);
-      break;
-    case Opcode::Xor:
-      result = canon_int(a.bits ^ b.bits, t);
-      break;
-    case Opcode::Shl:
-    case Opcode::LShr:
-    case Opcode::AShr: {
-      const unsigned width = bit_width(t);
-      const std::uint64_t amt = b.bits;
-      if (amt >= width) {
-        set_trap(TrapKind::BadShift);
-        return status_;
-      }
-      if (ins.op == Opcode::Shl) {
-        result = canon_int(a.bits << amt, t);
-      } else if (ins.op == Opcode::LShr) {
-        const std::uint64_t ua = util::truncate_to(a.bits, width);
-        result = canon_int(ua >> amt, t);
-      } else {
-        result = canon_int(static_cast<std::uint64_t>(ia >> amt), t);
-      }
-      break;
-    }
-
-    // --- floating binary ----------------------------------------------------
-    case Opcode::FAdd:
-    case Opcode::FSub:
-    case Opcode::FMul:
-    case Opcode::FDiv: {
-      if (t == Type::F32) {
-        const float x = bits_to_f32(a.bits), y = bits_to_f32(b.bits);
-        float r = 0;
-        switch (ins.op) {
-          case Opcode::FAdd: r = x + y; break;
-          case Opcode::FSub: r = x - y; break;
-          case Opcode::FMul: r = x * y; break;
-          default: r = x / y; break;
-        }
-        result = f32_to_bits(r);
-      } else {
-        const double x = bits_to_f64(a.bits), y = bits_to_f64(b.bits);
-        double r = 0;
-        switch (ins.op) {
-          case Opcode::FAdd: r = x + y; break;
-          case Opcode::FSub: r = x - y; break;
-          case Opcode::FMul: r = x * y; break;
-          default: r = x / y; break;
-        }
-        result = f64_to_bits(r);
-      }
-      break;
-    }
-
-    // --- floating unary -----------------------------------------------------
-    case Opcode::FNeg:
-    case Opcode::FSqrt:
-    case Opcode::FAbs:
-    case Opcode::FFloor: {
-      if (t == Type::F32) {
-        const float x = bits_to_f32(a.bits);
-        float r = 0;
-        switch (ins.op) {
-          case Opcode::FNeg: r = -x; break;
-          case Opcode::FSqrt: r = std::sqrt(x); break;
-          case Opcode::FAbs: r = std::fabs(x); break;
-          default: r = std::floor(x); break;
-        }
-        result = f32_to_bits(r);
-      } else {
-        const double x = bits_to_f64(a.bits);
-        double r = 0;
-        switch (ins.op) {
-          case Opcode::FNeg: r = -x; break;
-          case Opcode::FSqrt: r = std::sqrt(x); break;
-          case Opcode::FAbs: r = std::fabs(x); break;
-          default: r = std::floor(x); break;
-        }
-        result = f64_to_bits(r);
-      }
-      break;
-    }
-
-    // --- comparisons --------------------------------------------------------
-    case Opcode::ICmp: {
-      bool r = false;
-      switch (ins.pred) {
-        case CmpPred::Eq: r = ia == ib; break;
-        case CmpPred::Ne: r = ia != ib; break;
-        case CmpPred::Lt: r = ia < ib; break;
-        case CmpPred::Le: r = ia <= ib; break;
-        case CmpPred::Gt: r = ia > ib; break;
-        case CmpPred::Ge: r = ia >= ib; break;
-        case CmpPred::None: break;
-      }
-      result = r ? 1 : 0;
-      break;
-    }
-    case Opcode::FCmp: {
-      const double x = a.type == Type::F32
-                           ? static_cast<double>(bits_to_f32(a.bits))
-                           : bits_to_f64(a.bits);
-      const double y = b.type == Type::F32
-                           ? static_cast<double>(bits_to_f32(b.bits))
-                           : bits_to_f64(b.bits);
-      bool r = false;
-      switch (ins.pred) {
-        case CmpPred::Eq: r = x == y; break;
-        case CmpPred::Ne: r = x != y; break;
-        case CmpPred::Lt: r = x < y; break;
-        case CmpPred::Le: r = x <= y; break;
-        case CmpPred::Gt: r = x > y; break;
-        case CmpPred::Ge: r = x >= y; break;
-        case CmpPred::None: break;
-      }
-      result = r ? 1 : 0;
-      break;
-    }
-    case Opcode::Select:
-      result = (a.bits & 1) ? b.bits : c.bits;
-      break;
-
-    // --- casts ---------------------------------------------------------------
-    case Opcode::Trunc:
-      result = canon_int(a.bits, t);
-      break;
-    case Opcode::SExt:
-      result = a.bits;  // canonical form is already sign-extended
-      break;
-    case Opcode::ZExt:
-      result = util::truncate_to(a.bits, bit_width(a.type));
-      break;
-    case Opcode::FPTrunc:
-      result = f32_to_bits(static_cast<float>(bits_to_f64(a.bits)));
-      break;
-    case Opcode::FPExt:
-      result = f64_to_bits(static_cast<double>(bits_to_f32(a.bits)));
-      break;
-    case Opcode::FPToSI: {
-      const double x = a.type == Type::F32
-                           ? static_cast<double>(bits_to_f32(a.bits))
-                           : bits_to_f64(a.bits);
-      if (std::isnan(x) || x < -9.3e18 || x > 9.3e18) {
-        set_trap(TrapKind::FpDomain);
-        return status_;
-      }
-      result = canon_int(static_cast<std::uint64_t>(
-                             static_cast<std::int64_t>(x)),
-                         t);
-      break;
-    }
-    case Opcode::SIToFP: {
-      const auto x = static_cast<double>(ia);
-      result = t == Type::F32 ? f32_to_bits(static_cast<float>(x))
-                              : f64_to_bits(x);
-      break;
-    }
-    case Opcode::Bitcast:
-      if (t == Type::I32) {
-        result = canon_int(a.bits, t);  // keep I32 canonical (sign-extended)
-      } else {
-        result = bit_width(t) == 32 ? util::truncate_to(a.bits, 32) : a.bits;
-      }
-      break;
-
-    // --- memory ---------------------------------------------------------------
-    case Opcode::Alloca: {
-      const auto size = static_cast<std::uint64_t>(ins.aux);
-      const std::uint64_t aligned = (sp_ + 7) & ~std::uint64_t{7};
-      if (aligned + size > mem_.size()) {
-        set_trap(TrapKind::StackOverflow);
-        return status_;
-      }
-      result = aligned;
-      sp_ = aligned + size;
-      break;
-    }
-    case Opcode::Load: {
-      // Operand order in records: [0] = memory cell, [1] = pointer dep.
-      const std::uint64_t addr = a.bits;
-      const auto size = store_size(t);
-      if (!mem_ok(addr, size)) {
-        set_trap(TrapKind::OutOfBounds);
-        return status_;
-      }
-      std::uint64_t bits = 0;
-      std::memcpy(&bits, &mem_[addr], size);
-      result = is_int(t) ? canon_int(bits, t) : bits;
-      if constexpr (Traced) {
-        out->mem_addr = addr;
-        out->mem_size = size;
-        out->nops = 2;
-        out->op_loc[0] = mem_loc(addr);
-        out->op_bits[0] = result;
-        out->op_type[0] = t;
-        out->op_loc[1] = a.loc;  // the pointer value's own location
-        out->op_bits[1] = a.bits;
-        out->op_type[1] = Type::Ptr;
-      }
-      break;
-    }
-    case Opcode::Store: {
-      const std::uint64_t addr = b.bits;
-      const auto size = store_size(a.type);
-      if (!mem_ok(addr, size)) {
-        set_trap(TrapKind::OutOfBounds);
-        return status_;
-      }
-      std::uint64_t bits = a.bits;
-      maybe_flip_result(bits);
-      std::memcpy(&mem_[addr], &bits, size);
-      if (!dirty_.empty()) mark_dirty(addr, size);
-      has_res = false;
-      result_location = mem_loc(addr);
-      result = bits;
-      if constexpr (Traced) {
-        out->mem_addr = addr;
-        out->mem_size = size;
-      }
-      break;
-    }
-    case Opcode::Gep: {
-      // Unsigned multiply: a fault-corrupted index can overflow, and two's
-      // complement wraparound (not signed-overflow UB) is the semantic all
-      // three engine copies share.
-      const std::uint64_t base = a.bits;
-      result = base + b.bits * static_cast<std::uint64_t>(ins.aux);
-      break;
-    }
-
-    // --- control -----------------------------------------------------------------
-    case Opcode::Br:
-      fr.pc = ins.target_taken;
-      advance_pc = false;
-      break;
-    case Opcode::CondBr: {
-      const bool taken = (a.bits & 1) != 0;
-      fr.pc = taken ? ins.target_taken : ins.target_fall;
-      advance_pc = false;
-      if constexpr (Traced) out->branch_taken = taken;
-      break;
-    }
-    case Opcode::Ret: {
-      const bool has_val = nsrc > 0;
-      const std::uint64_t ret_bits = has_val ? a.bits : 0;
-      if (dframes_.size() == 1) {
-        status_ = Status::Finished;
-        advance_pc = false;
-      } else {
-        sp_ = fr.saved_sp;
-        const std::uint32_t dest_reg = fr.ret_reg;
-        slot_top_ = fr.reg_base;
-        arg_loc_top_ = fr.arg_loc_base;
-        dframes_.pop_back();
-        DFrame& caller = dframes_.back();
-        if (dest_reg != ir::kNoReg) {
-          std::uint64_t bits = ret_bits;
-          maybe_flip_result(bits);
-          slots_[caller.reg_base + dest_reg] = bits;
-          result_location = reg_loc(caller.activation, dest_reg);
-          result = bits;
-          if constexpr (Traced) {
-            out->result_loc = result_location;
-            out->result_bits = bits;
-          }
-        }
-        advance_pc = false;  // caller pc was advanced at call time
-      }
-      has_res = false;
-      break;
-    }
-    case Opcode::Call: {
-      if (dframes_.size() >= opts_.max_call_depth) {
-        set_trap(TrapKind::CallDepth);
-        return status_;
-      }
-      fr.pc++;  // resume point after return
-      advance_pc = false;
-      // NB: push_dframe may reallocate dframes_, invalidating `fr`; it
-      // copies what it needs from the caller frame before pushing.
-      push_dframe(ins, fr, Traced ? out : nullptr);
-      has_res = false;  // result is committed by Ret
-      break;
-    }
-
-    // --- intrinsics -----------------------------------------------------------------
-    case Opcode::Rand:
-      result = f64_to_bits(randlc_.next());
-      break;
-    case Opcode::Emit: {
-      outputs_.push_back({a.bits, a.type});
-      // Expose the emitted bits for differential comparison (no location).
-      if constexpr (Traced) out->result_bits = a.bits;
-      break;
-    }
-    case Opcode::EmitTrunc: {
-      const double x = a.type == Type::F32
-                           ? static_cast<double>(bits_to_f32(a.bits))
-                           : bits_to_f64(a.bits);
-      const double r = detail::round_to_digits(x, static_cast<int>(ins.aux));
-      outputs_.push_back({f64_to_bits(r), Type::F64});
-      // The *rounded* value is what the user sees; comparing it is what
-      // makes Pattern 5 (data truncation) observable in the diff.
-      if constexpr (Traced) out->result_bits = f64_to_bits(r);
-      break;
-    }
-    case Opcode::RegionEnter: {
-      const auto rid = static_cast<std::uint32_t>(ins.aux);
-      apply_region_entry_fault(rid);
-      region_counts_[rid]++;
-      break;
-    }
-    case Opcode::RegionExit:
-      break;
-
-    // --- MiniMPI (null endpoint = single-rank world; see interp_shared.h) -----
-    case Opcode::MpiRank:
-      result = static_cast<std::uint64_t>(detail::mpi_rank_of(opts_.mpi));
-      break;
-    case Opcode::MpiSize:
-      result = static_cast<std::uint64_t>(detail::mpi_size_of(opts_.mpi));
-      break;
-    case Opcode::MpiSend:
-      detail::mpi_send_on(opts_.mpi, static_cast<std::int64_t>(a.bits),
-                          bits_to_f64(b.bits));
-      break;
-    case Opcode::MpiRecv:
-      result = f64_to_bits(
-          detail::mpi_recv_on(opts_.mpi, static_cast<std::int64_t>(a.bits)));
-      break;
-    case Opcode::MpiAllreduce:
-      result = f64_to_bits(detail::mpi_allreduce_on(
-          opts_.mpi, bits_to_f64(a.bits),
-          static_cast<ir::ReduceOp>(ins.aux)));
-      break;
-    case Opcode::MpiBarrier:
-      detail::mpi_barrier_on(opts_.mpi);
-      break;
-
-    case Opcode::CheckTrap:
-      // Hardening detector (src/harden/): trap-before-retire, like every
-      // other trap — the detector instruction itself never commits.
-      if ((a.bits & 1) != 0) {
-        set_trap(TrapKind::DetectedFault);
-        return status_;
-      }
-      break;
-  }
-
-  if (has_res) {
-    maybe_flip_result(result);
-    // `fr` may dangle only after Call/Ret, which set has_res = false.
-    slots_[fr.reg_base + ins.result] = result;
-  }
-
-  if constexpr (Traced) {
-    if (has_res || ins.op == Opcode::Store) {
-      out->result_loc = result_location;
-      out->result_bits = result;
-    }
-  } else {
-    (void)result_location;
-  }
-
-  if (advance_pc) fr.pc++;
-  n_retired_++;
-  return status_;
-}
-
-template Vm::Status Vm::step_decoded<true>(DynInstr* out);
-template Vm::Status Vm::step_decoded<false>(DynInstr* out);
-
 // ---------------------------------------------------------------------------
-// Decoded hot loop: the run-to-completion path every campaign trial and —
-// since the columnar-trace refactor — every full traced run takes. Machine
+// Decoded hot loop: the only interpreter of the decoded engine. Every
+// campaign trial, every traced run and the lockstep diff's windows
+// (acl/diff.cpp) run here; the JIT steps through it at deopt sites. Machine
 // state (retired count, current frame, code/operand base pointers) lives in
 // locals; dispatch is computed goto where the toolchain supports
 // labels-as-values (each opcode body ends in its own indirect jump, so the
@@ -549,17 +85,18 @@ template Vm::Status Vm::step_decoded<false>(DynInstr* out);
 // dense-opcode switch fallback elsewhere.
 //
 // Two instantiations:
-//   * Traced == false — the no-observer campaign path (nothing recorded);
+//   * Traced == false — the campaign path (nothing recorded);
 //   * Traced == true  — direct emission into VmOptions::column_sink: each
 //     fetched instruction opens a columnar record (pc, activation, packed
 //     operand bits), results land via set_result at commit time, and a
 //     record whose instruction traps mid-flight is rolled back at `done`.
 //     No DynInstr is materialized and no virtual observer dispatch runs.
 //
-// Semantics must stay identical to step_decoded — tests/decode_test.cpp
-// pins the untraced equivalence against the legacy engine for all ten
-// workloads, and tests/column_trace_test.cpp pins the emitted columnar
-// records against the observer-collected DynInstr stream.
+// Semantics must stay identical to the legacy engine's step_legacy —
+// tests/decode_test.cpp pins the column trace and the untraced results
+// against the legacy observer stream for all ten workloads, clean and
+// faulted, and tests/column_trace_test.cpp pins the materialized records
+// (crashing runs included).
 // ---------------------------------------------------------------------------
 
 #if !defined(FT_VM_NO_COMPUTED_GOTO) && (defined(__GNUC__) || defined(__clang__))
@@ -615,7 +152,7 @@ void Vm::run_decoded_hot() {
     }
   };
   // Commit a register-defining result (every defining opcode flips here,
-  // mirroring the has_res path of the stepping engines). Traced: the
+  // mirroring the has_res path of the legacy engine). Traced: the
   // committed bits are the record's result column.
   const auto commit = [&](std::uint64_t bits) {
     flip(bits);
@@ -970,7 +507,9 @@ void Vm::run_decoded_hot() {
     FT_NEXT();
   }
   FT_OP(Gep) : {
-    // Unsigned multiply — see the Gep note in the stepping engines.
+    // Unsigned multiply: a fault-corrupted index can overflow, and two's
+    // complement wraparound (not signed-overflow UB) is the semantic all
+    // three engines share.
     const std::uint64_t base = val(srcs[0]);
     commit(base + val(srcs[1]) * static_cast<std::uint64_t>(ins->aux));
     fr->pc++;
@@ -1014,7 +553,7 @@ void Vm::run_decoded_hot() {
       goto done;
     }
     fr->pc++;  // resume point after return
-    push_dframe(*ins, *fr, nullptr);
+    push_dframe(*ins, *fr);
     fr = &dframes_.back();
     FT_NEXT();
   }
@@ -1124,7 +663,6 @@ template void Vm::run_decoded_hot<false>();
 
 void Vm::run_until(std::uint64_t target) {
   assert(prog_ && "run_until drives the decoded engine only");
-  assert(!opts_.observer && "run_until bypasses the observer path");
   stop_at_ = target;
   if (opts_.column_sink) {
     run_decoded_hot<true>();

@@ -1,12 +1,14 @@
 // Dynamic-instruction records and the observer hook.
 //
-// The VM invokes an ExecObserver after each retired instruction with a
-// DynInstr record carrying everything LLVM-Tracer's trace format carries
-// (instruction type, register names, operand values, §IV-A): static
-// coordinates, operand/result locations and bit patterns, memory effective
-// address and branch outcome. Tracers, region segmenters, ACL trackers and
-// pattern counters are all observers; analyses can run streaming without
-// materializing multi-gigabyte traces.
+// The legacy (ir::Module) engine invokes an ExecObserver after each retired
+// instruction with a DynInstr record carrying everything LLVM-Tracer's trace
+// format carries (instruction type, register names, operand values, §IV-A):
+// static coordinates, operand/result locations and bit patterns, memory
+// effective address and branch outcome. Tracers, region segmenters, ACL
+// trackers and pattern counters are all observers; analyses can run
+// streaming without materializing multi-gigabyte traces. The decoded engine
+// records into a trace::ColumnTrace instead, whose rows materialize the same
+// DynInstr on demand.
 #pragma once
 
 #include <array>

@@ -288,7 +288,6 @@ struct TracedRun {
 TracedRun traced_run(const std::shared_ptr<const vm::DecodedProgram>& prog,
                      vm::VmOptions opts, const vm::FaultPlan& plan) {
   TracedRun out{trace::ColumnTrace(prog), {}};
-  opts.program = prog.get();
   opts.column_sink = &out.trace;
   opts.fault = plan;
   out.result = vm::Vm::run(*prog, opts);
@@ -296,11 +295,11 @@ TracedRun traced_run(const std::shared_ptr<const vm::DecodedProgram>& prog,
 }
 
 /// Diff `m` under `plan` and check it against the two plain runs. Returns
-/// the number of lockstep rows (the common pc prefix of the runs).
-std::size_t expect_diff_matches_plain_runs(const ir::Module& m,
-                                           vm::VmOptions base,
-                                           const vm::FaultPlan& plan,
-                                           std::size_t max_records) {
+/// the number of lockstep rows (the common pc prefix of the runs); the diff
+/// itself lands in `*diff_out` when given.
+std::size_t expect_diff_matches_plain_runs(
+    const ir::Module& m, vm::VmOptions base, const vm::FaultPlan& plan,
+    std::size_t max_records, acl::ColumnDiff* diff_out = nullptr) {
   const auto prog = std::make_shared<const vm::DecodedProgram>(
       vm::DecodedProgram::decode(m));
   const auto golden = traced_run(prog, base, vm::FaultPlan::none());
@@ -351,6 +350,7 @@ std::size_t expect_diff_matches_plain_runs(const ir::Module& m,
   }
   expect_same_result(diff.clean_result, golden.result);
   expect_same_result(diff.faulty_result, faulted.result);
+  if (diff_out) *diff_out = diff;
   return lockstep;
 }
 
@@ -376,6 +376,46 @@ TEST(DiffOracle, TrappingKernel) {
   expect_diff_matches_plain_runs(k.mod, {}, k.plan, lockstep);
 }
 
+/// while (i != n) ++i over a loaded n: a high-bit flip of the load keeps
+/// the faulty run looping after the clean one leaves the loop, until the
+/// hang budget ends it.
+Kernel hanging_kernel() {
+  hl::ProgramBuilder pb("t");
+  auto bound = pb.global_init_i64("n", {5000});
+  const auto fid = pb.declare_function("main");
+  {
+    auto f = pb.define(fid);
+    const auto n = f.ld(bound, 0);
+    auto i = f.var_i64("i", 0);
+    f.while_([&] { return i.get().ne(n); }, [&] { i.set(i.get() + 1); });
+    f.emit(i.get());
+    f.ret();
+  }
+  Kernel k{pb.finish(), {}};
+  const auto n_load = find_record(k.mod, [](const vm::DynInstr& r) {
+    return r.op == ir::Opcode::Load && r.type == ir::Type::I64;
+  });
+  k.plan = vm::FaultPlan::result_bit(n_load, 40);
+  return k;
+}
+
+TEST(DiffOracle, HangingKernel) {
+  const auto k = hanging_kernel();
+  acl::ColumnDiff diff;
+  const auto lockstep =
+      expect_diff_matches_plain_runs(k.mod, {}, k.plan, 0, &diff);
+  EXPECT_EQ(diff.faulty_result.trap, vm::TrapKind::Hang);
+  EXPECT_TRUE(diff.clean_result.completed());
+  // The 5000 iterations before the exit test that parts the runs span
+  // several diff windows, so the capped legs compare many rows past the cap.
+  EXPECT_GT(lockstep, 30000u);
+  for (const std::size_t cap : {std::size_t{1}, lockstep}) {
+    SCOPED_TRACE(cap);
+    expect_diff_matches_plain_runs(k.mod, {}, k.plan, cap, &diff);
+    EXPECT_LE(diff.faulty.size(), cap);
+  }
+}
+
 class DiffOracleApps : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(DiffOracleApps, MatchesPlainRuns) {
@@ -383,6 +423,17 @@ TEST_P(DiffOracleApps, MatchesPlainRuns) {
   expect_diff_matches_plain_runs(app.module, app.base,
                                  vm::FaultPlan::result_bit(20000, 33),
                                  /*max_records=*/150000);
+  // An input fault flips memory at the main region's entry, wherever that
+  // falls inside a diff window.
+  if (app.main_region != ~std::uint32_t{0} && app.module.num_globals() > 0) {
+    SCOPED_TRACE("region input fault");
+    const auto& g = app.module.global(0);
+    expect_diff_matches_plain_runs(
+        app.module, app.base,
+        vm::FaultPlan::region_input_bit(app.main_region, 0, g.addr,
+                                        store_size(g.elem), 17),
+        /*max_records=*/150000);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllApps, DiffOracleApps,

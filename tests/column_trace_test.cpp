@@ -1,10 +1,11 @@
 // Columnar-substrate equivalence coverage.
 //
 // Two pins, each against the array-of-structs reference:
-//  * ColumnTrace/TraceView vs the legacy observer-collected Trace —
-//    record-by-record bit-identical for all ten workloads, clean, faulted
-//    and trapping (the direct-emit hot loop must roll back the partial
-//    record of an instruction that traps mid-flight);
+//  * ColumnTrace/TraceView from the decoded engine vs the Trace the legacy
+//    engine's observer collects — record-by-record bit-identical for all
+//    ten workloads, clean, faulted and trapping (the direct-emit hot loop
+//    must roll back the partial record of an instruction that traps
+//    mid-flight);
 //  * the CSR LocationEvents vs the legacy map-of-vectors builder —
 //    query-by-query identical over every touched location.
 // The lockstep diff is pinned against plain traced runs in acl_test.
@@ -37,24 +38,22 @@ std::string describe(const vm::DynInstr& d) {
   return os.str();
 }
 
-/// Run the app once through the observer path (legacy Trace) and once
-/// through the direct-emit columnar path; require identical run results and
-/// a bit-identical record stream.
+/// Run the app once on the legacy engine through the observer path (legacy
+/// Trace) and once on the decoded engine through the direct-emit columnar
+/// path; require identical run results and a bit-identical record stream.
 void expect_traces_identical(const apps::AppSpec& app,
                              const std::shared_ptr<const vm::DecodedProgram>&
                                  prog,
                              const vm::VmOptions& base) {
   trace::TraceCollector collector;
   vm::VmOptions legacy_opts = base;
-  legacy_opts.program = prog.get();
   legacy_opts.observer = &collector;
   const auto legacy_run = vm::Vm::run(app.module, legacy_opts);
 
   trace::ColumnTrace columnar(prog);
   vm::VmOptions col_opts = base;
-  col_opts.program = prog.get();
   col_opts.column_sink = &columnar;
-  const auto col_run = vm::Vm::run(app.module, col_opts);
+  const auto col_run = vm::Vm::run(*prog, col_opts);
 
   EXPECT_EQ(legacy_run.trap, col_run.trap);
   EXPECT_EQ(legacy_run.instructions, col_run.instructions);
@@ -164,15 +163,13 @@ TEST(TraceView, SlicesMatchLegacySlices) {
 
   trace::TraceCollector collector;
   vm::VmOptions lopts = app.base;
-  lopts.program = prog.get();
   lopts.observer = &collector;
   (void)vm::Vm::run(app.module, lopts);
 
   trace::ColumnTrace columnar(prog);
   vm::VmOptions copts = app.base;
-  copts.program = prog.get();
   copts.column_sink = &columnar;
-  (void)vm::Vm::run(app.module, copts);
+  (void)vm::Vm::run(*prog, copts);
 
   const auto instances = trace::segment_regions(columnar);
   ASSERT_EQ(instances, trace::segment_regions(collector.trace().span()));
@@ -198,9 +195,8 @@ TEST(LocationEventsCsr, QueryByQueryMatchesLegacyMap) {
       vm::DecodedProgram::decode(app.module));
   trace::ColumnTrace columnar(prog);
   vm::VmOptions opts = app.base;
-  opts.program = prog.get();
   opts.column_sink = &columnar;
-  (void)vm::Vm::run(app.module, opts);
+  (void)vm::Vm::run(*prog, opts);
 
   // Build the CSR index from the columnar view and the reference from the
   // same (materialized) records.

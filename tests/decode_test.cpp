@@ -1,16 +1,19 @@
 // Decode-equivalence coverage: the decoded engine (vm/decode.h + the
 // decoded Vm paths) must be bit-identical to the legacy tree-walking
-// engine — record by record when stepped, and in outputs / trap kind /
-// fault-fired flag / retired count when run to completion (the untraced
-// hot loop). Pinned for all ten workloads, clean and faulted, plus the
-// lockstep diff_run overloads and the decoded-program structure itself.
+// engine — its column trace record by record against the legacy observer
+// stream, and in outputs / trap kind / fault-fired flag / retired count
+// both traced and run untraced (the hot loop). Pinned for all ten
+// workloads, clean and faulted, plus the decoded-program structure itself.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 
 #include "apps/app.h"
 #include "hl/builder.h"
 #include "trace/collector.h"
+#include "trace/column.h"
+#include "trace/segment.h"
 #include "vm/decode.h"
 #include "vm/interp.h"
 
@@ -25,29 +28,53 @@ std::string describe(const vm::DynInstr& d) {
   return os.str();
 }
 
-/// Step a legacy and a decoded Vm in lockstep and require a bit-identical
-/// record stream and identical end state.
-void expect_lockstep_identical(const ir::Module& m,
-                               const vm::DecodedProgram& prog,
-                               const vm::VmOptions& opts) {
-  vm::Vm legacy(m, opts);
-  vm::Vm decoded(prog, opts);
-  vm::DynInstr rl, rd;
-  std::uint64_t mismatches = 0;
-  while (true) {
-    const auto sl = legacy.step(&rl);
-    const auto sd = decoded.step(&rd);
-    ASSERT_EQ(sl, sd) << "engine status diverged at instruction "
-                      << legacy.instructions_retired();
-    if (sl != vm::Vm::Status::Running) break;
-    if (rl != rd && mismatches++ < 5) {
-      ADD_FAILURE() << "record mismatch:\n  legacy : " << describe(rl)
-                    << "\n  decoded: " << describe(rd);
+/// Compares every record the legacy engine delivers with the same row of a
+/// decoded column trace, as it arrives (no legacy trace is kept).
+class RowChecker final : public vm::ExecObserver {
+ public:
+  explicit RowChecker(const trace::ColumnTrace& rows) : rows_(rows) {}
+
+  void on_instruction(const vm::DynInstr& d) override {
+    if (seen_ < rows_.size()) {
+      rows_.materialize(seen_, rec_);
+      if (rec_ != d && mismatches_++ < 5) {
+        ADD_FAILURE() << "record mismatch:\n  legacy : " << describe(d)
+                      << "\n  decoded: " << describe(rec_);
+      }
     }
+    ++seen_;
   }
-  EXPECT_EQ(mismatches, 0u);
-  const auto fl = legacy.take_result();
-  const auto fd = decoded.take_result();
+  [[nodiscard]] std::uint64_t seen() const noexcept { return seen_; }
+  [[nodiscard]] std::uint64_t mismatches() const noexcept {
+    return mismatches_;
+  }
+
+ private:
+  const trace::ColumnTrace& rows_;
+  vm::DynInstr rec_;
+  std::uint64_t seen_ = 0;
+  std::uint64_t mismatches_ = 0;
+};
+
+/// Trace the decoded engine into a column trace and the legacy engine
+/// through an observer; require a bit-identical record stream and
+/// identical end state.
+void expect_records_identical(const ir::Module& m,
+                              const vm::DecodedProgram& prog,
+                              const vm::VmOptions& opts) {
+  // The trace only borrows the program for the duration of this call.
+  trace::ColumnTrace rows(std::shared_ptr<const vm::DecodedProgram>(
+      std::shared_ptr<const vm::DecodedProgram>{}, &prog));
+  vm::VmOptions dopts = opts;
+  dopts.column_sink = &rows;
+  const auto fd = vm::Vm::run(prog, dopts);
+
+  RowChecker checker(rows);
+  vm::VmOptions lopts = opts;
+  lopts.observer = &checker;
+  const auto fl = vm::Vm::run(m, lopts);
+  EXPECT_EQ(checker.seen(), rows.size());
+  EXPECT_EQ(checker.mismatches(), 0u);
   EXPECT_EQ(fl.trap, fd.trap);
   EXPECT_EQ(fl.instructions, fd.instructions);
   EXPECT_EQ(fl.fault_fired, fd.fault_fired);
@@ -72,7 +99,7 @@ class DecodeEquivalence : public ::testing::TestWithParam<std::string> {};
 TEST_P(DecodeEquivalence, CleanRunBitIdentical) {
   const auto app = apps::build_app(GetParam());
   const auto prog = vm::DecodedProgram::decode(app.module);
-  expect_lockstep_identical(app.module, prog, app.base);
+  expect_records_identical(app.module, prog, app.base);
   expect_runs_identical(app.module, prog, app.base);
 }
 
@@ -80,10 +107,10 @@ TEST_P(DecodeEquivalence, FaultedRunsBitIdentical) {
   const auto app = apps::build_app(GetParam());
   const auto prog = vm::DecodedProgram::decode(app.module);
 
-  // A mid-run register-commit flip (traced lockstep + untraced hot loop)...
+  // A mid-run register-commit flip (traced + untraced hot loop)...
   vm::VmOptions faulted = app.base;
   faulted.fault = vm::FaultPlan::result_bit(/*dyn_index=*/40000, /*bit=*/40);
-  expect_lockstep_identical(app.module, prog, faulted);
+  expect_records_identical(app.module, prog, faulted);
   expect_runs_identical(app.module, prog, faulted);
 
   // ...high-bit flips that often trap (OutOfBounds / hang budget paths)...
@@ -110,23 +137,32 @@ INSTANTIATE_TEST_SUITE_P(AllApps, DecodeEquivalence,
 // --- traced-run / observer-gating equivalence ----------------------------------
 
 TEST(DecodeTrace, GatedObserverSeesIdenticalWindow) {
+  // The legacy engine's gated window equals the rows of the same region
+  // instance in the decoded engine's full column trace, markers included.
   const auto app = apps::build_sp();
-  const auto prog = vm::DecodedProgram::decode(app.module);
+  const auto prog = std::make_shared<const vm::DecodedProgram>(
+      vm::DecodedProgram::decode(app.module));
 
-  const auto windowed = [&](auto&& executable) {
-    trace::TraceCollector sink;
-    vm::RegionWindowGate gate(&sink, app.main_region, /*instance=*/1);
-    vm::VmOptions opts = app.base;
-    opts.observer = &gate;
-    (void)vm::Vm::run(executable, opts);
-    return sink.take();
-  };
-  const auto tl = windowed(app.module);
-  const auto td = windowed(prog);
+  trace::TraceCollector sink;
+  vm::RegionWindowGate gate(&sink, app.main_region, /*instance=*/1);
+  vm::VmOptions lopts = app.base;
+  lopts.observer = &gate;
+  (void)vm::Vm::run(app.module, lopts);
+  const auto tl = sink.take();
+
+  trace::ColumnTrace rows(prog);
+  vm::VmOptions dopts = app.base;
+  dopts.column_sink = &rows;
+  (void)vm::Vm::run(*prog, dopts);
+  const auto inst = trace::find_instance(trace::segment_regions(rows),
+                                         app.main_region, /*instance=*/1);
+  ASSERT_TRUE(inst.has_value());
+  const auto td = rows.slice(inst->enter_index, inst->exit_index + 1);
+
   ASSERT_EQ(tl.size(), td.size());
   ASSERT_FALSE(tl.empty());
   for (std::size_t i = 0; i < tl.size(); ++i) {
-    ASSERT_TRUE(tl.records[i] == td.records[i]) << "at " << i;
+    ASSERT_TRUE(tl.records[i] == td.record(i)) << "at " << i;
   }
 }
 
@@ -178,7 +214,7 @@ TEST(DecodedProgram, FlattensModulesWithDenseTargets) {
   }
 
   // Executing the decoded form is identical (calls included).
-  expect_lockstep_identical(mod, prog, {});
+  expect_records_identical(mod, prog, {});
 }
 
 TEST(DecodedProgram, ImmediatesArePreCanonicalized) {

@@ -3,8 +3,8 @@
 // hl::ProgramBuilder) pins all execution engines and trace substrates
 // against each other for bit-identical outputs and traces:
 //
-//   * legacy tree-walk vs decoded engine (observer traces record-by-record)
-//   * DynInstr observer substrate vs columnar direct-emit substrate
+//   * legacy tree-walk (DynInstr observer substrate) vs decoded engine
+//     (columnar direct-emit substrate), record by record
 //   * decoded straight-through vs decoded snapshot-forked (run_until +
 //     snapshot-construct, and fork_from between two tracked machines), and
 //     forked campaigns probing the golden section ladder vs the
@@ -454,11 +454,12 @@ bool check_seed(std::uint64_t seed, std::string* diag) {
   const auto program = std::make_shared<const vm::DecodedProgram>(
       vm::DecodedProgram::decode(m));
 
-  // Decoded engine, observer substrate.
-  trace::TraceCollector decoded_tc;
-  vm::VmOptions decoded_opts;
-  decoded_opts.observer = &decoded_tc;
-  const auto decoded = vm::Vm::run(*program, decoded_opts);
+  // Decoded engine, columnar direct-emit substrate, vs the legacy
+  // observer records.
+  trace::ColumnTrace sink(program);
+  vm::VmOptions col_opts;
+  col_opts.column_sink = &sink;
+  const auto decoded = vm::Vm::run(*program, col_opts);
 
   if (decoded.trap != legacy.trap) return fail("trap mismatch");
   if (decoded.instructions != legacy.instructions) {
@@ -466,32 +467,13 @@ bool check_seed(std::uint64_t seed, std::string* diag) {
                 " decoded ", decoded.instructions);
   }
   if (decoded.outputs != legacy.outputs) return fail("outputs mismatch");
-  if (legacy_tc.trace().size() != decoded_tc.trace().size()) {
+  if (legacy_tc.trace().size() != sink.size()) {
     return fail("trace length mismatch");
-  }
-  for (std::size_t i = 0; i < legacy_tc.trace().size(); ++i) {
-    std::string field;
-    if (!same_record(legacy_tc.trace().records[i],
-                     decoded_tc.trace().records[i], &field)) {
-      return fail("legacy/decoded trace record ", i, " differs in ", field);
-    }
-  }
-
-  // Columnar direct-emit substrate vs the observer records.
-  trace::ColumnTrace sink(program);
-  vm::VmOptions col_opts;
-  col_opts.column_sink = &sink;
-  const auto columnar = vm::Vm::run(*program, col_opts);
-  if (columnar.outputs != decoded.outputs) {
-    return fail("columnar outputs mismatch");
-  }
-  if (sink.size() != decoded_tc.trace().size()) {
-    return fail("columnar trace length mismatch");
   }
   for (std::size_t i = 0; i < sink.size(); ++i) {
     std::string field;
-    if (!same_record(decoded_tc.trace().records[i], sink.record(i), &field)) {
-      return fail("observer/columnar record ", i, " differs in ", field);
+    if (!same_record(legacy_tc.trace().records[i], sink.record(i), &field)) {
+      return fail("legacy/columnar trace record ", i, " differs in ", field);
     }
   }
 

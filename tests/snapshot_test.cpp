@@ -143,7 +143,6 @@ TEST_P(SnapshotEquivalence, ColumnarTraceSurvivesPauseAndResume) {
 
   const auto traced_run = [&](trace::ColumnTrace& sink, auto&& drive) {
     vm::VmOptions opts = app.base;
-    opts.program = prog.get();
     opts.column_sink = &sink;
     vm::Vm vm(*prog, opts);
     return drive(vm);

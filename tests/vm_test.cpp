@@ -390,7 +390,7 @@ TEST(VmObserver, RegionInstanceCounting) {
   }
   auto mod = pb.finish();
   vm::Vm vm(mod);
-  while (vm.status() == vm::Vm::Status::Running) vm.step(nullptr);
+  ASSERT_TRUE(vm.run().completed());
   EXPECT_EQ(vm.region_instances(rid), 5u);
 }
 

@@ -4,7 +4,13 @@
 // with the snapshot-forked scheduler disabled — every trial runs from
 // scratch, so the measurement isolates raw engine throughput. Reports
 // instructions/sec for all three engines; scripts/bench_smoke.sh gates on
-// the JIT staying >= 3x over the decoded interpreter.
+// the JIT staying >= 5x over the decoded interpreter.
+//
+// A fourth leg runs the JIT on the same plans with write tracking on
+// (VmOptions::track_writes, as every forked campaign trial runs), so each
+// store also marks the dirty-page bitmap. It prints `jit tracked/untracked:
+// R`, the tracked leg's time over the untracked leg's for equal
+// instruction counts; bench_smoke gates R <= 1.3.
 //
 // All engines execute the SAME prepared plans against the SAME golden
 // outputs, so the outcome counts must agree exactly — the bench enforces
@@ -46,6 +52,8 @@ int main(int argc, char** argv) {
       *sites, fault::TargetClass::Internal, interp_base, campaign_cfg);
   const auto jit_prep = fault::prepare_campaign(
       *sites, fault::TargetClass::Internal, spec.base, campaign_cfg);
+  auto tracked_prep = jit_prep;  // the same plans, stores marking pages
+  tracked_prep.run_opts.track_writes = true;
 
   auto& pool = util::global_scheduler();
   std::printf("campaign: %zu trials over %llu population bits, %zu workers\n",
@@ -69,7 +77,7 @@ int main(int argc, char** argv) {
 
   // Interleave the engines rep by rep so a transient load spike on the host
   // penalizes all sides instead of biasing one best-of.
-  Measured legacy, decoded, jitted;
+  Measured legacy, decoded, jitted, tracked;
   for (int r = 0; r < reps; ++r) {
     measure_once(
         [&] {
@@ -92,6 +100,13 @@ int main(int argc, char** argv) {
                                               pool);
         },
         jitted);
+    measure_once(
+        [&] {
+          return fault::run_prepared_campaign(*session.program(), tracked_prep,
+                                              golden->outputs, spec.verifier,
+                                              pool);
+        },
+        tracked);
   }
 
   const auto mips = [](const Measured& m) {
@@ -106,8 +121,10 @@ int main(int argc, char** argv) {
   row("legacy", legacy);
   row("decoded", decoded);
   row("jit", jitted);
+  row("tracked", tracked);
   std::printf("jit vs legacy: %.2fx\n", mips(jitted) / mips(legacy));
   std::printf("jit speedup: %.2fx\n", mips(jitted) / mips(decoded));
+  std::printf("jit tracked/untracked: %.2f\n", mips(jitted) / mips(tracked));
 
   const auto same = [](const fault::CampaignResult& a,
                        const fault::CampaignResult& b) {
@@ -115,8 +132,9 @@ int main(int argc, char** argv) {
            a.crashed == b.crashed &&
            a.instructions_retired == b.instructions_retired;
   };
-  const bool counts_match =
-      same(legacy.result, decoded.result) && same(decoded.result, jitted.result);
+  const bool counts_match = same(legacy.result, decoded.result) &&
+                            same(decoded.result, jitted.result) &&
+                            same(jitted.result, tracked.result);
   std::printf("outcome counts: %s (success %zu, failed %zu, crashed %zu)\n",
               counts_match ? "identical" : "MISMATCH", jitted.result.success,
               jitted.result.failed, jitted.result.crashed);

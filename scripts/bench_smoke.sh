@@ -40,12 +40,14 @@
 #
 #  6. Native-engine A/B/C (jit_engine_ab): the template JIT vs the decoded
 #     and legacy interpreters on the CG whole-program campaign (fork off —
-#     raw engine throughput). The JIT must stay >= 3x the decoded
+#     raw engine throughput). The JIT must stay >= 5x the decoded
 #     interpreter in instructions/sec with bit-identical outcome counts on
-#     all three engines (the binary exits nonzero on a mismatch). The
-#     section output is also written to <build-dir>/jit_ab.out for the CI
-#     artifact. On targets without a native backend the section reports
-#     "skipped" and passes.
+#     all three engines (the binary exits nonzero on a mismatch). A tracked
+#     JIT leg runs the same plans with write tracking on, as forked trials
+#     do: its time over the untracked leg's must stay <= 1.3 (dirty-page
+#     marking must stay cheap). The section output is also written to
+#     <build-dir>/jit_ab.out for the CI artifact. On targets without a
+#     native backend the section reports "skipped" and passes.
 #
 #  7. Hardening A/B (harden_ab): the campaign-guided transform pass (DWC +
 #     ABFT detectors + checkpoint/rollback recovery) vs the hand-built CG
@@ -220,13 +222,16 @@ cat "$tmp_jit" >> "$out"
 cp "$tmp_jit" "$jit_ab_out"
 
 jit_speedup=$(sed -n 's/^jit speedup: \([0-9.]*\)x$/\1/p' "$tmp_jit")
+jit_tracked=$(sed -n 's/^jit tracked\/untracked: \([0-9.]*\)$/\1/p' "$tmp_jit")
 if grep -q '^jit speedup: skipped$' "$tmp_jit"; then
   echo "jit engine skipped (no native backend on this target)" | tee -a "$out"
 else
-  awk -v s="$jit_speedup" 'BEGIN {
+  awk -v s="$jit_speedup" -v r="$jit_tracked" 'BEGIN {
     if (s == "") { print "ERROR: no jit speedup reported"; exit 1 }
-    if (s < 3.0) { printf "REGRESSION: jit only %.2fx the decoded interpreter (need >= 3x)\n", s; exit 1 }
-    printf "jit engine OK (%.2fx >= 3x)\n", s
+    if (r == "") { print "ERROR: no jit tracked/untracked ratio reported"; exit 1 }
+    if (s < 5.0) { printf "REGRESSION: jit only %.2fx the decoded interpreter (need >= 5x)\n", s; exit 1 }
+    if (r > 1.3) { printf "REGRESSION: tracked jit trials take %.2fx the untracked time (need <= 1.3)\n", r; exit 1 }
+    printf "jit engine OK (%.2fx >= 5x; tracked/untracked %.2f <= 1.3)\n", s, r
   }' | tee -a "$out"
 fi
 

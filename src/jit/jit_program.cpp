@@ -9,16 +9,28 @@
 // the interpreter's canonical in-register form (vm::canon_int), so slots
 // written natively are bit-identical to interpreter-written slots.
 //
-// Every pc's code begins with the pause guard (cmp r14, r15 — the hot
+// The native frame holds three qwords at [rsp], [rsp+8] and [rsp+16]: for
+// access sizes 1, 4 and 8, the number of valid start offsets above
+// kGlobalBase (memory_size - size - kGlobalBase + 1, clamped at 0). The
+// prologue fills them, so a bounds check is one unsigned compare of
+// addr - kGlobalBase against its slot.
+//
+// Every pc's code begins with the pause guard (cmp r14, r15; jae — the hot
 // loop's stop check) so entries()[pc] is a valid resume point and branch
 // targets need no special casing. Bodies retire by inc r14 and fall
 // through (or rel32-jump) to the next pc's guard. Trapping paths exit
 // BEFORE the inc — a trapping instruction does not retire, exactly as in
 // the interpreter.
+//
+// The path of an instruction that does not trap falls straight through:
+// every exit (pause, trap, top-level Ret) and every rare case (a store that
+// crosses a page, a division by -1) is a jcc rel32 to an out-of-line thunk
+// emitted after the last pc's code. A thunk that does not exit jumps back.
 #include "jit/jit_program.h"
 
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 
 #include "ir/type.h"
 #include "jit/x64_emitter.h"
@@ -53,7 +65,11 @@ constexpr std::int32_t kCtxTrackWrites = 0x44;
 constexpr std::int32_t kCtxDirty = 0x48;
 constexpr std::int32_t kCtxEntries = 0x50;
 
-constexpr Cc invert(Cc cc) noexcept { return static_cast<Cc>(cc ^ 1); }
+/// Frame slot holding the bounds limit of a `size`-byte access.
+constexpr std::int32_t limit_slot(std::uint32_t size) noexcept {
+  return size == 1 ? 0 : size == 4 ? 8 : 16;
+}
+constexpr std::int8_t kFrameBytes = 24;  // three limits; keeps rsp%16 == 0
 
 template <typename F>
 std::uint64_t fn_addr(F* fn) {
@@ -66,6 +82,23 @@ struct Compiler {
   const vm::DecodedProgram& prog;
   std::vector<std::size_t> pc_offset;          // code offset of each pc's guard
   std::vector<std::pair<std::size_t, std::uint32_t>> pc_fixups;  // rel32 -> pc
+  std::vector<std::pair<std::size_t, std::uint32_t>> pause_exits;  // rel32 -> pc
+  /// A trap exit: rel32 of the jcc, trapping pc, and the kind to record
+  /// (None when a helper already stored ctx->exit_trap).
+  struct TrapExit {
+    std::size_t fixup;
+    std::uint32_t pc;
+    TrapKind kind;
+  };
+  std::vector<TrapExit> trap_exits;
+  /// A rare case: rel32 of the jcc, the fall-through offset it may return
+  /// to, and the code to emit out of line.
+  struct ColdPath {
+    std::size_t fixup;
+    std::size_t resume;
+    std::function<void(std::size_t resume)> body;
+  };
+  std::vector<ColdPath> cold_paths;
   std::size_t pause_stub = 0;
   std::size_t trap_stub = 0;
   std::size_t finish_stub = 0;
@@ -120,20 +153,20 @@ struct Compiler {
   }
 
   /// Exit through the trap stub when `cc` holds, recording `kind` and the
-  /// trapping pc. Off the fall-through path; rax is clobbered on the way out.
+  /// trapping pc: a jcc to a thunk emitted after the code; rax is clobbered
+  /// on the way out.
   void trap_if(Cc cc, std::uint32_t pc, TrapKind kind) {
-    const auto skip = a.jcc8_fixup(invert(cc));
-    a.store32_imm(RBX, kCtxExitTrap, static_cast<std::uint32_t>(kind));
-    a.mov_ri32(RAX, pc);
-    a.jmp32(trap_stub);
-    a.patch_rel8(skip);
+    trap_exits.push_back({a.jcc32(cc, 0), pc, kind});
   }
   /// Same, for paths where a helper already stored ctx->exit_trap.
   void trap_if_preset(Cc cc, std::uint32_t pc) {
-    const auto skip = a.jcc8_fixup(invert(cc));
-    a.mov_ri32(RAX, pc);
-    a.jmp32(trap_stub);
-    a.patch_rel8(skip);
+    trap_if(cc, pc, TrapKind::None);
+  }
+  /// Run `body` out of line when `cc` holds; it receives the fall-through
+  /// offset to jump back to (or exits).
+  void cold_if(Cc cc, std::function<void(std::size_t)> body) {
+    const std::size_t fixup = a.jcc32(cc, 0);
+    cold_paths.push_back({fixup, a.size(), std::move(body)});
   }
 
   void call_helper(std::uint64_t fn) {
@@ -142,17 +175,26 @@ struct Compiler {
   }
 
   /// mem_ok(addr in `addr`, size): addr >= kGlobalBase, addr+size doesn't
-  /// wrap, addr+size <= mem_size. `tmp` receives addr+size; both checks
-  /// trap OutOfBounds. Clobbers tmp only.
+  /// wrap, addr+size <= mem_size — all three at once as the 64-bit unsigned
+  /// addr - kGlobalBase < (the frame's valid-offset count for `size`): an
+  /// address below kGlobalBase wraps to a huge offset. Clobbers tmp only.
   void bounds_check(Reg addr, Reg tmp, std::uint32_t size, std::uint32_t pc) {
-    a.alu_ri8(ALU_CMP, addr,
-              static_cast<std::int8_t>(ir::kGlobalBase));
-    trap_if(CC_B, pc, TrapKind::OutOfBounds);
-    a.lea(tmp, addr, static_cast<std::int32_t>(size));
-    a.alu_rr(ALU_CMP, tmp, addr);
-    trap_if(CC_B, pc, TrapKind::OutOfBounds);  // addr + size wrapped
-    a.cmp_r_mem64(tmp, RBX, kCtxMemSize);
-    trap_if(CC_A, pc, TrapKind::OutOfBounds);
+    a.lea(tmp, addr, -static_cast<std::int32_t>(ir::kGlobalBase));
+    a.cmp_r_mem64(tmp, RSP, limit_slot(size));
+    trap_if(CC_AE, pc, TrapKind::OutOfBounds);
+  }
+
+  /// Set the dirty-bitmap bit of the page holding byte `addr`; `bitmap`
+  /// holds ctx->dirty. Plain ALU on one word: load, bts, store back.
+  /// Clobbers rax, rdx, rdi.
+  void mark_page(Reg bitmap, Reg addr, std::int32_t disp) {
+    a.lea(RDX, addr, disp);
+    a.shr_imm(RDX, 12);  // Vm::kDirtyPageShift
+    a.mov_rr(RDI, RDX);
+    a.shr_imm(RDI, 6);
+    a.load64_bi8(RAX, bitmap, RDI);
+    a.bts_rr(RAX, RDX);
+    a.store64_bi8(bitmap, RDI, RAX);
   }
 
   /// Load the value bits of `s` (by type) into xmm as a double.
@@ -189,8 +231,18 @@ void emit_prologue(Compiler& c) {
   a.push(R13);
   a.push(R14);
   a.push(R15);
-  a.alu_ri8(ALU_SUB, RSP, 8);  // re-align: helper calls see rsp%16 == 8
+  a.alu_ri8(ALU_SUB, RSP, kFrameBytes);  // helper calls see rsp%16 == 8
   a.mov_rr(RBX, RDI);
+  // Bounds limits: max(0, memory_size - size - kGlobalBase + 1) per size.
+  a.load64(RAX, RBX, kCtxMemSize);
+  a.alu_rr(ALU_XOR, RDX, RDX);
+  for (const std::uint32_t size : {1u, 4u, 8u}) {
+    a.mov_rr(RCX, RAX);
+    a.alu_ri8(ALU_SUB, RCX,
+              static_cast<std::int8_t>(size + ir::kGlobalBase - 1));
+    a.cmovcc(CC_B, RCX, RDX);  // fewer bytes than one access: none valid
+    a.store64(RSP, limit_slot(size), RCX);
+  }
   a.load64(R12, RBX, kCtxMem);
   a.load64(R13, RBX, kCtxFrameBase);
   a.load64(R14, RBX, kCtxRetired);
@@ -205,7 +257,7 @@ void emit_stubs(Compiler& c) {
   // Common exit first, so every stub's jump to it is backward and final.
   const std::size_t common_exit = a.size();
   a.store64(RBX, kCtxRetired, R14);
-  a.alu_ri8(ALU_ADD, RSP, 8);
+  a.alu_ri8(ALU_ADD, RSP, kFrameBytes);
   a.pop(R15);
   a.pop(R14);
   a.pop(R13);
@@ -226,6 +278,36 @@ void emit_stubs(Compiler& c) {
   c.trap_stub = stub(ExitReason::Trap);
   c.finish_stub = stub(ExitReason::Finished);
   c.deopt_stub = stub(ExitReason::Deopt);
+}
+
+/// Emit every out-of-line thunk after the last pc's code and point its jcc
+/// at it: pause exits, then rare cases (which may add trap exits), then trap
+/// exits. Consecutive trap exits of one pc and kind share a thunk.
+void emit_thunks(Compiler& c) {
+  X64Emitter& a = c.a;
+  for (const auto& [fixup, pc] : c.pause_exits) {
+    a.patch_rel32(fixup, a.size());
+    a.mov_ri32(RAX, pc);
+    a.jmp32(c.pause_stub);
+  }
+  for (const auto& cp : c.cold_paths) {
+    a.patch_rel32(cp.fixup, a.size());
+    cp.body(cp.resume);
+  }
+  std::size_t thunk = 0;
+  for (std::size_t i = 0; i < c.trap_exits.size(); ++i) {
+    const auto& e = c.trap_exits[i];
+    if (i == 0 || e.pc != c.trap_exits[i - 1].pc ||
+        e.kind != c.trap_exits[i - 1].kind) {
+      thunk = a.size();
+      if (e.kind != TrapKind::None) {
+        a.store32_imm(RBX, kCtxExitTrap, static_cast<std::uint32_t>(e.kind));
+      }
+      a.mov_ri32(RAX, e.pc);
+      a.jmp32(c.trap_stub);
+    }
+    a.patch_rel32(e.fixup, thunk);
+  }
 }
 
 /// Emit the template of the instruction at `pc`. Returns false when the
@@ -267,12 +349,14 @@ bool emit_instr(Compiler& c, std::uint32_t pc) {
       load(1, RCX);
       a.test_rr(RCX, RCX);
       c.trap_if(CC_E, pc, TrapKind::DivByZero);
-      a.mov_ri64(RDX, 0x8000000000000000ull);
-      a.alu_rr(ALU_CMP, RAX, RDX);
-      const auto ok = a.jcc8_fixup(CC_NE);
       a.alu_ri8(ALU_CMP, RCX, -1);
-      c.trap_if(CC_E, pc, TrapKind::IntOverflowDiv);
-      a.patch_rel8(ok);
+      c.cold_if(CC_E, [&c, pc](std::size_t resume) {
+        // INT64_MIN / -1 overflows idiv; any other dividend is fine.
+        c.a.mov_ri64(RDX, 0x8000000000000000ull);
+        c.a.alu_rr(ALU_CMP, RAX, RDX);
+        c.trap_if(CC_E, pc, TrapKind::IntOverflowDiv);
+        c.a.jmp32(resume);
+      });
       a.cqo();
       a.idiv_r(RCX);
       if (ins.op == Opcode::SRem) a.mov_rr(RAX, RDX);
@@ -574,17 +658,21 @@ bool emit_instr(Compiler& c, std::uint32_t pc) {
       } else {
         a.store8_bi(R12, RCX, RAX);
       }
-      // Dirty-page tracking: bts's bit-string form indexes the bitmap as
-      // dirty[page >> 6] |= 1 << (page & 63), one op per touched page.
+      // Dirty-page tracking: dirty[page >> 6] |= 1 << (page & 63) for the
+      // first byte's page. Only a misaligned store can reach a second page;
+      // that case marks the last byte's page out of line (the same page
+      // again when it does not actually cross — the mark is idempotent).
       a.cmp_mem32_imm8(RBX, kCtxTrackWrites, 0);
       const auto skip = a.jcc8_fixup(CC_E);
       a.load64(RSI, RBX, kCtxDirty);
-      a.mov_rr(RDX, RCX);
-      a.shr_imm(RDX, 12);  // Vm::kDirtyPageShift
-      a.bts_mem64(RSI, RDX);
-      a.lea(RDX, RCX, static_cast<std::int32_t>(size) - 1);
-      a.shr_imm(RDX, 12);
-      a.bts_mem64(RSI, RDX);
+      c.mark_page(RSI, RCX, 0);
+      if (size > 1) {
+        a.test_r8_imm8(RCX, static_cast<std::uint8_t>(size - 1));
+        c.cold_if(CC_NE, [&c, size](std::size_t resume) {
+          c.mark_page(RSI, RCX, static_cast<std::int32_t>(size) - 1);
+          c.a.jmp32(resume);
+        });
+      }
       a.patch_rel8(skip);
       a.inc_r(R14);
       return true;
@@ -624,11 +712,11 @@ bool emit_instr(Compiler& c, std::uint32_t pc) {
       a.mov_rr(RDI, RBX);
       c.call_helper(fn_addr(&ft_jit_helper_ret));
       a.alu_ri8(ALU_CMP, RAX, -1);
-      const auto resume = a.jcc8_fixup(CC_NE);
-      a.inc_r(R14);  // the top-level Ret retires before Finished
-      a.mov_ri32(RAX, pc);
-      a.jmp32(c.finish_stub);
-      a.patch_rel8(resume);
+      c.cold_if(CC_E, [&c, pc](std::size_t) {
+        c.a.inc_r(R14);  // the top-level Ret retires before Finished
+        c.a.mov_ri32(RAX, pc);
+        c.a.jmp32(c.finish_stub);
+      });
       a.inc_r(R14);
       a.load64(R13, RBX, kCtxFrameBase);  // frame popped
       a.load64(RCX, RBX, kCtxEntries);
@@ -747,16 +835,14 @@ std::shared_ptr<const JitProgram> JitProgram::compile(
     // Pause guard: every entry point checks the retired count against the
     // stop limit before executing, mirroring the hot loop's loop-top check.
     c.a.alu_rr(ALU_CMP, R14, R15);
-    const auto body = c.a.jcc8_fixup(CC_B);
-    c.a.mov_ri32(RAX, pc);
-    c.a.jmp32(c.pause_stub);
-    c.a.patch_rel8(body);
+    c.pause_exits.emplace_back(c.a.jcc32(CC_AE, 0), pc);
     if (emit_instr(c, pc)) {
       ++stats.compiled;
     } else {
       ++stats.deopt;
     }
   }
+  emit_thunks(c);
   for (const auto& [pos, pc] : c.pc_fixups) {
     c.a.patch_rel32(pos, c.pc_offset[pc]);
   }

@@ -11,6 +11,12 @@
 /// interpreter's, and native execution can pause/resume at any retired-
 /// instruction boundary.
 ///
+/// Code layout: the path of an instruction that does not trap or pause
+/// falls straight through. Each pc's pause guard and each trap check is one
+/// jcc rel32 to a thunk emitted after the last pc's code; a Load/Store's
+/// bounds check is a single unsigned compare; a tracked Store marks its
+/// dirty page with plain ALU ops and reaches a second page only out of line.
+///
 /// Compile-what-you-can: instructions without a template (the MiniMPI ops)
 /// compile to a deopt exit — the driver interprets that one instruction
 /// and re-enters native code at the next pc. stats() reports the split.

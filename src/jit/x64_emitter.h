@@ -190,13 +190,17 @@ class X64Emitter {
     u8(0xFF);
     sib_mem(static_cast<Reg>(4), base, index, 3);
   }
-  /// bts qword [base], bitoff — bit-string form: bit `bitoff` of the array
-  /// of 64-bit words at [base], i.e. base[bitoff >> 6] |= 1 << (bitoff & 63).
-  void bts_mem64(Reg base, Reg bitoff) {
-    rex_rr(true, bitoff, base);
-    u8(0x0F);
-    u8(0xAB);
-    mem(bitoff, base, 0);
+  /// mov dst, qword [base + index*8].
+  void load64_bi8(Reg dst, Reg base, Reg index) {
+    rex_rxb(true, dst, index, base);
+    u8(0x8B);
+    sib_mem(dst, base, index, 3);
+  }
+  /// mov qword [base + index*8], src.
+  void store64_bi8(Reg base, Reg index, Reg src) {
+    rex_rxb(true, src, index, base);
+    u8(0x89);
+    sib_mem(src, base, index, 3);
   }
 
   // --- ALU -------------------------------------------------------------------
@@ -230,6 +234,20 @@ class X64Emitter {
   void test_al_imm8(std::uint8_t imm) {
     u8(0xA8);
     u8(imm);
+  }
+  /// test low byte of reg, imm8 (AL..BL only — no REX handling for SPL/DIL).
+  void test_r8_imm8(Reg r, std::uint8_t imm) {
+    assert(r <= RBX && "byte tests only target AL..BL");
+    u8(0xF6);
+    modrm(3, static_cast<Reg>(0), r);
+    u8(imm);
+  }
+  /// bts dst, bit (64-bit register form: sets bit `bit & 63` of dst).
+  void bts_rr(Reg dst, Reg bit) {
+    rex_rr(true, bit, dst);
+    u8(0x0F);
+    u8(0xAB);
+    modrm(3, bit, dst);
   }
   /// imul dst, src (64-bit).
   void imul_rr(Reg dst, Reg src) {

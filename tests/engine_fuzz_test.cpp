@@ -13,8 +13,8 @@
 //     the unedited program's lineage root vs from-scratch traced runs
 //   * JIT native execution vs decoded/legacy (clean, under a random
 //     ResultBit flip, snapshot interop in both directions, fork_from a
-//     natively-advanced cursor) — trap kind, trap pc, retired count and
-//     outputs all bit-identical
+//     natively-advanced cursor) — trap kind, trap pc, retired count,
+//     outputs and the dirty-page bitmap of tracked runs all bit-identical
 //
 // Every generated program terminates by construction (loop trip counts are
 // bounded constants) and is well-typed by construction (expressions are
@@ -22,6 +22,7 @@
 // Failures print the offending seed and the pretty-printed IR for triage.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -586,6 +587,32 @@ bool check_seed(std::uint64_t seed, std::string* diag) {
         jtrial.fork_from(jgolden, /*full=*/true);
         if (jtrial.run().outputs != decoded.outputs) {
           return fail("jit fork_from outputs mismatch");
+        }
+
+        // Write tracking: the same tracked history on the interpreter must
+        // leave the same dirty-page bitmap, word for word — from scratch
+        // and after fork_from (whose bitmap holds only the tail's writes).
+        vm::VmOptions tracked_i;
+        tracked_i.track_writes = true;
+        vm::Vm igolden(*program, tracked_i);
+        igolden.run_until(legacy.instructions / 3);
+        vm::Vm itrial(*program, tracked_i);
+        itrial.fork_from(igolden, /*full=*/true);
+        itrial.run();
+        const auto same_bitmap = [](const vm::Vm& a, const vm::Vm& b) {
+          const auto da = a.dirty_pages();
+          const auto db = b.dirty_pages();
+          return std::equal(da.begin(), da.end(), db.begin(), db.end());
+        };
+        if (!same_bitmap(itrial, jtrial)) {
+          return fail("jit fork_from dirty-page bitmap mismatch");
+        }
+        vm::Vm iscratch(*program, tracked_i);
+        iscratch.run();
+        vm::Vm jscratch(*program, tracked_j);
+        jscratch.run();
+        if (!same_bitmap(iscratch, jscratch)) {
+          return fail("jit tracked-run dirty-page bitmap mismatch");
         }
       }
     }

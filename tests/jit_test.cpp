@@ -6,11 +6,17 @@
 // identical continuation (the campaign scheduler forks machines without
 // knowing which engine advanced them). Also pins the per-opcode dispatch
 // counters (VmOptions::count_opcodes) the JIT coverage report is built on.
+// Directed kernels pin the paths random programs rarely reach: the dirty-page
+// marks of stores at page edges, and every native trap exit.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <limits>
 #include <numeric>
 
 #include "apps/app.h"
+#include "hl/builder.h"
 #include "jit/jit_program.h"
 #include "vm/decode.h"
 #include "vm/interp.h"
@@ -303,6 +309,295 @@ TEST(JitProgram, OpcodeCompiledMatchesTemplates) {
   EXPECT_TRUE(jit::JitProgram::opcode_compiled(ir::Opcode::Call));
   EXPECT_FALSE(jit::JitProgram::opcode_compiled(ir::Opcode::MpiRank));
   EXPECT_FALSE(jit::JitProgram::opcode_compiled(ir::Opcode::MpiBarrier));
+}
+
+// --- directed kernels ---------------------------------------------------------
+
+using hl::FunctionBuilder;
+using hl::ProgramBuilder;
+using hl::Value;
+
+/// A module whose `main` runs `body` and returns.
+ir::Module kernel(const std::function<void(ProgramBuilder&, FunctionBuilder&)>&
+                      body) {
+  ProgramBuilder pb("kernel");
+  const auto fid = pb.declare_function("main");
+  {
+    auto f = pb.define(fid);
+    body(pb, f);
+    f.ret();
+  }
+  return pb.finish();
+}
+
+/// Run `mod` on the decoded interpreter and on the JIT with the same
+/// options; both machines must stop identically. Returns the JIT machine's
+/// result for case-specific checks.
+vm::RunResult expect_same_stop(const ir::Module& mod, vm::VmOptions opts,
+                               const std::string& what) {
+  const auto prog = vm::DecodedProgram::decode(mod);
+  const auto jp = jit::JitProgram::compile(prog);
+  EXPECT_NE(jp, nullptr) << what;
+  if (!jp) return {};
+  opts.jit = nullptr;
+  vm::Vm iv(prog, opts);
+  const auto ri = iv.run();
+  opts.jit = jp.get();
+  vm::Vm jv(prog, opts);
+  const auto rj = jv.run();
+  EXPECT_EQ(iv.status(), jv.status()) << what;
+  EXPECT_EQ(ri.trap, rj.trap) << what;
+  EXPECT_EQ(iv.next_pc(), jv.next_pc()) << what;
+  EXPECT_EQ(iv.instructions_retired(), jv.instructions_retired()) << what;
+  EXPECT_TRUE(ri.outputs == rj.outputs) << what;
+  return rj;
+}
+
+/// A pointer to absolute address `addr`, built from the first global (laid
+/// out at kGlobalBase) by a byte-stride Gep, which wraps like the machine.
+Value ptr_to(FunctionBuilder& f, const hl::GlobalArray& g, std::uint64_t addr) {
+  return f.gep(f.addr_of(g), f.c_i64(static_cast<std::int64_t>(
+                                 addr - ir::kGlobalBase)),
+               1);
+}
+
+/// A literal of type `t` (the stored value; its bits do not matter).
+Value literal(FunctionBuilder& f, ir::Type t) {
+  switch (t) {
+    case ir::Type::I1: return f.c_bool(true);
+    case ir::Type::I32: return f.c_i32(-7);
+    case ir::Type::F32: return f.c_f32(1.5f);
+    case ir::Type::F64: return f.c_f64(-2.25);
+    default: return f.c_i64(0x0123456789abcdef);
+  }
+}
+
+constexpr ir::Type kWidths[] = {ir::Type::I1, ir::Type::I32, ir::Type::F32,
+                                ir::Type::I64, ir::Type::F64};
+
+TEST(JitWriteTracking, PageEdgeStoresMarkTheInterpretersPages) {
+  if (!jit::JitProgram::supported()) GTEST_SKIP();
+  // Store j writes at page 2j + 1 (offsets 0, 4088, 4092, 4095), so pages
+  // 2j + 1 and 2j + 2 belong to store j alone and a missed second-page mark
+  // leaves a hole no other store fills.
+  constexpr std::uint64_t kPage = 4096;
+  constexpr std::uint64_t kOffsets[] = {0, 4088, 4092, 4095};
+  constexpr std::size_t kStores = std::size(kWidths) * std::size(kOffsets);
+  std::vector<std::uint64_t> expected((2 * kStores + 2) / 64 + 1, 0);
+  const auto mark = [&](std::uint64_t page) {
+    expected[page / 64] |= std::uint64_t{1} << (page % 64);
+  };
+  const auto mod = kernel([&](ProgramBuilder& pb, FunctionBuilder& f) {
+    const auto buf = pb.global_i64("buf", (2 * kStores + 3) * kPage / 8);
+    std::uint64_t page = 1;
+    for (const auto t : kWidths) {
+      for (const auto off : kOffsets) {
+        const std::uint64_t addr = page * kPage + off;
+        f.st_raw(ptr_to(f, buf, addr), literal(f, t));
+        mark(addr / kPage);
+        mark((addr + ir::store_size(t) - 1) / kPage);
+        page += 2;
+      }
+    }
+  });
+  const auto prog = vm::DecodedProgram::decode(mod);
+  const auto jp = jit::JitProgram::compile(prog);
+  ASSERT_NE(jp, nullptr);
+  vm::VmOptions opts;
+  opts.track_writes = true;
+  vm::Vm iv(prog, opts);
+  ASSERT_EQ(iv.run().trap, vm::TrapKind::None);
+  opts.jit = jp.get();
+  vm::Vm jv(prog, opts);
+  ASSERT_EQ(jv.run().trap, vm::TrapKind::None);
+
+  const auto di = iv.dirty_pages();
+  const auto dj = jv.dirty_pages();
+  ASSERT_EQ(di.size(), dj.size());
+  ASSERT_GE(di.size(), expected.size());
+  for (std::size_t w = 0; w < di.size(); ++w) {
+    EXPECT_EQ(di[w], dj[w]) << "bitmap word " << w;
+    EXPECT_EQ(dj[w], w < expected.size() ? expected[w] : 0)
+        << "bitmap word " << w;
+  }
+  EXPECT_TRUE(iv.state_equals(jv.snapshot()));
+}
+
+/// Load (or store) a `t` at `addr`, after a few retired instructions.
+ir::Module access_at(bool store, ir::Type t, std::uint64_t addr) {
+  return kernel([&](ProgramBuilder& pb, FunctionBuilder& f) {
+    const auto buf = pb.global_i64("buf", 64);
+    f.emit(f.c_i64(1));
+    const auto p = ptr_to(f, buf, addr);
+    if (store) {
+      f.st_raw(p, literal(f, t));
+    } else {
+      f.emit(f.ld_raw(p, t));
+    }
+  });
+}
+
+TEST(JitTrapExits, OutOfBoundsAccessesMatchTheInterpreter) {
+  if (!jit::JitProgram::supported()) GTEST_SKIP();
+  const std::uint64_t mem = access_at(false, ir::Type::I64, 0).memory_size();
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  for (const bool store : {false, true}) {
+    for (const auto t : kWidths) {
+      const std::uint64_t size = ir::store_size(t);
+      const struct {
+        const char* name;
+        std::uint64_t addr;
+        vm::TrapKind trap;
+      } cases[] = {
+          {"null", 0, vm::TrapKind::OutOfBounds},
+          {"below kGlobalBase", ir::kGlobalBase - 1, vm::TrapKind::OutOfBounds},
+          {"at kGlobalBase", ir::kGlobalBase, vm::TrapKind::None},
+          {"last in bounds", mem - size, vm::TrapKind::None},
+          {"one byte past memory_size", mem - size + 1,
+           vm::TrapKind::OutOfBounds},
+          {"addr + size wraps", kMax, vm::TrapKind::OutOfBounds},
+          {"low 32 bits in range", (std::uint64_t{1} << 32) + ir::kGlobalBase,
+           vm::TrapKind::OutOfBounds},
+          {"bit 63 set, low bits in range",
+           (std::uint64_t{1} << 63) + ir::kGlobalBase,
+           vm::TrapKind::OutOfBounds},
+      };
+      for (const auto& c : cases) {
+        const std::string what = std::string(store ? "store " : "load ") +
+                                 std::string(ir::type_name(t)) + " " + c.name;
+        const auto r = expect_same_stop(access_at(store, t, c.addr),
+                                        vm::VmOptions{}, what);
+        EXPECT_EQ(r.trap, c.trap) << what;
+      }
+    }
+  }
+}
+
+TEST(JitTrapExits, ArithmeticTrapsMatchTheInterpreter) {
+  if (!jit::JitProgram::supported()) GTEST_SKIP();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  const struct {
+    const char* name;
+    std::function<Value(FunctionBuilder&)> expr;
+    vm::TrapKind trap;
+  } cases[] = {
+      {"sdiv by zero",
+       [](FunctionBuilder& f) { return f.var_i64("x", 5).get() / f.c_i64(0); },
+       vm::TrapKind::DivByZero},
+      {"srem by zero",
+       [](FunctionBuilder& f) { return f.var_i64("x", 5).get() % f.c_i64(0); },
+       vm::TrapKind::DivByZero},
+      {"i32 sdiv by zero",
+       [](FunctionBuilder& f) { return f.var_i32("x", 5).get() / f.c_i32(0); },
+       vm::TrapKind::DivByZero},
+      {"INT64_MIN / -1",
+       [](FunctionBuilder& f) {
+         return f.var_i64("x", kMin).get() / f.var_i64("y", -1).get();
+       },
+       vm::TrapKind::IntOverflowDiv},
+      {"INT64_MIN % -1",
+       [](FunctionBuilder& f) {
+         return f.var_i64("x", kMin).get() % f.var_i64("y", -1).get();
+       },
+       vm::TrapKind::IntOverflowDiv},
+      {"7 / -1 (divisor -1, no overflow)",
+       [](FunctionBuilder& f) {
+         return f.var_i64("x", 7).get() / f.var_i64("y", -1).get();
+       },
+       vm::TrapKind::None},
+      {"INT64_MIN / 1",
+       [](FunctionBuilder& f) {
+         return f.var_i64("x", kMin).get() / f.var_i64("y", 1).get();
+       },
+       vm::TrapKind::None},
+      {"shl by 64",
+       [](FunctionBuilder& f) { return f.var_i64("x", 3).get() << f.c_i64(64); },
+       vm::TrapKind::BadShift},
+      {"ashr by 200",
+       [](FunctionBuilder& f) { return f.var_i64("x", 3).get() >> f.c_i64(200); },
+       vm::TrapKind::BadShift},
+      {"i32 lshr by 32",
+       [](FunctionBuilder& f) {
+         return f.lshr(f.var_i32("x", -3).get(), f.c_i32(32));
+       },
+       vm::TrapKind::BadShift},
+      {"i32 shl by 31",
+       [](FunctionBuilder& f) { return f.var_i32("x", 3).get() << f.c_i32(31); },
+       vm::TrapKind::None},
+  };
+  for (const auto& c : cases) {
+    const auto mod = kernel([&](ProgramBuilder&, FunctionBuilder& f) {
+      f.emit(c.expr(f));
+    });
+    const auto r = expect_same_stop(mod, vm::VmOptions{}, c.name);
+    EXPECT_EQ(r.trap, c.trap) << c.name;
+  }
+}
+
+TEST(JitTrapExits, RuntimeTrapsMatchTheInterpreter) {
+  if (!jit::JitProgram::supported()) GTEST_SKIP();
+  {  // Unbounded recursion: the Call past max_call_depth traps.
+    ProgramBuilder pb("recurse");
+    const auto rec = pb.declare_function("rec", ir::Type::I64,
+                                         {ir::Param{ir::Type::I64, "n"}});
+    const auto main = pb.declare_function("main");
+    {
+      auto f = pb.define(rec);
+      f.ret(f.call(rec, {f.arg(0) + 1}));
+    }
+    {
+      auto f = pb.define(main);
+      f.emit(f.call(rec, {f.c_i64(0)}));
+      f.ret();
+    }
+    const auto r = expect_same_stop(pb.finish(), {}, "call depth");
+    EXPECT_EQ(r.trap, vm::TrapKind::CallDepth);
+  }
+  {  // Each frame allocas 64 KiB: the 1 MiB stack runs out first.
+    ProgramBuilder pb("deep_frames");
+    const auto rec = pb.declare_function("rec", ir::Type::Void,
+                                         {ir::Param{ir::Type::I64, "n"}});
+    const auto main = pb.declare_function("main");
+    {
+      auto f = pb.define(rec);
+      const auto a = f.local_f64("a", 8192);
+      f.st(a, f.arg(0), f.c_f64(1.0));
+      f.call(rec, {f.arg(0) + 1});
+      f.ret();
+    }
+    {
+      auto f = pb.define(main);
+      f.call(rec, {f.c_i64(0)});
+      f.ret();
+    }
+    const auto r = expect_same_stop(pb.finish(), {}, "alloca overflow");
+    EXPECT_EQ(r.trap, vm::TrapKind::StackOverflow);
+  }
+  for (const bool fire : {true, false}) {  // A hardening detector.
+    auto mod = kernel([](ProgramBuilder&, FunctionBuilder& f) {
+      f.emit(f.c_i64(1));
+    });
+    auto& instrs = mod.function(mod.entry()).blocks.back().instrs;
+    ir::Instruction trap;
+    trap.op = ir::Opcode::CheckTrap;
+    trap.ops = {ir::Operand::imm(fire ? 1 : 0, ir::Type::I1)};
+    instrs.insert(instrs.end() - 1, trap);
+    const auto r = expect_same_stop(mod, {}, fire ? "CheckTrap fires"
+                                                  : "CheckTrap holds");
+    EXPECT_EQ(r.trap, fire ? vm::TrapKind::DetectedFault : vm::TrapKind::None);
+  }
+  {  // An endless loop stops at the hang budget.
+    const auto mod = kernel([](ProgramBuilder&, FunctionBuilder& f) {
+      const auto i = f.var_i64("i", 0);
+      f.while_([&] { return f.c_bool(true); },
+               [&] { i.set(i.get() + 1); });
+    });
+    vm::VmOptions opts;
+    opts.max_instructions = 1001;
+    const auto r = expect_same_stop(mod, opts, "hang");
+    EXPECT_EQ(r.trap, vm::TrapKind::Hang);
+    EXPECT_EQ(r.instructions, 1001u);
+  }
 }
 
 }  // namespace
